@@ -13,7 +13,7 @@ from .datamodel import (
     load_descriptor,
     validate_data_model,
 )
-from .events import EventMention, classify_event, recognize_event
+from .events import EventMention, recognize_event
 from .ingest import HeadlineRecord, normalize, read_records
 from .interlink import (
     EventIndexEntry,
@@ -23,7 +23,7 @@ from .interlink import (
     interlink_graph,
 )
 from .lexicon import Lexicon, classify_verb, default_lexicon_path, lemmatize, load_lexicon_file
-from .model import EventClass, EventInstance, Provenance, RoleFrame, frame_for
+from .model import EventClass, EventInstance, Provenance, RoleFrame
 from .pipeline import ExtractResult, extract_corpus, process_record
 from .rdf import Literal, Triple, TripleSet, parse_ntriples, serialize_ntriples, serialize_turtle
 from .triplify import IriPolicy, emit_event_triples
@@ -49,7 +49,6 @@ __all__ = [
     "TripleSet",
     "Verdict",
     "build_event_index",
-    "classify_event",
     "classify_verb",
     "default_catalog_path",
     "default_lexicon_path",
@@ -57,7 +56,6 @@ __all__ = [
     "extract_corpus",
     "find_related_events",
     "find_same_events",
-    "frame_for",
     "interlink_graph",
     "lemmatize",
     "load_catalog",

@@ -26,7 +26,7 @@ from datetime import date
 
 from .catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog
 from .events import EventMention
-from .ingest import HASHTAG, MENTION, NUMBER, PUNCT, WORD, Token, TokenSequence
+from .ingest import HASHTAG, MENTION, NUMBER, PUNCT, QUOTE_CHARS, WORD, Token, TokenSequence
 from .model import (
     COMMUNICATION,
     MEET,
@@ -41,11 +41,11 @@ from .model import (
     ROLE_TOPIC,
     ROLE_VICTIM,
     EntityRef,
-    EventClass,
     RoleFiller,
     RoleFrame,
     TextFiller,
 )
+from .triplify import PolicyError, slugify
 
 SPLIT_PREPOSITIONS = frozenset(("with", "in", "at", "on", "over", "for"))
 LOCATIVE_PREPOSITIONS = frozenset(("in", "at", "on", "over"))
@@ -71,8 +71,6 @@ MINTED = "minted"
 SUBJECT = "subject"
 PRE = "pre"
 POST = "post"
-
-_QUOTE_CHARS = ('"', "“", "”")
 
 
 class LinkingError(ValueError):
@@ -217,7 +215,7 @@ class EntityMention:
 
 def strip_quotes(text: str) -> str:
     out = text
-    for ch in _QUOTE_CHARS:
+    for ch in QUOTE_CHARS:
         out = out.replace(ch, "")
     return out.strip()
 
@@ -265,7 +263,7 @@ def recognize_entities(chunks: list[Chunk], catalog: EntityCatalog) -> list[Enti
 
         chunk_start = ch.tokens[0].start
         for run in _quoted_runs(ch.tokens):
-            inner = [t for t in run if t.kind != PUNCT or t.surface not in _QUOTE_CHARS]
+            inner = [t for t in run if t.kind != PUNCT or t.surface not in QUOTE_CHARS]
             if not inner:
                 continue
             mentions.append(
@@ -464,20 +462,6 @@ def disambiguate(
     return chosen, audit
 
 
-def mint_slug(surface: str) -> str:
-    cleaned = surface.lstrip("@#").casefold()
-    out = []
-    last_sep = True
-    for ch in cleaned:
-        if ch.isalnum():
-            out.append(ch)
-            last_sep = False
-        elif not last_sep:
-            out.append("_")
-            last_sep = True
-    return "".join(out).strip("_") or "entity"
-
-
 def _minted_type(mention: EntityMention) -> str:
     if mention.kind == KIND_MENTION:
         return AGENT
@@ -505,7 +489,11 @@ def link_entity(
     if not candidates and mention.kind == KIND_MENTION:
         candidates = catalog.candidates(mention.text.lstrip("@"))
     if not candidates:
-        iri = entity_iri_for(mint_slug(mention.text))
+        try:
+            slug = slugify(mention.text)
+        except PolicyError:
+            slug = "entity"  # nothing alphanumeric to name it by, as in "@_"
+        iri = entity_iri_for(slug)
         if iri in catalog:
             raise LinkingError(f"minted IRI collides with catalog entity: {iri}")
         return (
@@ -570,7 +558,6 @@ def _is_passive(head: EventMention | None, mentions: list[EntityMention]) -> boo
 
 def assign_roles(
     mentions: list[EntityMention],
-    event_class: EventClass,
     frame: RoleFrame,
     head: EventMention | None = None,
 ) -> tuple[list[tuple[str, RoleFiller]], list[str]]:
@@ -578,10 +565,11 @@ def assign_roles(
 
     Every mention lands in exactly one role (generic ``involved`` as the
     fallback) unless its text is already covered by a Topic or Message
-    filler.  Returns the roles plus warnings for unfilled required roles.
+    filler.  The class-specific rules are picked by the frame's class; an
+    extension class has none, so its mentions take only generic roles.
+    Returns the roles plus warnings for unfilled required roles.
     """
     roles: list[tuple[str, RoleFiller]] = []
-    warnings: list[str] = []
     done: set[int] = set()
 
     def take(idx: int, role: str, filler: RoleFiller | None = None) -> None:
@@ -605,7 +593,7 @@ def assign_roles(
 
     subject_ids = [i for i, m in enumerate(mentions) if m.chunk_position == SUBJECT]
 
-    if event_class.name == MEET:
+    if frame.event_class_name == MEET:
         for i in subject_ids:
             if i not in done:
                 take(i, ROLE_PARTICIPANT)
@@ -629,7 +617,7 @@ def assign_roles(
             elif m.is_entity or m.kind == KIND_MENTION:
                 take(i, ROLE_PARTICIPANT)
 
-    elif event_class.name == COMMUNICATION:
+    elif frame.event_class_name == COMMUNICATION:
         for i in subject_ids:
             if i not in done:
                 take(i, ROLE_GIVER)
@@ -665,18 +653,13 @@ def assign_roles(
             if post_chunks:
                 text = strip_quotes(" ".join(post_chunks[k] for k in sorted(post_chunks)))
                 roles.append((ROLE_MESSAGE, TextFiller(text)))
-                message_found = True
                 for i, m in enumerate(mentions):
                     if i in done or m.chunk_position != POST:
                         continue
                     if not m.is_entity:
                         drop(i)  # covered by the Message text
-        if not any(r == ROLE_GIVER for r, _ in roles):
-            warnings.append("required role Giver is unfilled")
-        if not message_found:
-            warnings.append("required role Message is unfilled")
 
-    elif event_class.name == MURDER:
+    elif frame.event_class_name == MURDER:
         passive = _is_passive(head, mentions)
         if passive:
             for i in subject_ids:
@@ -715,10 +698,9 @@ def assign_roles(
         if i not in done:
             take(i, "involved")
 
-    for required in frame.required_roles:
-        if required in (ROLE_GIVER, ROLE_MESSAGE):
-            continue  # reported above with class-specific context
-        if not any(r == required for r, _ in roles):
-            warnings.append(f"required role {required} is unfilled")
-
+    warnings = [
+        f"required role {required} is unfilled"
+        for required in frame.required_roles
+        if not any(r == required for r, _ in roles)
+    ]
     return roles, warnings

@@ -141,8 +141,3 @@ def recognize_event(tokens: TokenSequence, lexicon: Lexicon) -> EventMention | N
         candidates=tuple(candidates),
         infinitive_head=head.infinitive,
     )
-
-
-def classify_event(mention: EventMention) -> EventClass:
-    """Event class of the chosen head verb (subgroup included when defined)."""
-    return mention.event_class

@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .model import HeadlineRecord, ModelError
 
@@ -37,7 +36,7 @@ NUMBER_WORDS = frozenset(
     dozens""".split()
 )
 
-_QUOTE_CHARS = {'"', "“", "”"}
+QUOTE_CHARS = frozenset('"“”')
 
 
 class RecordError(ValueError):
@@ -103,7 +102,8 @@ def _escape_text(text: str) -> str:
 def parse_record(line: str, line_no: int = 0) -> HeadlineRecord:
     """Parse one input line into a HeadlineRecord.
 
-    Raises RecordError on wrong field count, bad dates, or empty fields.
+    Raises RecordError on wrong field count, bad dates, empty fields, or an
+    id holding a character that IRIs forbid.
     """
     stripped = line.rstrip("\n").rstrip("\r")
     fields = stripped.split("\t")
@@ -232,7 +232,7 @@ def normalize(text: str) -> TokenSequence:
             kind = NUMBER
         tokens.append(Token(surface, kind, match.start(), match.end()))
 
-    quote_positions = [i for i, t in enumerate(tokens) if t.surface in _QUOTE_CHARS]
+    quote_positions = [i for i, t in enumerate(tokens) if t.surface in QUOTE_CHARS]
     spans: list[QuotedSpan] = []
     if len(quote_positions) % 2 == 0:
         quoted_token_indexes: set[int] = set()
@@ -258,8 +258,3 @@ def normalize(text: str) -> TokenSequence:
 
 def record_date(record: HeadlineRecord) -> date:
     return record.timestamp.date()
-
-
-def iter_lines(records: Iterable[HeadlineRecord]) -> Iterator[str]:
-    for record in records:
-        yield serialize_record(record) + "\n"

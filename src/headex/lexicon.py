@@ -4,8 +4,9 @@ The lexicon file format is UTF-8 TSV, one row per lemma:
 
     lemma<TAB>class[<TAB>subgroup][<TAB>flags]
 
-Class is Communication, Meet, Murder, or ``Other:<Label>`` for extension
-classes.  Subgroup is only meaningful for Communication (SayVerbs or
+Class is Communication, Meet, Murder, or ``Other:<Label>`` for an extension
+class, which fills only the generic roles (time, location, involved) and gets
+no main triple.  Subgroup is only meaningful for Communication (SayVerbs or
 TellVerbs); leave it empty or write ``-`` for none.  Flags is a
 comma-separated list; the only recognized flag is ``noun_ok``, which lets the
 event recognizer accept -ing/noun surface forms of that lemma when a headline
@@ -21,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import BinaryIO, Iterable
 
-from .model import BUILTIN_CLASS_NAMES, COMMUNICATION, EventClass
+from .model import COMMUNICATION, FRAMES, EventClass
 
 _KNOWN_FLAGS = ("noun_ok",)
 _KNOWN_SUBGROUPS = ("SayVerbs", "TellVerbs")
@@ -66,7 +67,7 @@ def default_lexicon_path() -> Path:
 
 
 def _parse_class(text: str, line_no: int) -> str:
-    if text in BUILTIN_CLASS_NAMES:
+    if text in FRAMES:
         return text
     if text.startswith("Other:") and len(text) > len("Other:"):
         return text[len("Other:") :]

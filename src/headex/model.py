@@ -1,17 +1,23 @@
 """Core data model: event classes, role frames, headline records, event instances.
 
 Every extracted event belongs to an event class (Communication, Meet, Murder,
-or a registered extension class) and carries a role frame describing which
-semantic roles its arguments may fill.  Three generic roles (time, location,
-involved) are valid for every class; `involved` is the catch-all for
-arguments no class-specific rule claims.
+or an extension class) whose role frame says which semantic roles its
+arguments may fill and which two roles form its main triple.  Three generic
+roles (time, location, involved) are valid for every class; `involved` is the
+catch-all for arguments no class-specific rule claims.  An extension class
+(``Other:<Label>`` in the lexicon) has no frame of its own: it gets the
+generic roles only and no main triple.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from types import MappingProxyType
 from typing import TYPE_CHECKING
+
+from .rdf import IRI_FORBIDDEN
 
 if TYPE_CHECKING:  # pragma: no cover
     from .events import EventMention
@@ -19,20 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover
 COMMUNICATION = "Communication"
 MEET = "Meet"
 MURDER = "Murder"
-BUILTIN_CLASS_NAMES = (COMMUNICATION, MEET, MURDER)
-
-SUBGROUP_SAY = "SayVerbs"
-SUBGROUP_TELL = "TellVerbs"
 
 GENERIC_ROLES = ("time", "location", "involved")
 
 
 class ModelError(ValueError):
     """Raised when a core-model value violates its invariants."""
-
-
-class UnknownEventClassError(ModelError):
-    """Raised when no role frame is registered for an event class."""
 
 
 @dataclass(frozen=True)
@@ -49,49 +47,37 @@ class EventClass:
             raise ModelError(f"subgroup is only valid for {COMMUNICATION}, got {self.name}")
 
     @property
-    def is_builtin(self) -> bool:
-        return self.name in BUILTIN_CLASS_NAMES
-
-
-@dataclass(frozen=True)
-class RoleSpec:
-    name: str
-    expected_type: str = "Any"
-    required: bool = False
-    repeatable: bool = False
+    def frame(self) -> RoleFrame:
+        """This class's frame; a class without one gets generic roles only."""
+        return FRAMES.get(self.name) or RoleFrame(self.name)
 
 
 @dataclass(frozen=True)
 class RoleFrame:
-    """The roles an event class may assign.
+    """What an event class decides: its roles and its main triple.
 
-    Generic roles are appended automatically, so every frame accepts time,
-    location, and involved fillers in addition to its own roles.
+    ``roles`` are the class's own roles; the generic roles are valid in every
+    frame on top of them.  ``main_subject`` and ``main_object`` are the
+    fallback chains for the two ends of the singleton-property triple, each
+    link a ``(role, entity_only)`` pair: an end is the first filler of the
+    earliest link's role (an entity filler, when ``entity_only``), and the
+    object never reuses the subject's filler.  With either end unmatched,
+    and always for a frame with empty chains, no main triple is emitted.
     """
 
     event_class_name: str
-    roles: tuple[RoleSpec, ...]
+    roles: tuple[str, ...] = ()
+    required_roles: tuple[str, ...] = ()
+    main_subject: tuple[tuple[str, bool], ...] = ()
+    main_object: tuple[tuple[str, bool], ...] = ()
 
     def __post_init__(self) -> None:
-        names = [r.name for r in self.roles]
-        if len(names) != len(set(names)):
+        if len(self.roles) != len(set(self.roles)):
             raise ModelError(f"duplicate role names in frame for {self.event_class_name}")
 
     @property
     def role_names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.roles) + GENERIC_ROLES
-
-    @property
-    def required_roles(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.roles if r.required)
-
-    def get(self, role_name: str) -> RoleSpec | None:
-        for spec in self.roles:
-            if spec.name == role_name:
-                return spec
-        if role_name in GENERIC_ROLES:
-            return RoleSpec(role_name, "Any", required=False, repeatable=True)
-        return None
+        return self.roles + GENERIC_ROLES
 
 
 ROLE_PARTICIPANT = "Participant"
@@ -104,53 +90,30 @@ ROLE_PERPETRATOR = "Perpetrator"
 ROLE_CAUSE = "Cause"
 ROLE_COUNT = "Count"
 
-_BUILTIN_FRAMES = {
-    MEET: RoleFrame(
-        MEET,
-        (
-            RoleSpec(ROLE_PARTICIPANT, "Agent", required=True, repeatable=True),
-            RoleSpec(ROLE_TOPIC, "Text"),
+FRAMES: Mapping[str, RoleFrame] = MappingProxyType(
+    {
+        MEET: RoleFrame(
+            MEET,
+            roles=(ROLE_PARTICIPANT, ROLE_TOPIC),
+            required_roles=(ROLE_PARTICIPANT,),
+            main_subject=((ROLE_PARTICIPANT, True),),
+            main_object=((ROLE_PARTICIPANT, True),),
         ),
-    ),
-    COMMUNICATION: RoleFrame(
-        COMMUNICATION,
-        (
-            RoleSpec(ROLE_GIVER, "Agent", required=True, repeatable=True),
-            RoleSpec(ROLE_RECIPIENT, "Agent"),
-            RoleSpec(ROLE_MESSAGE, "Text", required=True),
+        COMMUNICATION: RoleFrame(
+            COMMUNICATION,
+            roles=(ROLE_GIVER, ROLE_RECIPIENT, ROLE_MESSAGE),
+            required_roles=(ROLE_GIVER, ROLE_MESSAGE),
+            main_subject=((ROLE_GIVER, True),),
+            main_object=((ROLE_RECIPIENT, True), (ROLE_MESSAGE, False)),
         ),
-    ),
-    MURDER: RoleFrame(
-        MURDER,
-        (
-            RoleSpec(ROLE_VICTIM, "Agent", repeatable=True),
-            RoleSpec(ROLE_PERPETRATOR, "Agent"),
-            RoleSpec(ROLE_CAUSE, "Any"),
-            RoleSpec(ROLE_COUNT, "Number"),
+        MURDER: RoleFrame(
+            MURDER,
+            roles=(ROLE_VICTIM, ROLE_PERPETRATOR, ROLE_CAUSE, ROLE_COUNT),
+            main_subject=((ROLE_PERPETRATOR, True), (ROLE_CAUSE, False)),
+            main_object=((ROLE_VICTIM, False), (ROLE_COUNT, False)),
         ),
-    ),
-}
-
-_EXTENSION_FRAMES: dict[str, RoleFrame] = {}
-
-
-def register_frame(frame: RoleFrame) -> None:
-    """Register a frame for an extension event class.
-
-    Intended as load-time configuration; builtin frames cannot be replaced.
-    """
-    if frame.event_class_name in _BUILTIN_FRAMES:
-        raise ModelError(f"cannot replace builtin frame {frame.event_class_name}")
-    _EXTENSION_FRAMES[frame.event_class_name] = frame
-
-
-def frame_for(event_class: EventClass | str) -> RoleFrame:
-    """Role frame for an event class; raises UnknownEventClassError if unregistered."""
-    name = event_class.name if isinstance(event_class, EventClass) else event_class
-    frame = _BUILTIN_FRAMES.get(name) or _EXTENSION_FRAMES.get(name)
-    if frame is None:
-        raise UnknownEventClassError(f"no role frame registered for event class {name!r}")
-    return frame
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -167,10 +130,13 @@ class HeadlineRecord:
             raise ModelError("record id must be nonempty")
         if not self.publisher.strip():
             raise ModelError("record publisher must be nonempty")
-        # ids and publishers pass through TSV unescaped, so no separators.
-        for label, value in (("id", self.id), ("publisher", self.publisher)):
-            if any(ch in value for ch in "\t\n\r"):
-                raise ModelError(f"record {label} must not contain tabs or newlines")
+        # Publishers pass through TSV unescaped, so no separators; ids also
+        # name IRIs, so none of the characters IRIs forbid (separators included).
+        if any(ch in self.publisher for ch in "\t\n\r"):
+            raise ModelError("record publisher must not contain tabs or newlines")
+        bad = IRI_FORBIDDEN.search(self.id)
+        if bad:
+            raise ModelError(f"record id holds {bad.group()!r}, which IRIs forbid")
         if not self.text.strip():
             raise ModelError(f"record {self.id}: text must be nonempty")
         if "\n" in self.text or "\r" in self.text:
@@ -228,8 +194,7 @@ class EventInstance:
     def __post_init__(self) -> None:
         if not self.instance_id:
             raise ModelError("instance_id must be nonempty")
-        frame = frame_for(self.event_class)
-        allowed = set(frame.role_names)
+        allowed = set(self.event_class.frame.role_names)
         for role_name, filler in self.roles:
             if role_name not in allowed:
                 raise ModelError(

@@ -28,7 +28,7 @@ from .entities import (
 from .events import recognize_event
 from .ingest import HeadlineRecord, normalize, record_date
 from .lexicon import Lexicon
-from .model import EventInstance, Provenance, frame_for
+from .model import EventInstance, Provenance
 from .rdf import TripleSet
 from .triplify import EmissionError, IriPolicy, emit_event_triples
 
@@ -107,7 +107,7 @@ def process_record(
             continue
         resolved.append(mention)
 
-    roles, role_warnings = assign_roles(resolved, head.event_class, frame_for(head.event_class), head=head)
+    roles, role_warnings = assign_roles(resolved, head.event_class.frame, head=head)
     warnings.extend(role_warnings)
 
     instance = EventInstance(

@@ -21,7 +21,7 @@ OWL_SAME_AS = "http://www.w3.org/2002/07/owl#sameAs"
 SKOS_RELATED = "http://www.w3.org/2004/02/skos/core#related"
 
 _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
 
 class RdfError(ValueError):
@@ -35,7 +35,7 @@ class NTriplesParseError(RdfError):
 
 
 def is_absolute_iri(value: str) -> bool:
-    return bool(_ABSOLUTE_IRI.match(value)) and not _IRI_FORBIDDEN.search(value)
+    return bool(_ABSOLUTE_IRI.match(value)) and not IRI_FORBIDDEN.search(value)
 
 
 def local_name(iri: str) -> str:
@@ -162,6 +162,7 @@ def escape_literal(text: str) -> str:
     return "".join(out)
 
 
+_HEX = re.compile(r"[0-9A-Fa-f]+")
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
@@ -180,16 +181,17 @@ def unescape_literal(text: str, line_no: int = 0) -> str:
         if nxt in _ESCAPES:
             out.append(_ESCAPES[nxt])
             i += 2
-        elif nxt == "u":
-            if i + 6 > len(text):
-                raise NTriplesParseError(line_no, "truncated \\u escape")
-            out.append(chr(int(text[i + 2 : i + 6], 16)))
-            i += 6
-        elif nxt == "U":
-            if i + 10 > len(text):
-                raise NTriplesParseError(line_no, "truncated \\U escape")
-            out.append(chr(int(text[i + 2 : i + 10], 16)))
-            i += 10
+        elif nxt in "uU":
+            end = i + (6 if nxt == "u" else 10)
+            if end > len(text) or not _HEX.fullmatch(text, i + 2, end):
+                raise NTriplesParseError(line_no, f"bad \\{nxt} escape {text[i:end]!r}")
+            code = int(text[i + 2 : end], 16)
+            # Surrogates and values past U+10FFFF are no characters; they
+            # could not be written back out as UTF-8.
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                raise NTriplesParseError(line_no, f"escape {text[i:end]!r} is not a character")
+            out.append(chr(code))
+            i = end
         else:
             raise NTriplesParseError(line_no, f"unknown escape \\{nxt}")
     return "".join(out)

@@ -2,12 +2,13 @@
 
 Each event instance becomes a statement IRI that is simultaneously used as a
 predicate: the statement is declared a singleton property of its generic
-event class, the two most salient participants are joined through it, and
-every other role hangs off the statement IRI directly.  Text-valued roles
-become small typed nodes (type + body literal) so the graph stays free of
-untyped literals in argument position.  Source and extraction date are
-attached to the statement IRI, never to the participants, so the same
-real-world entities can take part in many differently-sourced events.
+event class, the two fillers its class's role frame picks as most salient
+are joined through it, and every other role hangs off the statement IRI
+directly.  Text-valued roles become small typed nodes (type + body literal)
+so the graph stays free of untyped literals in argument position.  Source
+and extraction date are attached to the statement IRI, never to the
+participants, so the same real-world entities can take part in many
+differently-sourced events.
 """
 
 from __future__ import annotations
@@ -16,24 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import (
-    COMMUNICATION,
-    MEET,
-    MURDER,
-    ROLE_CAUSE,
-    ROLE_COUNT,
-    ROLE_GIVER,
-    ROLE_MESSAGE,
-    ROLE_PARTICIPANT,
-    ROLE_PERPETRATOR,
-    ROLE_RECIPIENT,
-    ROLE_TOPIC,
-    ROLE_VICTIM,
-    EntityRef,
-    EventInstance,
-    RoleFiller,
-    TextFiller,
-)
+from .model import ROLE_COUNT, ROLE_TOPIC, EntityRef, EventInstance
 from .rdf import RDF_TYPE, XSD_DATE, XSD_INTEGER, Literal, Triple, TripleSet, is_absolute_iri
 
 SINGLETON_PROPERTY_OF = "singletonPropertyOf"
@@ -148,48 +132,29 @@ def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
         node_triples.add(Triple(node, policy.property_iri(BODY), body))
         objects.append((role, node))
 
-    def pick(role: str, entity_only: bool = False) -> int | None:
-        for i, ((r, obj), (_, filler)) in enumerate(zip(objects, instance.roles)):
-            if r != role:
-                continue
-            if entity_only and not isinstance(filler, EntityRef):
-                continue
-            return i
-        return None
+    # Each end of the main triple is the first filler matching the earliest
+    # link of the frame's chain; the object skips the subject's filler.
+    frame = instance.event_class.frame
+    ends: list[int] = []
+    for chain in (frame.main_subject, frame.main_object):
+        for role, entity_only in chain:
+            found = [
+                i
+                for i, (r, f) in enumerate(instance.roles)
+                if r == role and i not in ends and (isinstance(f, EntityRef) or not entity_only)
+            ]
+            if found:
+                ends.append(found[0])
+                break
 
-    main_subject: int | None = None
-    main_object: int | None = None
-    name = instance.event_class.name
-    if name == MEET:
-        entity_participants = [
-            i
-            for i, ((r, _), (_, filler)) in enumerate(zip(objects, instance.roles))
-            if r == ROLE_PARTICIPANT and isinstance(filler, EntityRef)
-        ]
-        if len(entity_participants) >= 2:
-            main_subject, main_object = entity_participants[0], entity_participants[1]
-    elif name == COMMUNICATION:
-        main_subject = pick(ROLE_GIVER, entity_only=True)
-        main_object = pick(ROLE_RECIPIENT, entity_only=True)
-        if main_object is None:
-            main_object = pick(ROLE_MESSAGE)
-    elif name == MURDER:
-        main_subject = pick(ROLE_PERPETRATOR, entity_only=True)
-        if main_subject is None:
-            main_subject = pick(ROLE_CAUSE)
-        main_object = pick(ROLE_VICTIM)
-        if main_object is None:
-            main_object = pick(ROLE_COUNT)
-
-    consumed: set[int] = set()
-    if main_subject is not None and main_object is not None:
-        graph.add(Triple(objects[main_subject][1], sp, objects[main_object][1]))
-        consumed = {main_subject, main_object}
+    if len(ends) == 2:
+        graph.add(Triple(objects[ends[0]][1], sp, objects[ends[1]][1]))
+    else:
+        ends = []
 
     for i, (role, obj) in enumerate(objects):
-        if i in consumed:
-            continue
-        graph.add(Triple(sp, policy.role_property_iri(role), obj))
+        if i not in ends:
+            graph.add(Triple(sp, policy.role_property_iri(role), obj))
 
     graph.update(node_triples)
     graph.add(Triple(sp, policy.property_iri(HAS_SOURCE), policy.source_iri(instance.provenance.publisher)))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from headex.cli import main
-from headex.rdf import parse_ntriples
+from headex.lexicon import default_lexicon_path
+from headex.rdf import Triple, parse_ntriples
 
 BASE = "http://example.org/news/"
 
@@ -53,6 +54,40 @@ class TestExtract:
         graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
         assert any(t.subject == f"{BASE}Meet_ok1" for t in graph)
 
+    def test_record_id_not_valid_in_an_iri_is_skipped(self, capsys, tmp_path):
+        source = tmp_path / "ids.tsv"
+        source.write_text(
+            "ok1\tCNN\t16/3/16\tPope Francis visits Cuba\n"
+            "a b\tBBC\t16/3/16\tPope Francis visits Mexico\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "extract", str(source), "--out", str(out_dir))
+        assert code == 2
+        assert out.strip() == "records=2 events=1 skipped=1"
+        skipped = (out_dir / "skipped.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(skipped) == 1 and skipped[0].startswith("line2\t")
+        assert "record id" in skipped[0]
+
+    def test_extension_class_gets_generic_roles_only(self, capsys, tmp_path):
+        lexicon = tmp_path / "lexicon.tsv"
+        bundled = default_lexicon_path().read_text(encoding="utf-8")
+        lexicon.write_text(bundled.rstrip("\n") + "\npray\tOther:Worship\n", encoding="utf-8")
+        source = tmp_path / "worship.tsv"
+        source.write_text("w1\tCNN\t1/3/16\tPope Francis prays with Kirill in Cuba\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "extract", str(source), "--lexicon", str(lexicon), "--out", str(out_dir)
+        )
+        assert (code, out.strip(), err) == (0, "records=1 events=1 skipped=0", "")
+        graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
+        sp = f"{BASE}Worship_w1"
+        assert Triple(sp, f"{BASE}singletonPropertyOf", f"{BASE}Worship") in graph
+        assert not [t for t in graph if t.predicate == sp]  # no main triple
+        used = {t.predicate for t in graph if t.subject == sp}
+        generic = {"singletonPropertyOf", "involved", "location", "hasSource", "extractedOn"}
+        assert used == {BASE + name for name in generic}
+
     def test_turtle_option(self, capsys, tmp_path, nine_tsv):
         code, _, _ = run(capsys, "extract", nine_tsv, "--out", str(tmp_path), "--turtle")
         assert code == 0
@@ -98,6 +133,18 @@ class TestInterlink:
         bad.write_text("this is not ntriples\n", encoding="utf-8")
         code, _, err = run(capsys, "interlink", str(bad))
         assert code == 1 and err.startswith("error:")
+
+
+class TestBadLiteralEscapes:
+    @pytest.mark.parametrize("escape", ["\\uZZZZ", "\\uD800"])
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    def test_bad_escape_in_graph_is_fatal(self, capsys, tmp_path, command, escape):
+        graph = tmp_path / "bad.nt"
+        graph.write_text(f'<{BASE}s> <{BASE}body> "x{escape}" .\n', encoding="utf-8")
+        extra = ["--out", str(tmp_path / "links.nt")] if command == "interlink" else []
+        code, out, err = run(capsys, command, str(graph), *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot parse graph {graph}: line 1:")
 
 
 class TestValidate:

@@ -24,13 +24,13 @@ from headex.entities import (
     context_words,
     disambiguate,
     link_entity,
-    mint_slug,
     recognize_entities,
     resolve_implicit,
 )
 from headex.events import recognize_event
 from headex.ingest import normalize
-from headex.model import TextFiller, frame_for
+from headex.model import TextFiller
+from headex.triplify import slugify
 
 
 def chunks_for(text: str, lexicon):
@@ -52,7 +52,7 @@ def pipeline_roles(text: str, lexicon, catalog, policy, at=date(2016, 3, 1)):
         elif m.kind in (KIND_NAMED, KIND_MENTION):
             m, _ = link_entity(m, catalog, context_words(toks), policy.entity_iri, at=at)
         resolved.append(m)
-    return assign_roles(resolved, mention.event_class, frame_for(mention.event_class), head=mention)
+    return assign_roles(resolved, mention.event_class.frame, head=mention)
 
 
 def _role_map(roles):
@@ -184,9 +184,9 @@ class TestLinking:
         assert linked.entity_type == PERSON
 
     def test_mint_slug(self):
-        assert mint_slug("@Pontifex") == "pontifex"
-        assert mint_slug("John Q. Public") == "john_q_public"
-        assert mint_slug("#SXSW") == "sxsw"
+        assert slugify("@Pontifex") == "pontifex"
+        assert slugify("John Q. Public") == "john_q_public"
+        assert slugify("#SXSW") == "sxsw"
 
     def test_unknown_handle_is_minted_as_agent(self, lexicon, catalog, policy):
         toks, _, chunks = chunks_for("Pope meets @jqd today", lexicon)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from headex.events import classify_event, recognize_event
+from headex.events import recognize_event
 from headex.ingest import normalize
 from headex.lexicon import load_lexicon
 
@@ -31,7 +31,7 @@ class TestGoldenNine:
         mention = head_of(record_by_id[record_id].text, lexicon)
         expected_class, expected_surface = EXPECTED_CLASSES[record_id]
         assert mention is not None
-        assert classify_event(mention).name == expected_class
+        assert mention.event_class.name == expected_class
         assert mention.surface == expected_surface
 
 

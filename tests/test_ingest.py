@@ -86,6 +86,22 @@ class TestRecords:
         assert labels == ["line2", "a1"]
         assert "duplicate" in failures[1][1] and "line 3" in failures[1][1]
 
+    @pytest.mark.parametrize("bad_id", ["a b", "a<b", 'a"b', "a{b}", "a|b", "a^b", "a`b", "a\\b"])
+    def test_id_not_valid_in_an_iri_rejected(self, bad_id):
+        with pytest.raises(RecordError, match="record id"):
+            parse_record(f"{bad_id}\tCNN\t26/2/16\tPope Francis visits Cuba")
+
+    def test_read_records_skips_id_not_valid_in_an_iri(self, tmp_path):
+        path = tmp_path / "ids.tsv"
+        path.write_text(
+            "a b\tCNN\t26/2/16\tPope Francis visits Cuba\n"
+            " a1 \tBBC\t27/2/16\tPope Francis visits Mexico\n",
+            encoding="utf-8",
+        )
+        records, failures = read_records(path)
+        assert [r.id for r in records] == ["a1"]  # surrounding spaces are stripped
+        assert [label for label, _ in failures] == ["line1"]
+
 
 class TestTokenizer:
     def test_kinds_for_running_example(self):

@@ -8,6 +8,7 @@ import pytest
 
 from headex.model import (
     COMMUNICATION,
+    FRAMES,
     GENERIC_ROLES,
     MEET,
     MURDER,
@@ -18,18 +19,14 @@ from headex.model import (
     ModelError,
     Provenance,
     RoleFrame,
-    RoleSpec,
     TextFiller,
-    UnknownEventClassError,
-    frame_for,
-    register_frame,
 )
 
 
 class TestEventClass:
     def test_builtins(self):
-        assert EventClass(MEET).is_builtin
-        assert not EventClass("Election").is_builtin
+        assert EventClass(MEET).frame is FRAMES[MEET]
+        assert "Election" not in FRAMES
 
     def test_subgroup_only_for_communication(self):
         assert EventClass(COMMUNICATION, subgroup="SayVerbs").subgroup == "SayVerbs"
@@ -39,28 +36,45 @@ class TestEventClass:
 
 class TestFrames:
     def test_builtin_frames_have_expected_roles(self):
-        meet = frame_for(MEET)
+        meet = EventClass(MEET).frame
         assert set(meet.role_names) >= {"Participant", "Topic", *GENERIC_ROLES}
-        assert frame_for(COMMUNICATION).required_roles == ("Giver", "Message")
-        murder = frame_for(MURDER)
+        assert EventClass(COMMUNICATION).frame.required_roles == ("Giver", "Message")
+        murder = EventClass(MURDER).frame
         assert {"Victim", "Perpetrator", "Cause", "Count"} <= set(murder.role_names)
         assert murder.required_roles == ()
+        assert meet.main_subject == meet.main_object == (("Participant", True),)
+        assert murder.main_subject == (("Perpetrator", True), ("Cause", False))
+        assert murder.main_object == (("Victim", False), ("Count", False))
 
-    def test_frame_lookup_accepts_class_or_name(self):
-        assert frame_for(EventClass(MEET)) is frame_for(MEET)
+    def test_subgroup_shares_the_class_frame(self):
+        assert EventClass(COMMUNICATION, subgroup="SayVerbs").frame is FRAMES[COMMUNICATION]
 
-    def test_unknown_class_raises(self):
-        with pytest.raises(UnknownEventClassError):
-            frame_for("Banquet")
+    def test_unknown_class_gets_generic_frame(self):
+        frame = EventClass("Banquet").frame
+        assert frame == RoleFrame("Banquet")
+        assert frame.role_names == GENERIC_ROLES
+        assert frame.required_roles == ()
+        assert frame.main_subject == frame.main_object == ()
 
-    def test_register_extension_frame(self):
-        frame = RoleFrame("Election", (RoleSpec("Winner", "Agent", required=True),))
-        register_frame(frame)
-        assert frame_for("Election").get("Winner").required
+    def test_extension_instance_takes_generic_roles_only(self):
+        def make(role):
+            return EventInstance(
+                instance_id="e1",
+                event_class=EventClass("Election"),
+                mention=None,
+                roles=((role, TextFiller("x")),),
+                provenance=Provenance("CNN", date(2016, 2, 26)),
+            )
+
+        assert make("involved").fillers("involved") == (TextFiller("x"),)
+        with pytest.raises(ModelError):
+            make("Winner")
 
     def test_builtin_frames_cannot_be_replaced(self):
-        with pytest.raises(ModelError):
-            register_frame(RoleFrame(MEET, ()))
+        with pytest.raises(TypeError):
+            FRAMES[MEET] = RoleFrame(MEET)  # type: ignore[index]
+        with pytest.raises(AttributeError):
+            FRAMES[MEET].roles = ()  # type: ignore[misc]
 
 
 class TestRecords:

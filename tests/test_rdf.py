@@ -95,6 +95,29 @@ class TestEscaping:
     def test_escaped_output_is_single_line(self):
         assert "\n" not in escape_literal("a\nb")
 
+    def test_unicode_escapes(self):
+        assert unescape_literal("\\u00e9\\u00E9\\U0001F600") == "éé\U0001F600"
+
+    @pytest.mark.parametrize(
+        "escaped",
+        ["\\uZZZZ", "\\u12G4", "\\U0000ZZZZ", "\\u+0FF", "\\u0_FF", "\\u 0FF", "\\u12", "\\U0001F6"],
+    )
+    def test_non_hex_or_short_unicode_escape_rejected(self, escaped):
+        with pytest.raises(NTriplesParseError):
+            unescape_literal(escaped)
+
+    @pytest.mark.parametrize("escaped", ["\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000"])
+    def test_escape_of_no_character_rejected(self, escaped):
+        # Surrogates and values past U+10FFFF could not be written as UTF-8.
+        with pytest.raises(NTriplesParseError):
+            unescape_literal(escaped)
+
+    def test_bad_escape_in_graph_carries_line_number(self):
+        text = '<http://e/s> <http://e/p> "ok" .\n<http://e/s> <http://e/p> "\\uD800" .\n'
+        with pytest.raises(NTriplesParseError) as err:
+            parse_ntriples(text)
+        assert err.value.line_no == 2
+
 
 class TestSerialization:
     def graph(self) -> TripleSet:

@@ -9,7 +9,7 @@ import pytest
 
 from headex.events import recognize_event
 from headex.ingest import normalize, parse_record
-from headex.model import EventClass, EventInstance, Provenance
+from headex.model import EntityRef, EventClass, EventInstance, Provenance, TextFiller
 from headex.pipeline import process_record
 from headex.rdf import RDF_TYPE, XSD_DATE, XSD_INTEGER, Literal, Triple, serialize_ntriples
 from headex.triplify import (
@@ -92,6 +92,20 @@ class TestRunningExampleShape:
         assert len(graph) == 7
 
 
+def built_instance(class_name: str, *roles) -> EventInstance:
+    return EventInstance(
+        instance_id="e1",
+        event_class=EventClass(class_name),
+        mention=None,
+        roles=roles,
+        provenance=Provenance(publisher="BBC", extracted_on=date(2016, 3, 11)),
+    )
+
+
+def main_triples(graph, class_name: str) -> list[Triple]:
+    return predicates(graph, f"{BASE}{class_name}_e1")
+
+
 class TestMainTripleSelection:
     def test_communication_giver_to_message_node(self, instance_by_id, policy):
         graph = emit_event_triples(instance_by_id["no4"], policy)
@@ -137,6 +151,82 @@ class TestMainTripleSelection:
         sp = f"{BASE}Meet_x1"
         assert not [t for t in graph if t.predicate == sp]
         assert Triple(sp, f"{BASE}participant", "http://dbpedia.org/resource/Pope_Francis") in graph
+
+    def test_entity_recipient_beats_message(self, policy):
+        instance = built_instance(
+            "Communication",
+            ("Giver", EntityRef("http://e/giver")),
+            ("Message", TextFiller("talks went well")),
+            ("Recipient", EntityRef("http://e/recipient")),
+        )
+        graph = emit_event_triples(instance, policy)
+        sp = f"{BASE}Communication_e1"
+        assert main_triples(graph, "Communication") == [Triple("http://e/giver", sp, "http://e/recipient")]
+        assert Triple(sp, f"{BASE}message", f"{BASE}message/e1") in graph
+
+    def test_text_recipient_falls_back_to_message(self, policy):
+        instance = built_instance(
+            "Communication",
+            ("Giver", EntityRef("http://e/giver")),
+            ("Recipient", TextFiller("reporters")),
+            ("Message", TextFiller("talks went well")),
+        )
+        graph = emit_event_triples(instance, policy)
+        sp = f"{BASE}Communication_e1"
+        assert main_triples(graph, "Communication") == [Triple("http://e/giver", sp, f"{BASE}message/e1")]
+        assert Triple(sp, f"{BASE}recipient", f"{BASE}recipient/e1") in graph
+
+    def test_entity_perpetrator_beats_cause_and_victim_beats_count(self, policy):
+        instance = built_instance(
+            "Murder",
+            ("Cause", TextFiller("Gunfire")),
+            ("Count", TextFiller("2")),
+            ("Perpetrator", EntityRef("http://e/perpetrator")),
+            ("Victim", EntityRef("http://e/victim")),
+        )
+        graph = emit_event_triples(instance, policy)
+        sp = f"{BASE}Murder_e1"
+        assert main_triples(graph, "Murder") == [Triple("http://e/perpetrator", sp, "http://e/victim")]
+        assert Triple(sp, f"{BASE}cause", f"{BASE}cause/e1") in graph
+        assert Triple(sp, f"{BASE}count", f"{BASE}count/e1") in graph
+
+    def test_text_perpetrator_falls_back_to_cause(self, policy):
+        instance = built_instance(
+            "Murder",
+            ("Perpetrator", TextFiller("gunmen")),
+            ("Cause", TextFiller("Gunfire")),
+            ("Victim", TextFiller("two guards")),
+        )
+        graph = emit_event_triples(instance, policy)
+        sp = f"{BASE}Murder_e1"
+        assert main_triples(graph, "Murder") == [Triple(f"{BASE}cause/e1", sp, f"{BASE}victim/e1")]
+
+    def test_text_giver_is_never_main_subject(self, policy):
+        instance = built_instance(
+            "Communication",
+            ("Giver", TextFiller("officials")),
+            ("Recipient", EntityRef("http://e/recipient")),
+            ("Message", TextFiller("talks went well")),
+        )
+        graph = emit_event_triples(instance, policy)
+        sp = f"{BASE}Communication_e1"
+        assert main_triples(graph, "Communication") == []
+        assert Triple(sp, f"{BASE}giver", f"{BASE}giver/e1") in graph
+        assert Triple(sp, f"{BASE}recipient", "http://e/recipient") in graph
+
+    def test_unknown_class_has_no_main_triple(self, policy):
+        instance = built_instance(
+            "Worship",
+            ("involved", EntityRef("http://e/a")),
+            ("involved", EntityRef("http://e/b")),
+            ("location", EntityRef("http://e/place")),
+        )
+        graph = emit_event_triples(instance, policy)
+        sp = f"{BASE}Worship_e1"
+        assert main_triples(graph, "Worship") == []
+        assert Triple(sp, f"{BASE}singletonPropertyOf", f"{BASE}Worship") in graph
+        assert {t.object for t in predicates(graph, f"{BASE}involved")} == {"http://e/a", "http://e/b"}
+        assert Triple(sp, f"{BASE}location", "http://e/place") in graph
 
     def test_repeated_role_nodes_get_ordinals(self, instance_by_id, policy):
         graph = emit_event_triples(instance_by_id["no8"], policy)
