@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .catalog import CatalogError, default_catalog_path, load_catalog
 from .datamodel import DescriptorError, Verdict, load_descriptor, validate_data_model
@@ -33,6 +34,7 @@ from .rdf import (
 from .triplify import IriPolicy, PolicyError, load_policy, slugify
 
 _DEFAULT_BASE = IriPolicy().base_iri
+_T = TypeVar("_T")
 
 
 class _Fatal(Exception):
@@ -53,12 +55,27 @@ def _add_policy_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", default=None, help="JSON file with IRI policy settings")
 
 
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> _Fatal:
+    bad = exc.object[exc.start : exc.end]
+    return _Fatal(f"cannot read {path}: not UTF-8 ({exc.reason}: {bad!r})")
+
+
+def _load(loader: Callable[[str | Path], _T], path: str | Path) -> _T:
+    """``loader(path)``, with a file that is not UTF-8 made a fatal error."""
+    try:
+        return loader(path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
 def _read_graph(path: str) -> TripleSet:
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_ntriples(handle.read())
     except OSError as exc:
         raise _Fatal(f"cannot read graph: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except NTriplesParseError as exc:
         raise _Fatal(f"cannot parse graph {path}: {exc}") from exc
 
@@ -68,9 +85,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
     policy = _policy_from(args)
     try:
-        lexicon = load_lexicon_file(args.lexicon or default_lexicon_path())
-        catalog = load_catalog(args.catalog or default_catalog_path())
-        records, failures = read_records(args.input)
+        lexicon = _load(load_lexicon_file, args.lexicon or default_lexicon_path())
+        catalog = _load(load_catalog, args.catalog or default_catalog_path())
+        records, failures = _load(read_records, args.input)
     except (OSError, LexiconError, CatalogError) as exc:
         raise _Fatal(str(exc)) from exc
 
@@ -110,7 +127,27 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 2 if skipped else 0
 
 
+def _check_interlink_options(args: argparse.Namespace) -> None:
+    for flag, value, unit in (
+        ("--same-window-hours", args.same_window_hours, "hours"),
+        ("--related-horizon-days", args.related_horizon_days, "days"),
+    ):
+        try:
+            timedelta(**{unit: value})
+            fits = value >= 0
+        except (OverflowError, ValueError):
+            fits = False
+        if not fits:
+            raise _Fatal(
+                f"{flag} must be a finite, non-negative number of {unit}"
+                f" up to {timedelta.max.days:,} days, got {value!r}"
+            )
+    if not 0 < args.same_jaccard <= 1:
+        raise _Fatal(f"--same-jaccard must lie in (0, 1], got {args.same_jaccard!r}")
+
+
 def _cmd_interlink(args: argparse.Namespace) -> int:
+    _check_interlink_options(args)
     policy = _policy_from(args)
     graph = _read_graph(args.graph)
     try:

@@ -7,17 +7,22 @@ directed "related" link connects an earlier event to a later one that shares
 at least one participant within a horizon, unless the pair is already a
 same-event pair.
 
-Pair search is windowed: entries are sorted by time (per class for the
-same-event pass) and only pairs inside the window are compared, which keeps
-the scan near-linear on realistic feeds while producing exactly the pairs a
-quadratic scan would.
+Both rules need a shared participant (a positive Jaccard threshold implies a
+non-empty intersection), so candidates come from participant postings, the
+inverted-index candidate generation of Bayardo, Ma and Srikant, "Scaling Up
+All Pairs Similarity Search" (WWW 2007): entries are visited in time order,
+and each one is paired only with the earlier entries in reach that already
+posted one of its participants.  Comparisons grow with the pairs that share
+a participant, not with how many events fall in the window, and the result
+is exactly the set of pairs a quadratic scan would produce.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .rdf import OWL_SAME_AS, RDF_TYPE, SKOS_RELATED, Literal, Triple, TripleSet, local_name
 from .triplify import BODY, EXTRACTED_ON, HAS_SOURCE, SINGLETON_PROPERTY_OF, IriPolicy
@@ -34,6 +39,13 @@ class EventIndexEntry:
     participants: frozenset[str]
     timestamp: datetime
     publisher: str
+
+
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _time_order(entry: EventIndexEntry) -> tuple[datetime, str]:
+    return entry.timestamp, entry.instance_iri
 
 
 def _timestamp(lexical: str) -> datetime:
@@ -105,7 +117,7 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
                 publisher=sources[iri],
             )
         )
-    entries.sort(key=lambda e: (e.timestamp, e.instance_iri))
+    entries.sort(key=_time_order)
     return entries
 
 
@@ -116,31 +128,53 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(union)
 
 
+def _sharing_pairs(
+    entries: Iterable[EventIndexEntry], reach: timedelta
+) -> Iterator[tuple[EventIndexEntry, EventIndexEntry]]:
+    """Yield once each (earlier, later) pair of entries, in (time, IRI) order,
+    that shares a participant and lies at most ``reach`` apart."""
+    ordered = sorted(entries, key=_time_order)
+    if not ordered:
+        return
+    # Integer microseconds: exact inclusive bounds, and no datetime
+    # arithmetic that could leave the representable range for a huge reach.
+    origin = ordered[0].timestamp
+    reach_us = reach // _MICROSECOND
+    # participant -> (times, positions) of the entries visited so far, ascending.
+    postings: dict[str, tuple[list[int], list[int]]] = {}
+    for j, later in enumerate(ordered):
+        at = (later.timestamp - origin) // _MICROSECOND
+        candidates: set[int] = set()
+        for participant in later.participants:
+            times, positions = postings.setdefault(participant, ([], []))
+            candidates.update(positions[bisect_left(times, at - reach_us) :])
+            times.append(at)
+            positions.append(j)
+        for i in candidates:
+            yield ordered[i], later
+
+
 def find_same_events(
     entries: Iterable[EventIndexEntry],
     window_hours: float = 48.0,
     jaccard_min: float = 0.5,
 ) -> list[tuple[str, str]]:
-    """Unordered same-event pairs, each returned once as (smaller, larger IRI)."""
-    window = timedelta(hours=window_hours)
-    by_class: dict[str, list[EventIndexEntry]] = {}
-    for entry in entries:
-        by_class.setdefault(entry.class_iri, []).append(entry)
+    """Unordered same-event pairs, each returned once as (smaller, larger IRI).
 
+    ``jaccard_min`` must lie in (0, 1]: candidates come from shared
+    participants, so a threshold that admits disjoint sets cannot be served.
+    """
+    if not 0 < jaccard_min <= 1:
+        raise ValueError(f"jaccard_min must lie in (0, 1], got {jaccard_min!r}")
     pairs: set[tuple[str, str]] = set()
-    for group in by_class.values():
-        group.sort(key=lambda e: (e.timestamp, e.instance_iri))
-        left = 0
-        for j, later in enumerate(group):
-            while later.timestamp - group[left].timestamp > window:
-                left += 1
-            for i in range(left, j):
-                earlier = group[i]
-                if earlier.publisher == later.publisher:
-                    continue
-                if jaccard(earlier.participants, later.participants) < jaccard_min:
-                    continue
-                pairs.add(tuple(sorted((earlier.instance_iri, later.instance_iri))))
+    for earlier, later in _sharing_pairs(entries, timedelta(hours=window_hours)):
+        if earlier.class_iri != later.class_iri:
+            continue
+        if earlier.publisher == later.publisher:
+            continue
+        if jaccard(earlier.participants, later.participants) < jaccard_min:
+            continue
+        pairs.add(tuple(sorted((earlier.instance_iri, later.instance_iri))))
     return sorted(pairs)
 
 
@@ -155,25 +189,15 @@ def find_related_events(
     and pairs listed in ``exclude`` (same-event links, in any order) are
     skipped.
     """
-    horizon = timedelta(days=horizon_days)
     excluded = {tuple(sorted(pair)) for pair in exclude}
-    ordered = sorted(entries, key=lambda e: (e.timestamp, e.instance_iri))
-
     pairs: list[tuple[str, str]] = []
-    left = 0
-    for j, later in enumerate(ordered):
-        while later.timestamp - ordered[left].timestamp > horizon:
-            left += 1
-        for i in range(left, j):
-            earlier = ordered[i]
-            if not earlier.timestamp < later.timestamp:
-                continue
-            if not earlier.participants & later.participants:
-                continue
-            key = tuple(sorted((earlier.instance_iri, later.instance_iri)))
-            if key in excluded:
-                continue
-            pairs.append((earlier.instance_iri, later.instance_iri))
+    for earlier, later in _sharing_pairs(entries, timedelta(days=horizon_days)):
+        if not earlier.timestamp < later.timestamp:
+            continue
+        key = tuple(sorted((earlier.instance_iri, later.instance_iri)))
+        if key in excluded:
+            continue
+        pairs.append((earlier.instance_iri, later.instance_iri))
     return sorted(pairs)
 
 

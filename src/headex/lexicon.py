@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable
 
 from .model import COMMUNICATION, FRAMES, EventClass
+from .rdf import IRI_FORBIDDEN
 
 _KNOWN_FLAGS = ("noun_ok",)
 _KNOWN_SUBGROUPS = ("SayVerbs", "TellVerbs")
@@ -70,7 +71,13 @@ def _parse_class(text: str, line_no: int) -> str:
     if text in FRAMES:
         return text
     if text.startswith("Other:") and len(text) > len("Other:"):
-        return text[len("Other:") :]
+        label = text[len("Other:") :]
+        bad = IRI_FORBIDDEN.search(label)
+        if bad:
+            raise LexiconError(
+                line_no, f"class label {label!r} holds {bad.group()!r}, which IRIs forbid"
+            )
+        return label
     raise LexiconError(line_no, f"unknown event class {text!r}")
 
 

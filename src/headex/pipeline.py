@@ -30,7 +30,7 @@ from .ingest import HeadlineRecord, normalize, record_date
 from .lexicon import Lexicon
 from .model import EventInstance, Provenance
 from .rdf import TripleSet
-from .triplify import EmissionError, IriPolicy, emit_event_triples
+from .triplify import EmissionError, IriPolicy, PolicyError, emit_event_triples
 
 
 class SkipRecord(Exception):
@@ -120,7 +120,7 @@ def process_record(
     )
     try:
         triples = emit_event_triples(instance, policy)
-    except EmissionError as exc:
+    except (EmissionError, PolicyError) as exc:
         raise SkipRecord(str(exc)) from exc
     return instance, triples, audits
 

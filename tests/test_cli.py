@@ -88,6 +88,30 @@ class TestExtract:
         generic = {"singletonPropertyOf", "involved", "location", "hasSource", "extractedOn"}
         assert used == {BASE + name for name in generic}
 
+    def test_publisher_without_a_slug_is_skipped(self, capsys, tmp_path):
+        source = tmp_path / "publishers.tsv"
+        source.write_text(
+            "p1\t!!!\t16/3/16\tPope Francis visits Cuba\n"
+            "p2\tBBC\t16/3/16\tPope Francis visits Mexico\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "extract", str(source), "--out", str(out_dir))
+        assert (code, out.strip()) == (2, "records=2 events=1 skipped=1")
+        skipped = (out_dir / "skipped.tsv").read_text(encoding="utf-8")
+        assert skipped == "p1\tcannot derive an IRI slug from '!!!'\n"
+        graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
+        assert any(t.subject == f"{BASE}Meet_p2" for t in graph)
+
+    @pytest.mark.parametrize("option", ["input", "--lexicon", "--catalog"])
+    def test_file_not_utf8_is_fatal(self, capsys, tmp_path, nine_tsv, option):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"no1\tCNN\t16/3/16\tPope Francis visits Cuba \xff\n")
+        argv = [str(bad)] if option == "input" else [nine_tsv, option, str(bad)]
+        code, out, err = run(capsys, "extract", *argv, "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {bad}: not UTF-8 (")
+
     def test_turtle_option(self, capsys, tmp_path, nine_tsv):
         code, _, _ = run(capsys, "extract", nine_tsv, "--out", str(tmp_path), "--turtle")
         assert code == 0
@@ -133,6 +157,63 @@ class TestInterlink:
         bad.write_text("this is not ntriples\n", encoding="utf-8")
         code, _, err = run(capsys, "interlink", str(bad))
         assert code == 1 and err.startswith("error:")
+
+
+    @pytest.fixture()
+    def graph_path(self, capsys, tmp_path, fixtures_dir) -> str:
+        run(capsys, "extract", str(fixtures_dir / "duplicates.tsv"), "--out", str(tmp_path))
+        return str(tmp_path / "events.nt")
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--same-window-hours", "-1"),
+            ("--same-window-hours", "nan"),
+            ("--same-window-hours", "inf"),
+            ("--same-window-hours", "1e12"),
+            ("--related-horizon-days", "-0.5"),
+            ("--related-horizon-days", "nan"),
+            ("--related-horizon-days", "-inf"),
+            ("--related-horizon-days", "1e12"),
+            ("--same-jaccard", "nan"),
+            ("--same-jaccard", "0"),
+            ("--same-jaccard", "-0.5"),
+            ("--same-jaccard", "1.5"),
+        ],
+    )
+    def test_option_out_of_domain_is_fatal(self, capsys, tmp_path, graph_path, option, value):
+        links_path = tmp_path / "links.nt"
+        argv = ["interlink", graph_path, "--out", str(links_path), f"{option}={value}"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {option} must ")
+        assert not links_path.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, counts",
+        [
+            ("--same-window-hours", "0", "sameas=1 related=2"),
+            ("--related-horizon-days", "1e6", "sameas=1 related=2"),
+            ("--related-horizon-days", "0", "sameas=1 related=0"),
+            ("--same-jaccard", "1", "sameas=1 related=2"),
+        ],
+    )
+    def test_option_domain_edges(self, capsys, tmp_path, graph_path, option, value, counts):
+        links_path = tmp_path / "links.nt"
+        argv = ["interlink", graph_path, "--out", str(links_path), f"{option}={value}"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.strip()) == (0, counts)
+
+
+class TestNotUtf8Graph:
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    def test_graph_not_utf8_is_fatal(self, capsys, tmp_path, command):
+        graph = tmp_path / "bad.nt"
+        graph.write_bytes(f'<{BASE}s> <{BASE}body> "x'.encode("utf-8") + b'\xff" .\n')
+        extra = ["--out", str(tmp_path / "links.nt")] if command == "interlink" else []
+        code, out, err = run(capsys, command, str(graph), *extra)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read {graph}: not UTF-8 (invalid start byte: b'\\xff')\n"
 
 
 class TestBadLiteralEscapes:

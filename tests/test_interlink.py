@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headex.ingest import read_records
 from headex.interlink import (
@@ -242,6 +245,86 @@ class TestWindowedEqualsBruteForce:
             small_related = set(find_related_events(smaller, exclude=small_same))
             big_related = set(find_related_events(bigger, exclude=big_same))
             assert small_related <= big_related
+
+
+WINDOWS_HOURS = (0.0, 24.0, 1e4)
+JACCARD_MINS = (1e-9, 0.5, 1.0)
+HORIZONS_DAYS = (0.0, 1.0, 1e6)
+
+
+class TestParametersEqualBruteForce:
+    @pytest.mark.parametrize("jaccard_min", JACCARD_MINS)
+    @pytest.mark.parametrize("window_hours", WINDOWS_HOURS)
+    def test_same_events(self, window_hours, jaccard_min):
+        rng = random.Random(f"same-{window_hours}-{jaccard_min}")
+        for _ in range(8):
+            entries = random_entries(rng, rng.randint(0, 60))
+            assert find_same_events(
+                entries, window_hours=window_hours, jaccard_min=jaccard_min
+            ) == brute_same(entries, window_hours=window_hours, jaccard_min=jaccard_min)
+
+    @pytest.mark.parametrize("horizon_days", HORIZONS_DAYS)
+    def test_related_events(self, horizon_days):
+        rng = random.Random(f"related-{horizon_days}")
+        for _ in range(8):
+            entries = random_entries(rng, rng.randint(0, 60))
+            same = find_same_events(entries)
+            assert find_related_events(
+                entries, horizon_days=horizon_days, exclude=same
+            ) == brute_related(entries, horizon_days=horizon_days, exclude=same)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # class
+                st.frozensets(st.integers(0, 5), max_size=4),  # participants
+                st.integers(0, 24 * 4),  # hours after the first day
+                st.integers(0, 2),  # publisher
+            ),
+            max_size=25,
+        ),
+        window_hours=st.sampled_from(WINDOWS_HOURS),
+        jaccard_min=st.sampled_from(JACCARD_MINS),
+        horizon_days=st.sampled_from(HORIZONS_DAYS),
+    )
+    def test_property(self, rows, window_hours, jaccard_min, horizon_days):
+        entries = [
+            entry(
+                f"http://x/E{i}",
+                class_iri=f"http://x/C{cls}",
+                participants=frozenset(f"http://x/e{k}" for k in people),
+                hours=hours,
+                publisher=f"p{publisher}",
+            )
+            for i, (cls, people, hours, publisher) in enumerate(rows)
+        ]
+        same = find_same_events(entries, window_hours=window_hours, jaccard_min=jaccard_min)
+        assert same == brute_same(entries, window_hours=window_hours, jaccard_min=jaccard_min)
+        related = find_related_events(entries, horizon_days=horizon_days, exclude=same)
+        assert related == brute_related(entries, horizon_days=horizon_days, exclude=same)
+
+    def test_bounds_are_exact_to_the_microsecond(self):
+        people = frozenset({"http://x/p"})
+        a = entry("http://x/a", participants=people, publisher="alpha")
+        day, tick = timedelta(days=1), timedelta(microseconds=1)
+        b = replace(a, instance_iri="http://x/b", publisher="beta", timestamp=a.timestamp + day)
+        c = replace(b, instance_iri="http://x/c", publisher="gamma", timestamp=b.timestamp + tick)
+        assert find_same_events([a, b, c], window_hours=24) == [
+            ("http://x/a", "http://x/b"),
+            ("http://x/b", "http://x/c"),
+        ]
+        assert find_related_events([a, b, c], horizon_days=1) == [
+            ("http://x/a", "http://x/b"),
+            ("http://x/b", "http://x/c"),
+        ]
+
+    @pytest.mark.parametrize("jaccard_min", [0.0, -0.5, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, jaccard_min):
+        people = frozenset({"http://x/p"})
+        entries = [entry("http://x/a", participants=people), entry("http://x/b", publisher="beta")]
+        with pytest.raises(ValueError):
+            find_same_events(entries, jaccard_min=jaccard_min)
 
 
 class TestEndToEnd:

@@ -114,6 +114,8 @@ class TestFormat:
             "meet\tMeet\t-\tbad_flag\n",
             "onlyfield\n",
             "say\tCommunication\tSayVerbs\textra\ttoomany\n",
+            "pray\tOther:Big Deal\n",
+            "pray\tOther:Big<Deal>\n",
         ],
     )
     def test_malformed_lines_raise_with_line_number(self, line):
