@@ -1,15 +1,25 @@
 """Entity catalog: the closed gazetteer mentions are linked against.
 
-The catalog file is JSON with a single ``entities`` list.  Each entity has an
-IRI, a canonical label, a type (Person, Organisation, Place, Agent, ...), a
-list of surface aliases, optional context keywords used for disambiguation,
-and optional time-scoped position records:
+The catalog file is JSON with a single ``entities`` list.  Each entity is an
+object with an absolute ``iri`` and a canonical ``label`` (both required
+strings), a ``type`` string (Person, Organisation, Place, Agent, ...; default
+Agent), an ``aliases`` list of surface strings, an optional ``keywords`` list
+of context strings used for disambiguation, and an optional ``roles`` list
+of time-scoped position records:
 
     {"title": "CEO", "org": "Instagram", "from": "2010-10-06", "to": null}
 
-Position records power implicit references like "Instagram CEO": the title
-plus the organisation's alias resolve to whoever held the position on the
-headline's date.  The shipped default catalog is ``data/catalog.json``.
+``title`` and ``org`` are strings, ``from`` and ``to`` ISO dates; ``to`` may
+be null or absent for an open interval.  A value of the wrong kind is a
+``CatalogError`` naming the file and the entity, never a later failure.
+
+Position records power implicit references like "Instagram CEO":
+``EntityCatalog.holders`` returns every entity that held the title
+(case-insensitively) at an organisation the org's alias names, on the
+headline's date, both interval ends inclusive.  An entity comes out once,
+dated by its first such position; the most recently appointed holder comes
+first, ties going to the smaller IRI.  The shipped default catalog is
+``data/catalog.json``.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ from datetime import date
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
+
+from .rdf import is_absolute_iri
 
 PERSON = "Person"
 ORGANISATION = "Organisation"
@@ -81,9 +93,22 @@ class EntityCatalog:
                     bucket.append(entity.iri)
         for bucket in self._by_alias.values():
             bucket.sort()
-        self._titles = {
-            p.title.casefold() for e in self._by_iri.values() for p in e.positions
-        }
+        self._titles: set[str] = set()
+        # (casefolded title, org IRI) -> (rank, entity, position) in catalog
+        # order, rank being the position's index in entity.positions.  The
+        # org IRIs are those the position's org names as an alias; the
+        # catalog never changes, so they are resolved once, here.
+        self._positions: dict[tuple[str, str], list[tuple[int, CatalogEntity, PositionRecord]]] = {}
+        for entity in self._by_iri.values():
+            if not entity.positions:
+                continue  # the common case; skipping it early keeps large loads fast
+            for rank, position in enumerate(entity.positions):
+                title = position.title.casefold()
+                self._titles.add(title)
+                for org_iri in self._by_alias.get(position.org.casefold(), ()):
+                    self._positions.setdefault((title, org_iri), []).append(
+                        (rank, entity, position)
+                    )
 
     def __len__(self) -> int:
         return len(self._by_iri)
@@ -110,17 +135,17 @@ class EntityCatalog:
 
     def holders(self, title: str, org_iris: set[str], on: date) -> tuple[CatalogEntity, ...]:
         """Entities holding ``title`` at any of ``org_iris`` on the given day."""
-        found = []
-        for entity in self._by_iri.values():
-            for position in entity.positions:
-                if position.title.casefold() != title.casefold():
-                    continue
-                if not position.active_on(on):
-                    continue
-                org_candidates = {e.iri for e in self.candidates(position.org)}
-                if org_candidates & org_iris:
-                    found.append((position.valid_from, entity))
-                    break
+        title = title.casefold()
+        # Entity IRI -> its first active matching position, by rank.
+        first: dict[str, tuple[int, CatalogEntity, PositionRecord]] = {}
+        for org_iri in org_iris:
+            for held in self._positions.get((title, org_iri), ()):
+                rank, entity, position = held
+                if position.active_on(on):
+                    kept = first.get(entity.iri)
+                    if kept is None or rank < kept[0]:
+                        first[entity.iri] = held
+        found = [(position.valid_from, entity) for _, entity, position in first.values()]
         # Most recently appointed holder first; ties break on the smaller IRI.
         found.sort(key=lambda pair: pair[1].iri)
         found.sort(key=lambda pair: pair[0], reverse=True)
@@ -131,49 +156,95 @@ def default_catalog_path() -> Path:
     return Path(str(resources.files("headex").joinpath("data/catalog.json")))
 
 
-def _parse_date(value: str, context: str) -> date:
+def _bad(raw: dict, key: str, what: str) -> CatalogError:
+    if key not in raw:
+        return CatalogError(f"missing field {key!r}")
+    return CatalogError(f"{key!r} must be {what}, got {raw[key]!r}")
+
+
+def _list(raw: dict, key: str, kind: type) -> list:
+    """``raw[key]`` (empty when absent), which must be a list of ``kind``."""
+    values = raw.get(key, [])
+    noun = "strings" if kind is str else "objects"
+    if not isinstance(values, list):
+        raise _bad(raw, key, f"a list of {noun}")
+    for value in values:
+        if not isinstance(value, kind):
+            raise CatalogError(f"{key!r} must hold only {noun}, got {value!r}")
+    return values
+
+
+def _date(raw: dict, key: str) -> date:
+    value = raw.get(key)
+    if not isinstance(value, str):
+        raise _bad(raw, key, "an ISO date string")
     try:
         return date.fromisoformat(value)
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{context}: bad date {value!r}") from exc
+    except ValueError as exc:
+        raise CatalogError(f"{key!r} must be an ISO date, got {value!r}") from exc
+
+
+def _position(raw: dict) -> PositionRecord:
+    title, org = raw.get("title"), raw.get("org")
+    if not isinstance(title, str):
+        raise _bad(raw, "title", "a string")
+    if not isinstance(org, str):
+        raise _bad(raw, "org", "a string")
+    return PositionRecord(
+        title=title,
+        org=org,
+        valid_from=_date(raw, "from"),
+        valid_to=None if raw.get("to") is None else _date(raw, "to"),
+    )
+
+
+def _entity(raw: object) -> CatalogEntity:
+    """One checked entity; plain ``isinstance`` tests keep a 10k-entity load fast."""
+    if not isinstance(raw, dict):
+        raise CatalogError(f"expected an object, got {raw!r}")
+    iri, label, entity_type = raw.get("iri"), raw.get("label"), raw.get("type", AGENT)
+    if not isinstance(iri, str):
+        raise _bad(raw, "iri", "a string")
+    if not is_absolute_iri(iri):
+        raise _bad(raw, "iri", "an absolute IRI")
+    if not isinstance(label, str):
+        raise _bad(raw, "label", "a string")
+    if not isinstance(entity_type, str):
+        raise _bad(raw, "type", "a string")
+    positions = []
+    roles = _list(raw, "roles", dict) if "roles" in raw else ()
+    for index, role in enumerate(roles):
+        try:
+            positions.append(_position(role))
+        except CatalogError as exc:
+            raise CatalogError(f"roles[{index}]: {exc}") from exc
+    return CatalogEntity(
+        iri=iri,
+        label=label,
+        entity_type=entity_type,
+        aliases=tuple(_list(raw, "aliases", str)),
+        keywords=tuple([k.casefold() for k in _list(raw, "keywords", str)]),
+        positions=tuple(positions),
+    )
 
 
 def load_catalog(path: str | Path) -> EntityCatalog:
+    """Read and check a catalog file; every ``CatalogError`` names the file."""
     path = Path(path)
+    text = path.read_text(encoding="utf-8")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("entities"), list):
         raise CatalogError(f"{path}: expected an object with an 'entities' list")
     entities = []
-    for raw in payload["entities"]:
+    for index, raw in enumerate(payload["entities"]):
         try:
-            positions = tuple(
-                PositionRecord(
-                    title=p["title"],
-                    org=p["org"],
-                    valid_from=_parse_date(p["from"], raw.get("iri", "?")),
-                    valid_to=(
-                        _parse_date(p["to"], raw.get("iri", "?"))
-                        if p.get("to") is not None
-                        else None
-                    ),
-                )
-                for p in raw.get("roles", [])
-            )
-            entities.append(
-                CatalogEntity(
-                    iri=raw["iri"],
-                    label=raw["label"],
-                    entity_type=raw.get("type", AGENT),
-                    aliases=tuple(raw.get("aliases", [])),
-                    keywords=tuple(k.casefold() for k in raw.get("keywords", [])),
-                    positions=positions,
-                )
-            )
-        except KeyError as exc:
-            raise CatalogError(f"{path}: entity missing field {exc}") from exc
-        except TypeError as exc:
-            raise CatalogError(f"{path}: malformed entity ({exc})") from exc
-    return EntityCatalog(entities)
+            entities.append(_entity(raw))
+        except CatalogError as exc:
+            raise CatalogError(f"{path}: entities[{index}]: {exc}") from exc
+    try:
+        return EntityCatalog(entities)
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc

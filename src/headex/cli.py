@@ -13,6 +13,7 @@ finished but some records were skipped.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import date, timedelta
 from pathlib import Path
@@ -80,6 +81,30 @@ def _read_graph(path: str) -> TripleSet:
         raise _Fatal(f"cannot parse graph {path}: {exc}") from exc
 
 
+def _write_outputs(outputs: dict[Path, str]) -> None:
+    """Write every output or none of them.
+
+    Each text goes to a temporary file beside its target, and only when all
+    are written are they renamed into place, so a failed write truncates no
+    output and leaves no temporary file behind.
+    """
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for target, text in outputs.items():
+            temporary = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+            with open(temporary, "x", encoding="utf-8") as handle:
+                staged.append((temporary, target))
+                handle.write(text)
+        for temporary, target in staged:
+            os.replace(temporary, target)
+    except BaseException as exc:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _Fatal(f"cannot write {target}: {exc.strerror or exc}") from exc
+        raise
+
+
 def _cmd_extract(args: argparse.Namespace) -> int:
     from .ingest import read_records
 
@@ -94,19 +119,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     result = extract_corpus(records, lexicon, catalog, policy)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "events.nt").write_text(serialize_ntriples(result.graph), encoding="utf-8")
+    outputs = {out / "events.nt": serialize_ntriples(result.graph)}
     if args.turtle:
-        (out / "events.ttl").write_text(
-            serialize_turtle(result.graph, policy.base_iri), encoding="utf-8"
-        )
-
+        outputs[out / "events.ttl"] = serialize_turtle(result.graph, policy.base_iri)
     skipped_lines = [f"{label}\t{reason}" for label, reason in failures]
     skipped_lines += [f"{s.record_id}\t{s.reason}" for s in result.skipped]
-    (out / "skipped.tsv").write_text(
-        "".join(line + "\n" for line in skipped_lines), encoding="utf-8"
-    )
-
+    outputs[out / "skipped.tsv"] = "".join(line + "\n" for line in skipped_lines)
     audit_rows = ["record_id\tsurface\tchosen\trunner_up\tscores"]
     for audit in result.audits:
         scores = ";".join(
@@ -116,7 +134,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             f"{audit.record_id}\t{audit.surface}\t{audit.chosen_iri}"
             f"\t{audit.runner_up_iri or '-'}\t{scores}"
         )
-    (out / "audits.tsv").write_text("".join(r + "\n" for r in audit_rows), encoding="utf-8")
+    outputs[out / "audits.tsv"] = "".join(r + "\n" for r in audit_rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Fatal(f"cannot create {out}: {exc.strerror or exc}") from exc
+    _write_outputs(outputs)
 
     for instance_id, warning in result.warnings:
         print(f"warning: {instance_id}: {warning}", file=sys.stderr)
@@ -160,7 +183,7 @@ def _cmd_interlink(args: argparse.Namespace) -> int:
         )
     except InterlinkError as exc:
         raise _Fatal(str(exc)) from exc
-    Path(args.out).write_text(serialize_ntriples(links), encoding="utf-8")
+    _write_outputs({Path(args.out): serialize_ntriples(links)})
     print(f"sameas={same} related={related}")
     return 0
 

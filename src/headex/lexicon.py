@@ -32,9 +32,11 @@ _KNOWN_SUBGROUPS = ("SayVerbs", "TellVerbs")
 class LexiconError(ValueError):
     """Raised for malformed or conflicting lexicon rows."""
 
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path: str | Path | None = None) -> None:
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,12 @@ def load_lexicon(source: BinaryIO | bytes) -> Lexicon:
 
 
 def load_lexicon_file(path: str | Path) -> Lexicon:
+    """Load a lexicon file; a ``LexiconError`` names the file and the line."""
     with open(path, "rb") as handle:
-        return load_lexicon(handle)
+        try:
+            return load_lexicon(handle)
+        except LexiconError as exc:
+            raise LexiconError(exc.line_no, exc.message, path) from exc
 
 
 def classify_verb(lemma: str, lexicon: Lexicon) -> EventClass | None:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import errno
+import json
+import os
+from pathlib import Path
+
 import pytest
 
+from headex import cli
 from headex.cli import main
 from headex.lexicon import default_lexicon_path
 from headex.rdf import Triple, parse_ntriples
@@ -111,6 +117,54 @@ class TestExtract:
         code, out, err = run(capsys, "extract", *argv, "--out", str(tmp_path / "out"))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read {bad}: not UTF-8 (")
+
+    @pytest.mark.parametrize(
+        "option, content, message",
+        [
+            ("--lexicon", "meet\tMeet\npray\tOther:Big Deal\n", ": line 2: class label 'Big Deal'"),
+            ("--lexicon", None, "No such file or directory"),
+            ("--catalog", None, "No such file or directory"),
+            ("--catalog", "{", ": not valid JSON ("),
+            (
+                "--catalog",
+                {"entities": [{"iri": "http://kb.example/a", "label": "A"}] * 2},
+                ": duplicate entity IRI http://kb.example/a",
+            ),
+            (
+                "--catalog",
+                {"entities": [{"iri": "http://kb.example/a", "label": ""}]},
+                ": entities[0]: entity needs an iri and a label",
+            ),
+            (
+                "--catalog",
+                {
+                    "entities": [
+                        {
+                            "iri": "http://kb.example/a",
+                            "label": "A",
+                            "roles": [
+                                {"title": "CEO", "org": "A", "from": "2016-01-02", "to": "2016-01-01"}
+                            ],
+                        }
+                    ]
+                },
+                ": entities[0]: roles[0]: position 'CEO': interval ends before it starts",
+            ),
+            ("--catalog", {"entities": [{"iri": "not an iri", "label": "A"}]}, "absolute IRI"),
+        ],
+    )
+    def test_load_error_names_its_file_once(self, capsys, tmp_path, nine_tsv, option, content, message):
+        bad = tmp_path / "bad"
+        if isinstance(content, dict):
+            content = json.dumps(content)
+        if content is not None:
+            bad.write_text(content, encoding="utf-8")
+        argv = ["extract", nine_tsv, option, str(bad), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+        assert err.count(str(bad)) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_turtle_option(self, capsys, tmp_path, nine_tsv):
         code, _, _ = run(capsys, "extract", nine_tsv, "--out", str(tmp_path), "--turtle")
@@ -315,3 +369,75 @@ class TestQuery:
     def test_bad_date_is_fatal(self, capsys, graph_path):
         code, _, err = run(capsys, "query", graph_path, "--from", "not-a-date")
         assert code == 1 and err.startswith("error:")
+
+
+class _FullDisk:
+    """A file whose first write stores half its text and then fails."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.handle.close()
+
+    def write(self, text: str) -> int:
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestAtomicOutputs:
+    @pytest.fixture()
+    def disk_full_for(self, monkeypatch):
+        """Make writes to the temporary file of one output fail."""
+
+        def install(name: str) -> None:
+            def fake_open(path, *args, **kwargs):
+                handle = open(path, *args, **kwargs)
+                return _FullDisk(handle) if Path(path).name.startswith(f".{name}.") else handle
+
+            monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+        return install
+
+    @staticmethod
+    def contents(directory: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    @pytest.mark.parametrize("failing", ["events.nt", "events.ttl", "skipped.tsv", "audits.tsv"])
+    def test_failed_extract_write_keeps_every_previous_output(
+        self, capsys, tmp_path, nine_tsv, fixtures_dir, disk_full_for, failing
+    ):
+        out_dir = tmp_path / "out"
+        assert run(capsys, "extract", nine_tsv, "--out", str(out_dir), "--turtle")[0] == 0
+        before = self.contents(out_dir)
+        disk_full_for(failing)
+        source = str(fixtures_dir / "duplicates.tsv")
+        code, out, err = run(capsys, "extract", source, "--out", str(out_dir), "--turtle")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {out_dir / failing}: No space left on device\n"
+        assert self.contents(out_dir) == before
+
+    def test_failed_interlink_write_keeps_the_previous_links(
+        self, capsys, tmp_path, fixtures_dir, disk_full_for
+    ):
+        run(capsys, "extract", str(fixtures_dir / "duplicates.tsv"), "--out", str(tmp_path))
+        links = tmp_path / "links.nt"
+        links.write_text("previous\n", encoding="utf-8")
+        before = self.contents(tmp_path)
+        disk_full_for("links.nt")
+        code, out, err = run(capsys, "interlink", str(tmp_path / "events.nt"), "--out", str(links))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {links}: No space left on device\n"
+        assert self.contents(tmp_path) == before
+
+    def test_out_that_is_a_file_is_fatal(self, capsys, tmp_path, nine_tsv):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        code, out, err = run(capsys, "extract", nine_tsv, "--out", str(taken))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot create {taken}: File exists\n"
+        assert taken.read_text(encoding="utf-8") == "keep\n"
