@@ -192,9 +192,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     reports = []
     for path in args.models:
         try:
-            descriptor = load_descriptor(path)
-        except (OSError, DescriptorError, ValueError) as exc:
-            raise _Fatal(f"{path}: {exc}") from exc
+            descriptor = _load(load_descriptor, path)
+        except (OSError, DescriptorError) as exc:
+            raise _Fatal(str(exc)) from exc
         reports.append(validate_data_model(descriptor))
 
     width = max(len("model"), *(len(r.model_name) for r in reports))

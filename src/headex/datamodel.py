@@ -160,11 +160,14 @@ def validate_data_model(descriptor: DataModelDescriptor) -> RequirementReport:
 
 
 def load_descriptor(path: str | Path) -> DataModelDescriptor:
-    """Load a descriptor from its JSON file; see the shipped fixtures for the schema."""
+    """Load a descriptor from its JSON file; see the shipped fixtures for the schema.
+
+    Every ``DescriptorError`` raised here names the file.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DescriptorError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise DescriptorError(f"{path}: descriptor must be a JSON object")
@@ -184,6 +187,8 @@ def load_descriptor(path: str | Path) -> DataModelDescriptor:
             entity_types=entity_types,
             event_entity_properties=properties,
         )
+    except DescriptorError as exc:
+        raise DescriptorError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise DescriptorError(f"{path}: missing descriptor field {exc}") from exc
     except TypeError as exc:

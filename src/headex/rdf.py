@@ -3,16 +3,23 @@
 Triples are (subject, predicate, object) with IRI subjects/predicates and
 IRI-or-literal objects.  Literals and IRIs are distinct Python types, so the
 two value spaces cannot be confused.  The canonical exchange format is
-N-Triples: one triple per line, sorted by codepoint order of the serialized
-subject, predicate, and object terms, so equal graphs serialize to equal
-bytes.
+N-Triples (RDF 1.1): one triple per line, sorted by codepoint order of the
+serialized subject, predicate, and object terms, so equal graphs serialize
+to equal bytes.
+
+The codec does each piece of work once.  ``parse_ntriples`` parses each
+distinct term once per call and shares it between the triples that repeat
+it; every IRI is checked once, by ``Triple`` itself.  ``serialize_ntriples``
+renders each line once and sorts the lines, which gives the term order (see
+``_line``).  Escaping is one ``str.translate``; unescaping copies the text
+between backslashes in slices.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_DATE = "http://www.w3.org/2001/XMLSchema#date"
@@ -20,8 +27,11 @@ XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 OWL_SAME_AS = "http://www.w3.org/2002/07/owl#sameAs"
 SKOS_RELATED = "http://www.w3.org/2004/02/skos/core#related"
 
-_ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_FORBIDDEN = r'\x00-\x20<>"{}|^`\\'
+IRI_FORBIDDEN = re.compile(f"[{_FORBIDDEN}]")
+# A scheme, a colon, then any characters an IRI reference may hold.
+_ABSOLUTE_IRI = re.compile(rf"[A-Za-z][A-Za-z0-9+.\-]*:[^{_FORBIDDEN}]*")
+_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
 
 class RdfError(ValueError):
@@ -35,7 +45,7 @@ class NTriplesParseError(RdfError):
 
 
 def is_absolute_iri(value: str) -> bool:
-    return bool(_ABSOLUTE_IRI.match(value)) and not IRI_FORBIDDEN.search(value)
+    return _ABSOLUTE_IRI.fullmatch(value) is not None
 
 
 def local_name(iri: str) -> str:
@@ -61,6 +71,8 @@ class Literal:
             raise RdfError("literal cannot carry both a datatype and a language tag")
         if self.datatype is not None and not is_absolute_iri(self.datatype):
             raise RdfError(f"datatype is not an absolute IRI: {self.datatype!r}")
+        if self.language is not None and not re.fullmatch(_LANGTAG, self.language):
+            raise RdfError(f"not a language tag: {self.language!r}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +104,9 @@ class TripleSet:
 
     def add(self, triple: Triple) -> bool:
         """Add one triple; returns False when it was already present."""
-        if triple in self._triples:
-            return False
-        self._triples[triple] = None
-        return True
+        size = len(self._triples)
+        self._triples[triple] = None  # hashes the triple once; a present key stays
+        return len(self._triples) > size
 
     def update(self, triples: Iterable[Triple]) -> None:
         for t in triples:
@@ -124,42 +135,47 @@ class TripleSet:
         return f"TripleSet({len(self)} triples)"
 
     def sorted(self) -> list[Triple]:
-        return sorted(self._triples, key=_sort_key)
+        return sorted(self._triples, key=_line)
 
 
-def _sort_key(t: Triple) -> tuple[str, str, str]:
-    return (_term(t.subject), _term(t.predicate), _term(t.object))
+def _term(value: str | Literal, iri: Callable[[str], str] = "<{}>".format) -> str:
+    """One term in N-Triples form; ``iri`` writes IRIs (Turtle compacts them)."""
+    if not isinstance(value, Literal):
+        return iri(value)
+    out = f'"{escape_literal(value.lexical)}"'
+    if value.datatype is not None:
+        return f"{out}^^{iri(value.datatype)}"
+    if value.language is not None:
+        return f"{out}@{value.language}"
+    return out
 
 
-def _term(value: str | Literal) -> str:
-    if isinstance(value, Literal):
-        out = f'"{escape_literal(value.lexical)}"'
-        if value.datatype is not None:
-            out += f"^^<{value.datatype}>"
-        elif value.language is not None:
-            out += f"@{value.language}"
-        return out
-    return f"<{value}>"
+def _line(t: Triple) -> str:
+    """The N-Triples line of a triple.
+
+    Lines sort in the order of their (subject, predicate, object) terms.  Two
+    different terms either differ at a position both have, where the line
+    comparison decides as the term comparison does, or one is a prefix of the
+    other.  An IRI term ends at its first '>', so only a literal can be a
+    prefix of another term: ``"x"`` of ``"x"@en`` or ``"x"^^<...>``, and
+    ``"x"@en`` of ``"x"@en-gb``.  The longer term goes on with '@', '^', '-'
+    or a letter or digit, all above the space that follows every term in a
+    line, so the shorter term sorts first both ways.
+    """
+    return f"<{t.subject}> <{t.predicate}> {_term(t.object)} .\n"
+
+
+_ESCAPES_OUT = {code: f"\\u{code:04X}" for code in range(0x20)} | {
+    ord("\t"): "\\t",
+    ord("\n"): "\\n",
+    ord("\r"): "\\r",
+    ord('"'): '\\"',
+    ord("\\"): "\\\\",
+}
 
 
 def escape_literal(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_ESCAPES_OUT)
 
 
 _HEX = re.compile(r"[0-9A-Fa-f]+")
@@ -167,20 +183,19 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'"
 
 
 def unescape_literal(text: str, line_no: int = 0) -> str:
+    i = text.find("\\")
+    if i < 0:
+        return text
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
+    start = 0
+    while i >= 0:
+        out.append(text[start:i])
         if i + 1 >= len(text):
             raise NTriplesParseError(line_no, "dangling escape at end of literal")
         nxt = text[i + 1]
         if nxt in _ESCAPES:
             out.append(_ESCAPES[nxt])
-            i += 2
+            start = i + 2
         elif nxt in "uU":
             end = i + (6 if nxt == "u" else 10)
             if end > len(text) or not _HEX.fullmatch(text, i + 2, end):
@@ -191,26 +206,21 @@ def unescape_literal(text: str, line_no: int = 0) -> str:
             if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
                 raise NTriplesParseError(line_no, f"escape {text[i:end]!r} is not a character")
             out.append(chr(code))
-            i = end
+            start = end
         else:
             raise NTriplesParseError(line_no, f"unknown escape \\{nxt}")
+        i = text.find("\\", start)
+    out.append(text[start:])
     return "".join(out)
 
 
 def serialize_ntriples(graph: TripleSet) -> str:
     """Canonical N-Triples: one line per triple, codepoint-sorted, LF endings."""
-    lines = []
-    for t in graph.sorted():
-        lines.append(f"{_term(t.subject)} {_term(t.predicate)} {_term(t.object)} .")
-    return "".join(line + "\n" for line in lines)
+    return "".join(sorted(map(_line, graph)))
 
 
-_LINE_RE = re.compile(
-    r"^(<[^>]*>)\s+(<[^>]*>)\s+"
-    r'(<[^>]*>|"(?:[^"\\]|\\.)*"(?:\^\^<[^>]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?)'
-    r"\s*\.\s*$"
-)
-_LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?$')
+_LITERAL = rf'"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>|@({_LANGTAG}))?'
+_LINE_RE = re.compile(rf"(<[^>]*>)\s+(<[^>]*>)\s+(<[^>]*>|{_LITERAL})\s*\.\s*")
 
 
 def parse_ntriples(text: str) -> TripleSet:
@@ -220,43 +230,34 @@ def parse_ntriples(text: str) -> TripleSet:
     input.
     """
     graph = TripleSet()
+    terms: dict[str, str | Literal] = {}  # token -> its term, parsed once per call
     # Split on LF only: splitlines() would also break on NEL and friends,
     # which are legal raw inside literals.
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        match = _LINE_RE.match(line)
+        match = _LINE_RE.fullmatch(line)
         if match is None:
             raise NTriplesParseError(line_no, f"malformed triple: {line!r}")
-        subject = _parse_iri(match.group(1), line_no)
-        predicate = _parse_iri(match.group(2), line_no)
-        obj_text = match.group(3)
-        obj: str | Literal
-        if obj_text.startswith("<"):
-            obj = _parse_iri(obj_text, line_no)
-        else:
-            obj = _parse_literal(obj_text, line_no)
+        s, p, o = match.group(1, 2, 3)
+        obj = terms.get(o)
+        if obj is None:
+            obj = terms[o] = o[1:-1] if o[0] == "<" else _parse_literal(match, line_no)
         try:
-            graph.add(Triple(subject, predicate, obj))
+            triple = Triple(terms.setdefault(s, s[1:-1]), terms.setdefault(p, p[1:-1]), obj)
         except RdfError as exc:
             raise NTriplesParseError(line_no, str(exc)) from exc
+        graph.add(triple)
     return graph
 
 
-def _parse_iri(token: str, line_no: int) -> str:
-    iri = token[1:-1]
-    if not is_absolute_iri(iri):
-        raise NTriplesParseError(line_no, f"not an absolute IRI: {iri!r}")
-    return iri
-
-
-def _parse_literal(token: str, line_no: int) -> Literal:
-    match = _LITERAL_RE.match(token)
-    if match is None:
-        raise NTriplesParseError(line_no, f"malformed literal: {token!r}")
-    lexical = unescape_literal(match.group(1), line_no)
-    return Literal(lexical, datatype=match.group(2), language=match.group(3))
+def _parse_literal(match: re.Match[str], line_no: int) -> Literal:
+    lexical = unescape_literal(match[4], line_no)
+    try:
+        return Literal(lexical, datatype=match[5], language=match[6])
+    except RdfError as exc:
+        raise NTriplesParseError(line_no, str(exc)) from exc
 
 
 _PREFIXABLE_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
@@ -293,16 +294,6 @@ def serialize_turtle(graph: TripleSet, base_iri: str | None = None) -> str:
                 return f"{best[0]}:{local}"
         return f"<{iri}>"
 
-    def render(value: str | Literal) -> str:
-        if isinstance(value, Literal):
-            out = f'"{escape_literal(value.lexical)}"'
-            if value.datatype is not None:
-                out += f"^^{compact(value.datatype)}"
-            elif value.language is not None:
-                out += f"@{value.language}"
-            return out
-        return compact(value)
-
     used = set()
     by_subject: dict[str, list[Triple]] = {}
     for t in graph.sorted():
@@ -325,5 +316,5 @@ def serialize_turtle(graph: TripleSet, base_iri: str | None = None) -> str:
         lines.append(f"{compact(subject)}")
         for i, t in enumerate(triples):
             sep = ";" if i < len(triples) - 1 else "."
-            lines.append(f"    {compact(t.predicate)} {render(t.object)} {sep}")
+            lines.append(f"    {compact(t.predicate)} {_term(t.object, compact)} {sep}")
     return "".join(line + "\n" for line in lines)

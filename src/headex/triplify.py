@@ -91,7 +91,10 @@ class IriPolicy:
 
 def load_policy(path: str | Path) -> IriPolicy:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise PolicyError(f"not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise PolicyError("policy file must hold a JSON object")
     base = data.get("base_iri")

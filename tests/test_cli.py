@@ -166,6 +166,15 @@ class TestExtract:
         assert err.count(str(bad)) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_deeply_nested_policy_is_fatal(self, capsys, tmp_path, nine_tsv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        argv = ["extract", nine_tsv, "--policy", str(deep), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot load IRI policy: not valid JSON (maximum recursion depth")
+        assert not (tmp_path / "out").exists()
+
     def test_turtle_option(self, capsys, tmp_path, nine_tsv):
         code, _, _ = run(capsys, "extract", nine_tsv, "--out", str(tmp_path), "--turtle")
         assert code == 0
@@ -282,6 +291,18 @@ class TestBadLiteralEscapes:
         assert err.startswith(f"error: cannot parse graph {graph}: line 1:")
 
 
+class TestRelativeDatatype:
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    def test_relative_datatype_in_graph_is_fatal(self, capsys, tmp_path, command):
+        graph = tmp_path / "bad.nt"
+        graph.write_text(f'<{BASE}s> <{BASE}p> "x" .\n<{BASE}s> <{BASE}p> "x"^^<rel> .\n', encoding="utf-8")
+        extra = ["--out", str(tmp_path / "links.nt")] if command == "interlink" else []
+        code, out, err = run(capsys, command, str(graph), *extra)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse graph {graph}: line 2: datatype is not an absolute IRI: 'rel'\n"
+        assert not (tmp_path / "links.nt").exists()
+
+
 class TestValidate:
     def test_matrix_and_exit_code(self, capsys, fixtures_dir):
         models = sorted(str(p) for p in (fixtures_dir / "datamodels").glob("*.json"))
@@ -308,6 +329,27 @@ class TestValidate:
         bad.write_text("{", encoding="utf-8")
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{", ": not valid JSON ("),
+            ("[" * 100_000, ": not valid JSON (maximum recursion depth"),
+            ('{"name": "", "has_generic_event": true}', ": descriptor name must be nonempty"),
+            ('{"name": "x"}', ": missing descriptor field 'has_generic_event'"),
+            ('{"name": "x\xff"}', "not UTF-8"),
+            (None, "No such file or directory"),
+        ],
+        ids=["bad-json", "deep-json", "empty-name", "missing-field", "not-utf8", "missing-file"],
+    )
+    def test_load_error_names_its_file_once(self, capsys, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_bytes(content.encode("latin-1"))
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+        assert err.count(str(bad)) == 1
 
 
 class TestQuery:

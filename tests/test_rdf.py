@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,11 @@ class TestTerms:
         with pytest.raises(RdfError):
             Triple(EX + "s", "p", EX + "o")
 
+    @pytest.mark.parametrize("tag", ["", "en us", "en-", "-en", "e\x1f", "en_GB"])
+    def test_literal_language_must_be_a_tag(self, tag):
+        with pytest.raises(RdfError):
+            Literal("x", language=tag)
+
     def test_literal_object_allowed_subject_not(self):
         triple = Triple(EX + "s", EX + "p", Literal("hello"))
         assert isinstance(triple.object, Literal)
@@ -111,6 +118,31 @@ class TestEscaping:
         # Surrogates and values past U+10FFFF could not be written as UTF-8.
         with pytest.raises(NTriplesParseError):
             unescape_literal(escaped)
+
+    def test_relative_datatype_in_graph_carries_line_number(self):
+        text = '<http://e/s> <http://e/p> "ok" .\n<http://e/s> <http://e/p> "x"^^<rel> .\n'
+        with pytest.raises(NTriplesParseError) as err:
+            parse_ntriples(text)
+        assert err.value.line_no == 2
+        assert str(err.value) == "line 2: datatype is not an absolute IRI: 'rel'"
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_relative_iri_in_graph_carries_line_number(self, position):
+        terms = ["<http://e/s>", "<http://e/p>", "<http://e/o>"]
+        terms[position] = "<rel>"
+        with pytest.raises(NTriplesParseError) as err:
+            parse_ntriples("<http://e/s> <http://e/p> <http://e/o> .\n" + " ".join(terms) + " .\n")
+        assert err.value.line_no == 2 and "is not an absolute IRI: 'rel'" in str(err.value)
+
+    def test_repeated_terms_are_shared(self):
+        text = (
+            '<http://e/s> <http://e/p> "d"^^<http://e/t> .\n'
+            '<http://e/o> <http://e/p> "d"^^<http://e/t> .\n'
+            "<http://e/s> <http://e/q> <http://e/o> .\n"
+        )
+        a, b, c = parse_ntriples(text)
+        assert a.predicate is b.predicate and a.object is b.object
+        assert a.subject is c.subject and b.subject is c.object
 
     def test_bad_escape_in_graph_carries_line_number(self):
         text = '<http://e/s> <http://e/p> "ok" .\n<http://e/s> <http://e/p> "\\uD800" .\n'
@@ -180,3 +212,234 @@ def test_property_serialization_is_canonical(triple_list):
     g1 = TripleSet(triple_list)
     g2 = TripleSet(reversed(triple_list))
     assert serialize_ntriples(g1) == serialize_ntriples(g2)
+
+
+# The codec as it was before each term was checked and rendered once, kept as
+# the oracle for the faster code: two regexes per IRI check, per-character
+# escape loops, and a sort on the tuple of the three rendered terms.
+
+_OLD_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+_OLD_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_OLD_HEX = re.compile(r"[0-9A-Fa-f]+")
+_OLD_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
+def old_is_absolute_iri(value: str) -> bool:
+    return bool(_OLD_SCHEME.match(value)) and not _OLD_FORBIDDEN.search(value)
+
+
+def old_escape_literal(text: str) -> str:
+    out = []
+    for ch in text:
+        if ch == "\\":
+            out.append("\\\\")
+        elif ch == '"':
+            out.append('\\"')
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def old_unescape_literal(text: str, line_no: int = 0) -> str:
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(text):
+            raise NTriplesParseError(line_no, "dangling escape at end of literal")
+        nxt = text[i + 1]
+        if nxt in _OLD_ESCAPES:
+            out.append(_OLD_ESCAPES[nxt])
+            i += 2
+        elif nxt in "uU":
+            end = i + (6 if nxt == "u" else 10)
+            if end > len(text) or not _OLD_HEX.fullmatch(text, i + 2, end):
+                raise NTriplesParseError(line_no, f"bad \\{nxt} escape {text[i:end]!r}")
+            code = int(text[i + 2 : end], 16)
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                raise NTriplesParseError(line_no, f"escape {text[i:end]!r} is not a character")
+            out.append(chr(code))
+            i = end
+        else:
+            raise NTriplesParseError(line_no, f"unknown escape \\{nxt}")
+    return "".join(out)
+
+
+def old_term(value) -> str:
+    if isinstance(value, Literal):
+        out = f'"{old_escape_literal(value.lexical)}"'
+        if value.datatype is not None:
+            out += f"^^<{value.datatype}>"
+        elif value.language is not None:
+            out += f"@{value.language}"
+        return out
+    return f"<{value}>"
+
+
+def old_sorted(graph: TripleSet) -> list[Triple]:
+    return sorted(graph, key=lambda t: (old_term(t.subject), old_term(t.predicate), old_term(t.object)))
+
+
+def old_serialize_ntriples(graph: TripleSet) -> str:
+    lines = [f"{old_term(t.subject)} {old_term(t.predicate)} {old_term(t.object)} ." for t in old_sorted(graph)]
+    return "".join(line + "\n" for line in lines)
+
+
+# Characters at which the old and new code could part: the IRI delimiters and
+# forbidden characters, the space and the controls around it, quotes,
+# backslashes, escape letters, hex digits, tag letters and a few non-ASCII.
+_EDGE = " \x00\x01\x08\x09\x0a\x0b\x0c\x0d\x1f\x7f\x85\u2028<>\"'{}|^`\\/:#@-_.+~%aAzZuUtbnrf09Fé€\U0001F600"
+edge_text = st.text(alphabet=st.sampled_from(_EDGE), max_size=16) | st.text(max_size=16)
+
+
+def test_is_absolute_iri_matches_old_on_every_ascii_character():
+    chars = [chr(code) for code in range(0x80)] + ["\x85", "\u00a0", "é", "\U0001F600"]
+    for template in ("{}", "{}:x", "a{}:x", "a{}", "a:{}", "http://e/{}", "http://e/{}x"):
+        for char in chars:
+            value = template.format(char)
+            assert is_absolute_iri(value) == old_is_absolute_iri(value), value
+
+
+iri_like = st.builds(
+    lambda scheme, head, char, tail: scheme + head + char + tail,
+    st.sampled_from(["", "a", "http:", "a-b.c+d:", "1a:", "-a:", "a_b:", ":"]),
+    st.text(alphabet="aZ9/:#-.+", max_size=4),
+    st.characters(max_codepoint=0x7F) | st.sampled_from(_EDGE),
+    st.text(alphabet="aZ9/:#-.+", max_size=4),
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(edge_text, edge_text.map(lambda s: "http://e/" + s), iri_like))
+def test_property_is_absolute_iri_matches_old(value):
+    assert is_absolute_iri(value) == old_is_absolute_iri(value)
+
+
+@settings(max_examples=500)
+@given(edge_text)
+def test_property_escape_literal_matches_old(text):
+    assert escape_literal(text) == old_escape_literal(text)
+
+
+def outcome(function, text):
+    try:
+        return function(text, 7)
+    except NTriplesParseError as exc:
+        return ("error", str(exc), exc.line_no)
+
+
+_ESCAPE_PIECES = ["\\", "\\u", "\\U", "\\u00", "\\U0001F6", "\\uD8", "\\U0011", "00E9", "Z", "\\x", "\\t", "a"]
+escaped_text = st.one_of(
+    edge_text,
+    edge_text.map(escape_literal),
+    st.lists(st.sampled_from(_ESCAPE_PIECES) | edge_text, max_size=6).map("".join),
+)
+
+
+@settings(max_examples=500)
+@given(escaped_text)
+def test_property_unescape_literal_matches_old(text):
+    assert outcome(unescape_literal, text) == outcome(old_unescape_literal, text)
+
+
+# Terms built to be prefixes of one another: short lexical forms over a small
+# alphabet, bare and tagged and typed, with tags that extend one another.
+prefix_iris = st.sampled_from(["http://e/a", "http://e/a/b", "http://e/a-", "http://e/ab", "urn:x"])
+prefix_literals = st.builds(
+    Literal,
+    st.text(alphabet=st.sampled_from(' "\\\t\x01\x1fab@^-é'), max_size=4),
+    st.none() | st.sampled_from([XSD_DATE, "http://e/a", "http://e/ab"]),
+) | st.builds(
+    lambda lexical, language: Literal(lexical, language=language),
+    st.text(alphabet=st.sampled_from(' "ab'), max_size=3),
+    st.sampled_from(["e", "en", "en-gb", "en-g", "EN", "en-1"]),
+)
+prefix_triples = st.builds(Triple, prefix_iris, prefix_iris, st.one_of(prefix_iris, prefix_literals, literals))
+
+
+@settings(max_examples=500)
+@given(st.lists(prefix_triples, max_size=12))
+def test_property_serialization_matches_old_tuple_sort(triple_list):
+    g = TripleSet(triple_list)
+    assert serialize_ntriples(g) == old_serialize_ntriples(g)
+    assert g.sorted() == old_sorted(g)
+
+
+@settings(max_examples=300)
+@given(st.lists(prefix_triples, max_size=12))
+def test_property_round_trip_with_prefix_terms(triple_list):
+    g = TripleSet(triple_list)
+    assert parse_ntriples(serialize_ntriples(g)) == g
+
+
+def test_line_order_on_terms_that_are_prefixes():
+    # "x" is a prefix of the next three terms and "x"@en of "x"@en-gb; the
+    # tuple order and the line order must both put the shorter first.
+    objects = [
+        Literal("x"),
+        Literal("x", language="en"),
+        Literal("x", language="en-gb"),
+        Literal("x", datatype="http://e/d"),
+        Literal("x y"),
+    ]
+    g = TripleSet(Triple(EX + "s", EX + "p", o) for o in objects)
+    assert serialize_ntriples(g) == old_serialize_ntriples(g)
+    assert [t.object for t in g.sorted()] == [objects[4]] + objects[:4]
+
+
+# The parse boundary: whatever the text, parsing gives a TripleSet or an
+# NTriplesParseError, never another exception.
+
+
+def parses_or_reports(text: str) -> None:
+    try:
+        result = parse_ntriples(text)
+    except NTriplesParseError:
+        return
+    assert isinstance(result, TripleSet)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), edge_text, st.lists(edge_text, max_size=6).map("\n".join)))
+def test_property_parse_arbitrary_text(text):
+    parses_or_reports(text)
+
+
+@pytest.fixture(scope="module")
+def events_lines(nine_result) -> list[str]:
+    return serialize_ntriples(nine_result.graph).splitlines()
+
+
+mutation = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(min_value=0, max_value=400),
+    st.sampled_from(_EDGE) | st.characters(),
+)
+
+
+@settings(max_examples=500)
+@given(line_index=st.integers(min_value=0), mutations=st.lists(mutation, min_size=1, max_size=4))
+def test_property_parse_mutated_events_lines(events_lines, line_index, mutations):
+    line = events_lines[line_index % len(events_lines)]
+    for kind, position, char in mutations:
+        position %= len(line) + 1
+        if kind == "insert":
+            line = line[:position] + char + line[position:]
+        elif kind == "delete":
+            line = line[:position] + line[position + 1 :]
+        else:
+            line = line[:position] + char + line[position + 1 :]
+    parses_or_reports(line)
+    parses_or_reports("\n".join(events_lines[:3] + [line]))
