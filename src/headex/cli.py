@@ -44,11 +44,14 @@ class _Fatal(Exception):
 
 def _policy_from(args: argparse.Namespace) -> IriPolicy:
     try:
-        if args.policy is not None:
-            return load_policy(args.policy)
-        return IriPolicy(base_iri=args.base)
-    except (OSError, ValueError) as exc:
+        if args.policy is None:
+            return IriPolicy(base_iri=args.base)
+        return _load(load_policy, args.policy)
+    except OSError as exc:
         raise _Fatal(f"cannot load IRI policy: {exc}") from exc
+    except PolicyError as exc:
+        where = "" if args.policy is None else f" in {args.policy}"
+        raise _Fatal(f"cannot load IRI policy: {exc}{where}") from exc
 
 
 def _add_policy_options(parser: argparse.ArgumentParser) -> None:
@@ -285,7 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_link = sub.add_parser("interlink", help="find same/related event links in a graph")
     p_link.add_argument("graph", help="N-Triples file produced by extract")
     p_link.add_argument("--out", default="links.nt", help="output N-Triples file")
-    p_link.add_argument("--same-window-hours", type=float, default=48.0)
+    p_link.add_argument(
+        "--same-window-hours",
+        type=float,
+        default=48.0,
+        help="same-event window, inclusive; events carry only their date,"
+        " so 48 means up to two calendar days apart",
+    )
     p_link.add_argument("--same-jaccard", type=float, default=0.5)
     p_link.add_argument("--related-horizon-days", type=float, default=7.0)
     _add_policy_options(p_link)
@@ -314,10 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Fatal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PolicyError as exc:
+    except (_Fatal, PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,8 @@ Entity mentions are found per chunk: @handles, quoted spans, position-based
 references ("Instagram CEO", "leader of Russian Orthodox Church"), longest
 alias matches against the catalog, and cardinal-count patterns ("eight
 people").  A chunk that yields nothing becomes a single unresolved mention,
-so no argument is silently lost.
+so no argument is silently lost.  Each mention points at its ``chunk``, whose
+position, intro and full text are what the role rules read.
 
 Linking is closed-world: one candidate links, zero mints a deterministic IRI
 from the surface form, several go through keyword/position scoring with a
@@ -21,7 +22,8 @@ candidate order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 from datetime import date
 
 from .catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog
@@ -118,78 +120,61 @@ def chunk(tokens: TokenSequence, mention: EventMention) -> list[Chunk]:
     if mention.infinitive_head and head > 0 and tokens.tokens[head - 1].lower == "to":
         pre_end = head - 1
 
-    def segment(indexes: range, position: str) -> list[dict]:
-        segments: list[dict] = []
-        current: dict | None = None
+    def segment(indexes: range) -> list[tuple[Token | None, str | None, list[Token]]]:
+        """The nonempty (intro token, intro kind, content tokens) segments."""
+        segments: list[tuple[Token | None, str | None, list[Token]]] = []
+        current = None
         colon_mode = False
-
-        def open_segment(intro: Token | None, intro_kind: str | None) -> dict:
-            seg = {"intro": intro, "intro_kind": intro_kind, "tokens": []}
-            segments.append(seg)
-            return seg
-
-        i = indexes.start
-        while i < indexes.stop:
+        for i in indexes:
             token = tokens.tokens[i]
+            nxt = tokens.tokens[i + 1] if i + 1 < indexes.stop else None
+            intro_kind = None
             if not colon_mode and not token.quoted:
                 if token.kind == WORD and token.lower in SPLIT_PREPOSITIONS:
-                    nxt = tokens.tokens[i + 1] if i + 1 < indexes.stop else None
                     guarded = (
                         token.lower == "at" and nxt is not None and nxt.lower in _MULTIWORD_GUARD
                     )
                     if not guarded:
-                        current = open_segment(token, "prep")
-                        i += 1
-                        continue
+                        intro_kind = "prep"
                 elif token.kind == WORD and token.lower == "to":
-                    nxt = tokens.tokens[i + 1] if i + 1 < indexes.stop else None
-                    kind = "to_infinitive" if _looks_infinitive(nxt) else "to_plain"
-                    current = open_segment(token, kind)
-                    i += 1
-                    continue
+                    intro_kind = "to_infinitive" if _looks_infinitive(nxt) else "to_plain"
                 elif token.kind == PUNCT and token.surface == ":":
-                    current = open_segment(token, "colon")
+                    intro_kind = "colon"
                     colon_mode = True
-                    i += 1
-                    continue
+            if intro_kind is not None:
+                current = (token, intro_kind, [])
+                segments.append(current)
+                continue
             if current is None:
-                current = open_segment(None, None)
-            current["tokens"].append(token)
+                current = (None, None, [])
+                segments.append(current)
+            current[2].append(token)
             if i in closing_quotes and not colon_mode:
                 current = None  # material after a closing quote starts fresh
-            i += 1
-        return [s for s in segments if s["tokens"]]
+        return [s for s in segments if s[2]]
+
+    pre_segments = segment(range(0, pre_end))
+    plain = [seg for seg in pre_segments if seg[1] is None]
+    subject = plain[-1] if plain else None  # the last plain pre-verbal segment
+    placed = [(SUBJECT if seg is subject else PRE, seg) for seg in pre_segments]
+    placed += [(POST, seg) for seg in segment(range(head + 1, len(tokens.tokens)))]
 
     raw = tokens.raw
-    built: list[Chunk] = []
-
-    def build(seg: dict, position: str) -> None:
-        content = seg["tokens"]
+    chunks: list[Chunk] = []
+    for position, (intro, intro_kind, content) in placed:
         start, end = content[0].start, content[-1].end
-        intro_token = seg["intro"]
-        full_start = intro_token.start if intro_token is not None else start
-        built.append(
+        chunks.append(
             Chunk(
-                index=len(built),
+                index=len(chunks),
                 position=position,
-                intro=intro_token.lower if intro_token is not None else None,
-                intro_kind=seg["intro_kind"],
+                intro=intro.lower if intro is not None else None,
+                intro_kind=intro_kind,
                 tokens=tuple(content),
                 text=raw[start:end],
-                full_text=raw[full_start:end],
+                full_text=raw[intro.start if intro is not None else start : end],
             )
         )
-
-    pre_segments = segment(range(0, pre_end), PRE)
-    subject_pick = None
-    for seg in pre_segments:
-        if seg["intro_kind"] is None:
-            subject_pick = seg  # the last plain pre-verbal segment
-    for seg in pre_segments:
-        build(seg, SUBJECT if seg is subject_pick else PRE)
-    for seg in segment(range(head + 1, len(tokens.tokens)), POST):
-        build(seg, POST)
-    return built
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -197,11 +182,7 @@ class EntityMention:
     text: str
     span: tuple[int, int]
     kind: str
-    chunk_index: int
-    chunk_position: str
-    chunk_intro: str | None
-    chunk_intro_kind: str | None
-    chunk_text: str
+    chunk: Chunk
     status: str = UNRESOLVED
     iri: str | None = None
     entity_type: str | None = None
@@ -251,119 +232,54 @@ def recognize_entities(chunks: list[Chunk], catalog: EntityCatalog) -> list[Enti
     """Extract entity mentions from every chunk; each chunk yields at least one
     mention unless it contains nothing but punctuation."""
     mentions: list[EntityMention] = []
+
+    def add(ch: Chunk, kind: str, span: Sequence[Token], text: str | None = None, **extra) -> None:
+        """Append a mention of ``span``, worded as its tokens unless ``text`` is given."""
+        if text is None:
+            text = " ".join(t.surface for t in span)
+        mentions.append(EntityMention(text, (span[0].start, span[-1].end), kind, ch, **extra))
+
     for ch in chunks:
-        base = dict(
-            chunk_index=ch.index,
-            chunk_position=ch.position,
-            chunk_intro=ch.intro,
-            chunk_intro_kind=ch.intro_kind,
-            chunk_text=ch.full_text,
-        )
-        found_any = False
+        first = len(mentions)
 
         chunk_start = ch.tokens[0].start
         for run in _quoted_runs(ch.tokens):
             inner = [t for t in run if t.kind != PUNCT or t.surface not in QUOTE_CHARS]
-            if not inner:
-                continue
-            mentions.append(
-                EntityMention(
-                    text=ch.text[inner[0].start - chunk_start : inner[-1].end - chunk_start],
-                    span=(inner[0].start, inner[-1].end),
-                    kind=KIND_QUOTED,
-                    **base,
-                )
-            )
-            found_any = True
+            if inner:
+                text = ch.text[inner[0].start - chunk_start : inner[-1].end - chunk_start]
+                add(ch, KIND_QUOTED, inner, text)
 
         words = ch.free_words
-        consumed = [False] * len(words)
+        i = 0  # words before i belong to a position reference
 
         reference = _parse_position_reference(tuple(t.surface for t in words), catalog)
         if reference is not None:
-            title, org_words, used = reference
+            used = reference[2]
             if used == len(words):
-                mentions.append(
-                    EntityMention(
-                        text=" ".join(t.surface for t in words),
-                        span=(words[0].start, words[-1].end),
-                        kind=KIND_OTHER,
-                        implicit=True,
-                        **base,
-                    )
-                )
-                found_any = True
-                consumed = [True] * len(words)
-            else:
-                # Apposition: the trailing words must name the same referent.
-                remainder = words[used:]
-                if _alias_match_length(remainder, 0, catalog) == len(remainder):
-                    consumed[:used] = [True] * used
+                add(ch, KIND_OTHER, words, implicit=True)
+                i = used
+            # Apposition: the trailing words must name the same referent.
+            elif _alias_match_length(words[used:], 0, catalog) == len(words) - used:
+                i = used
 
-        i = 0
         while i < len(words):
-            if consumed[i]:
-                i += 1
-                continue
             token = words[i]
+            end = i + 1
             if token.kind == MENTION:
-                mentions.append(
-                    EntityMention(
-                        text=token.surface, span=(token.start, token.end), kind=KIND_MENTION, **base
-                    )
-                )
-                found_any = True
-                consumed[i] = True
-                i += 1
-                continue
-            matched = _alias_match_length(words, i, catalog)
-            if matched:
-                span_tokens = words[i : i + matched]
-                mentions.append(
-                    EntityMention(
-                        text=" ".join(t.surface for t in span_tokens),
-                        span=(span_tokens[0].start, span_tokens[-1].end),
-                        kind=KIND_NAMED,
-                        **base,
-                    )
-                )
-                found_any = True
-                for j in range(i, i + matched):
-                    consumed[j] = True
-                i += matched
-                continue
-            if token.kind == NUMBER:
-                last = i
+                add(ch, KIND_MENTION, words[i:end])
+            elif matched := _alias_match_length(words, i, catalog):
+                end = i + matched
+                add(ch, KIND_NAMED, words[i:end])
+            elif token.kind == NUMBER:
                 for j in range(i + 1, min(i + 4, len(words))):
                     if words[j].lower in PERSON_WORDS:
-                        last = j
+                        end = j + 1
                         break
-                span_tokens = words[i : last + 1]
-                mentions.append(
-                    EntityMention(
-                        text=" ".join(t.surface for t in span_tokens),
-                        span=(span_tokens[0].start, span_tokens[-1].end),
-                        kind=KIND_NUMBER,
-                        count_value=token.surface,
-                        **base,
-                    )
-                )
-                found_any = True
-                for j in range(i, last + 1):
-                    consumed[j] = True
-                i = last + 1
-                continue
-            i += 1
+                add(ch, KIND_NUMBER, words[i:end], count_value=token.surface)
+            i = end
 
-        if not found_any and words:
-            mentions.append(
-                EntityMention(
-                    text=ch.text,
-                    span=(words[0].start, words[-1].end),
-                    kind=KIND_OTHER,
-                    **base,
-                )
-            )
+        if len(mentions) == first and words:
+            add(ch, KIND_OTHER, words, ch.text)
     return mentions
 
 
@@ -449,15 +365,15 @@ def disambiguate(
     if not candidates:
         raise ValueError("disambiguate requires at least one candidate")
     ranked = sorted(
-        candidates,
-        key=lambda e: (*(-c for c in _score(e, mention.text, context, at)), e.iri),
+        ((e, _score(e, mention.text, context, at)) for e in candidates),
+        key=lambda scored: (*(-c for c in scored[1]), scored[0].iri),
     )
-    chosen = ranked[0]
+    chosen = ranked[0][0]
     audit = DisambiguationAudit(
         surface=mention.text,
         chosen_iri=chosen.iri,
-        runner_up_iri=ranked[1].iri if len(ranked) > 1 else None,
-        scores=tuple((e.iri, *_score(e, mention.text, context, at)) for e in ranked),
+        runner_up_iri=ranked[1][0].iri if len(ranked) > 1 else None,
+        scores=tuple((e.iri, *score) for e, score in ranked),
     )
     return chosen, audit
 
@@ -501,12 +417,9 @@ def link_entity(
             None,
         )
     if len(candidates) == 1:
-        chosen = candidates[0]
-        return (
-            replace(mention, status=LINKED, iri=chosen.iri, entity_type=chosen.entity_type),
-            None,
-        )
-    chosen, audit = disambiguate(mention, candidates, context, at)
+        chosen, audit = candidates[0], None
+    else:
+        chosen, audit = disambiguate(mention, candidates, context, at)
     return (
         replace(mention, status=LINKED, iri=chosen.iri, entity_type=chosen.entity_type),
         audit,
@@ -546,13 +459,13 @@ def _filler(mention: EntityMention) -> RoleFiller:
 def _is_passive(head: EventMention | None, mentions: list[EntityMention]) -> bool:
     if head is None or not head.surface.lower().endswith(("ed", "en", "ain")):
         return False
-    post = [m for m in mentions if m.chunk_position == POST]
+    post = [m.chunk for m in mentions if m.chunk.position == POST]
     if not post:
         return True
-    first = min(post, key=lambda m: m.chunk_index)
-    if first.chunk_intro_kind == "prep":
+    first = min(post, key=lambda ch: ch.index)
+    if first.intro_kind == "prep":
         return True
-    leading = first.chunk_text.split()
+    leading = first.full_text.split()
     return bool(leading) and leading[0].lower() in _SUBORDINATORS
 
 
@@ -572,75 +485,65 @@ def assign_roles(
     roles: list[tuple[str, RoleFiller]] = []
     done: set[int] = set()
 
-    def take(idx: int, role: str, filler: RoleFiller | None = None) -> None:
-        roles.append((role, filler if filler is not None else _filler(mentions[idx])))
-        done.add(idx)
+    def pending(position: str | None = None) -> Iterator[tuple[int, EntityMention]]:
+        """Unclaimed mentions in order, only those from chunks at ``position`` if given."""
+        for i, m in enumerate(mentions):
+            if i not in done and (position is None or m.chunk.position == position):
+                yield i, m
 
-    def drop(idx: int) -> None:
-        done.add(idx)
+    def take(i: int, role: str) -> None:
+        roles.append((role, _filler(mentions[i])))
+        done.add(i)
 
     # Generic rule first: place entities inside locative prepositional chunks.
-    for i, m in enumerate(mentions):
-        if i in done:
-            continue
+    for i, m in pending():
         if (
             m.is_entity
             and m.entity_type == PLACE
-            and m.chunk_intro_kind == "prep"
-            and m.chunk_intro in LOCATIVE_PREPOSITIONS
+            and m.chunk.intro_kind == "prep"
+            and m.chunk.intro in LOCATIVE_PREPOSITIONS
         ):
             take(i, "location")
 
-    subject_ids = [i for i, m in enumerate(mentions) if m.chunk_position == SUBJECT]
-
     if frame.event_class_name == MEET:
-        for i in subject_ids:
-            if i not in done:
-                take(i, ROLE_PARTICIPANT)
+        for i, _ in pending(SUBJECT):
+            take(i, ROLE_PARTICIPANT)
         topic_chunks: set[int] = set()
-        for i, m in enumerate(mentions):
-            if i in done:
-                continue
-            if m.chunk_intro_kind == "to_infinitive":
-                if m.chunk_index not in topic_chunks:
-                    topic_chunks.add(m.chunk_index)
-                    roles.append((ROLE_TOPIC, TextFiller(strip_quotes(m.chunk_text))))
+        for i, m in pending():
+            if m.chunk.intro_kind == "to_infinitive":
+                if m.chunk.index not in topic_chunks:
+                    topic_chunks.add(m.chunk.index)
+                    roles.append((ROLE_TOPIC, TextFiller(strip_quotes(m.chunk.full_text))))
                 if m.is_entity:
                     take(i, ROLE_PARTICIPANT)
                 else:
-                    drop(i)  # covered by the Topic text
-        for i, m in enumerate(mentions):
-            if i in done:
-                continue
+                    done.add(i)  # covered by the Topic text
+        for i, m in pending():
             if m.kind == KIND_QUOTED:
                 take(i, ROLE_TOPIC)
             elif m.is_entity or m.kind == KIND_MENTION:
                 take(i, ROLE_PARTICIPANT)
 
     elif frame.event_class_name == COMMUNICATION:
-        for i in subject_ids:
-            if i not in done:
-                take(i, ROLE_GIVER)
+        for i, _ in pending(SUBJECT):
+            take(i, ROLE_GIVER)
         message_found = False
-        for i, m in enumerate(mentions):
-            if i in done or not (m.is_entity or m.kind == KIND_MENTION):
+        for i, m in pending():
+            if not (m.is_entity or m.kind == KIND_MENTION):
                 continue
-            recipient_intro = m.chunk_intro_kind == "to_plain" or m.chunk_intro == "with"
+            recipient_intro = m.chunk.intro_kind == "to_plain" or m.chunk.intro == "with"
             if recipient_intro and m.entity_type in (PERSON, AGENT):
                 take(i, ROLE_RECIPIENT)
                 break
-        for i, m in enumerate(mentions):
-            if i in done:
-                continue
-            if m.chunk_intro_kind == "colon":
+        for i, m in pending():
+            if m.chunk.intro_kind == "colon":
                 if not message_found:
-                    roles.append((ROLE_MESSAGE, TextFiller(strip_quotes(m.chunk_text.lstrip(": ")))))
+                    text = strip_quotes(m.chunk.full_text.lstrip(": "))
+                    roles.append((ROLE_MESSAGE, TextFiller(text)))
                     message_found = True
-                drop(i)
+                done.add(i)
         if not message_found:
-            for i, m in enumerate(mentions):
-                if i in done:
-                    continue
+            for i, m in pending():
                 if m.kind == KIND_QUOTED:
                     take(i, ROLE_MESSAGE)
                     message_found = True
@@ -648,24 +551,18 @@ def assign_roles(
         if not message_found:
             post_chunks: dict[int, str] = {}
             for m in mentions:
-                if m.chunk_position == POST:
-                    post_chunks.setdefault(m.chunk_index, m.chunk_text)
+                if m.chunk.position == POST:
+                    post_chunks.setdefault(m.chunk.index, m.chunk.full_text)
             if post_chunks:
                 text = strip_quotes(" ".join(post_chunks[k] for k in sorted(post_chunks)))
                 roles.append((ROLE_MESSAGE, TextFiller(text)))
-                for i, m in enumerate(mentions):
-                    if i in done or m.chunk_position != POST:
-                        continue
+                for i, m in pending(POST):
                     if not m.is_entity:
-                        drop(i)  # covered by the Message text
+                        done.add(i)  # covered by the Message text
 
     elif frame.event_class_name == MURDER:
-        passive = _is_passive(head, mentions)
-        if passive:
-            for i in subject_ids:
-                if i in done:
-                    continue
-                m = mentions[i]
+        if _is_passive(head, mentions):
+            for i, m in pending(SUBJECT):
                 if m.kind == KIND_NUMBER:
                     take(i, ROLE_COUNT)
                 elif m.is_entity and m.entity_type == PERSON:
@@ -673,30 +570,23 @@ def assign_roles(
                 elif not m.is_entity and m.kind == KIND_OTHER:
                     take(i, ROLE_VICTIM)
         else:
-            for i in subject_ids:
-                if i in done:
-                    continue
-                m = mentions[i]
+            for i, m in pending(SUBJECT):
                 if m.is_entity and m.entity_type == PERSON:
                     take(i, ROLE_PERPETRATOR)
                 else:
                     take(i, ROLE_CAUSE)
                 break
-            for i, m in enumerate(mentions):
-                if i in done or m.chunk_position != POST:
-                    continue
+            for i, m in pending(POST):
                 if m.kind == KIND_NUMBER:
                     take(i, ROLE_COUNT)
                 elif m.is_entity and m.entity_type == PERSON:
                     take(i, ROLE_VICTIM)
-        for i, m in enumerate(mentions):
-            if i in done or m.kind != KIND_NUMBER:
-                continue
-            take(i, ROLE_COUNT)
+        for i, m in pending():
+            if m.kind == KIND_NUMBER:
+                take(i, ROLE_COUNT)
 
-    for i, m in enumerate(mentions):
-        if i not in done:
-            take(i, "involved")
+    for i, _ in pending():
+        take(i, "involved")
 
     warnings = [
         f"required role {required} is unfilled"

@@ -2,10 +2,11 @@
 
 Each record flows through tokenization, head-verb recognition, chunking,
 entity recognition, linking, role assignment, and triple emission.  A record
-that cannot produce an event (no text, no known verb, no arguments) is
-skipped with a reason instead of failing the run; everything else about the
-pipeline is deterministic, including every minted IRI and the extraction
-date, which comes from the record itself rather than the wall clock.
+that cannot produce an event (no text, no known verb, no arguments, a minted
+IRI that a catalog entity already owns) is skipped with a reason instead of
+failing the run; everything else about the pipeline is deterministic,
+including every minted IRI and the extraction date, which comes from the
+record itself rather than the wall clock.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .entities import (
     KIND_NAMED,
     LINKED,
     DisambiguationAudit,
+    LinkingError,
     assign_roles,
     chunk,
     context_words,
@@ -100,7 +102,10 @@ def process_record(
                 )
             continue
         if mention.kind in (KIND_NAMED, KIND_MENTION):
-            linked, audit = link_entity(mention, catalog, context, policy.entity_iri, at=at)
+            try:
+                linked, audit = link_entity(mention, catalog, context, policy.entity_iri, at=at)
+            except LinkingError as exc:
+                raise SkipRecord(str(exc)) from exc
             resolved.append(linked)
             if audit is not None:
                 audits.append(replace(audit, record_id=record.id))
@@ -131,7 +136,10 @@ def extract_corpus(
     catalog: EntityCatalog,
     policy: IriPolicy,
 ) -> ExtractResult:
-    """Run the pipeline over a corpus, pooling triples into one graph."""
+    """Run the pipeline over a corpus, pooling triples into one graph.
+
+    Raises nothing for what a record holds: each becomes an event or a skip.
+    """
     result = ExtractResult()
     for record in records:
         try:

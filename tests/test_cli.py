@@ -11,6 +11,7 @@ import pytest
 
 from headex import cli
 from headex.cli import main
+from headex.catalog import default_catalog_path
 from headex.lexicon import default_lexicon_path
 from headex.rdf import Triple, parse_ntriples
 
@@ -174,6 +175,48 @@ class TestExtract:
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot load IRI policy: not valid JSON (maximum recursion depth")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{", "error: cannot load IRI policy: not valid JSON ("),
+            (b'{"base_iri": "http://kg.example/\xff"}', "error: cannot read {path}: not UTF-8 ("),
+        ],
+        ids=["bad-json", "not-utf8"],
+    )
+    def test_policy_load_error_names_its_file_once(
+        self, capsys, tmp_path, nine_tsv, content, message
+    ):
+        bad = tmp_path / "policy.json"
+        bad.write_bytes(content)
+        argv = ["extract", nine_tsv, "--policy", str(bad), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(message.format(path=bad))
+        assert err.count(str(bad)) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_minted_iri_owned_by_a_catalog_entity_is_skipped(self, capsys, tmp_path):
+        # "@zork" has no catalog candidate, and the IRI it would be minted
+        # under belongs to an entity whose label it does not match.
+        catalog = json.loads(default_catalog_path().read_text(encoding="utf-8"))
+        catalog["entities"].append({"iri": f"{BASE}entity/zork", "label": "Zorkington"})
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(catalog), encoding="utf-8")
+        source = tmp_path / "records.tsv"
+        source.write_text(
+            "z1\tCNN\t16/3/16\t@zork meets Obama\n"
+            "z2\tCNN\t16/3/16\tPope Francis visits Cuba\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        argv = ["extract", str(source), "--catalog", str(catalog_path), "--out", str(out_dir)]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.strip()) == (2, "records=2 events=1 skipped=1")
+        skipped = (out_dir / "skipped.tsv").read_text(encoding="utf-8")
+        assert skipped == f"z1\tminted IRI collides with catalog entity: {BASE}entity/zork\n"
+        graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
+        assert any(t.subject == f"{BASE}Meet_z2" for t in graph)
 
     def test_turtle_option(self, capsys, tmp_path, nine_tsv):
         code, _, _ = run(capsys, "extract", nine_tsv, "--out", str(tmp_path), "--turtle")

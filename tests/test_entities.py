@@ -3,22 +3,39 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headex.catalog import AGENT, PERSON, CatalogEntity, EntityCatalog
+from headex.catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog
 from headex.entities import (
+    _MULTIWORD_GUARD,
+    _SUBORDINATORS,
     KIND_MENTION,
     KIND_NAMED,
     KIND_NUMBER,
     KIND_OTHER,
     KIND_QUOTED,
     LINKED,
+    LOCATIVE_PREPOSITIONS,
     MINTED,
+    PERSON_WORDS,
+    POST,
+    PRE,
+    SPLIT_PREPOSITIONS,
+    SUBJECT,
+    UNRESOLVED,
+    Chunk,
     EntityMention,
     LinkingError,
+    _alias_match_length,
+    _filler,
+    _looks_infinitive,
+    _parse_position_reference,
+    _quoted_runs,
     assign_roles,
     chunk,
     context_words,
@@ -26,10 +43,26 @@ from headex.entities import (
     link_entity,
     recognize_entities,
     resolve_implicit,
+    strip_quotes,
 )
 from headex.events import recognize_event
-from headex.ingest import normalize
-from headex.model import TextFiller
+from headex.ingest import MENTION, NUMBER, PUNCT, QUOTE_CHARS, WORD, Token, normalize
+from headex.model import (
+    COMMUNICATION,
+    MEET,
+    MURDER,
+    ROLE_CAUSE,
+    ROLE_COUNT,
+    ROLE_GIVER,
+    ROLE_MESSAGE,
+    ROLE_PARTICIPANT,
+    ROLE_PERPETRATOR,
+    ROLE_RECIPIENT,
+    ROLE_TOPIC,
+    ROLE_VICTIM,
+    RoleFiller,
+    TextFiller,
+)
 from headex.triplify import slugify
 
 
@@ -67,11 +100,7 @@ def _implicit_mention(text: str) -> EntityMention:
         text=text,
         span=(0, len(text)),
         kind=KIND_OTHER,
-        chunk_index=0,
-        chunk_position="subject",
-        chunk_intro=None,
-        chunk_intro_kind=None,
-        chunk_text=text,
+        chunk=Chunk(0, "subject", None, None, (), text, text),
         implicit=True,
     )
 
@@ -159,7 +188,7 @@ class TestRecognition:
         # follows, so the subject yields one mention and it is not Germany.
         _, _, chunks = chunks_for(record_by_id["no4"].text, lexicon)
         mentions = recognize_entities(chunks, catalog)
-        subject = [m for m in mentions if m.chunk_position == "subject"]
+        subject = [m for m in mentions if m.chunk.position == "subject"]
         assert [(m.kind, m.text) for m in subject] == [(KIND_NAMED, "Angela Merkel")]
 
     def test_quoted_mention_keeps_inner_punctuation(self, record_by_id, lexicon, catalog):
@@ -379,3 +408,469 @@ class TestRoles:
         assert TextFiller("nearly") in as_dict["involved"]
         participants = {p.iri.rsplit("/", 1)[1] for p in as_dict["Participant"]}
         assert participants == {"Pope_Francis", "Patriarch_Kirill_of_Moscow"}
+
+
+# The entity stage as it was before each mention pointed at its chunk: kept
+# as the oracle that the rewritten chunk, recognize_entities and
+# assign_roles must match on every headline.
+
+
+def old_chunk(tokens, mention) -> list[Chunk]:
+    """``chunk`` with dict segments and closures, kept as the oracle."""
+    head = mention.head_index
+    closing_quotes = {span.last_token + 1 for span in tokens.quoted_spans}
+
+    pre_end = head
+    if mention.infinitive_head and head > 0 and tokens.tokens[head - 1].lower == "to":
+        pre_end = head - 1
+
+    def segment(indexes: range, position: str) -> list[dict]:
+        segments: list[dict] = []
+        current: dict | None = None
+        colon_mode = False
+
+        def open_segment(intro: Token | None, intro_kind: str | None) -> dict:
+            seg = {"intro": intro, "intro_kind": intro_kind, "tokens": []}
+            segments.append(seg)
+            return seg
+
+        i = indexes.start
+        while i < indexes.stop:
+            token = tokens.tokens[i]
+            if not colon_mode and not token.quoted:
+                if token.kind == WORD and token.lower in SPLIT_PREPOSITIONS:
+                    nxt = tokens.tokens[i + 1] if i + 1 < indexes.stop else None
+                    guarded = (
+                        token.lower == "at" and nxt is not None and nxt.lower in _MULTIWORD_GUARD
+                    )
+                    if not guarded:
+                        current = open_segment(token, "prep")
+                        i += 1
+                        continue
+                elif token.kind == WORD and token.lower == "to":
+                    nxt = tokens.tokens[i + 1] if i + 1 < indexes.stop else None
+                    kind = "to_infinitive" if _looks_infinitive(nxt) else "to_plain"
+                    current = open_segment(token, kind)
+                    i += 1
+                    continue
+                elif token.kind == PUNCT and token.surface == ":":
+                    current = open_segment(token, "colon")
+                    colon_mode = True
+                    i += 1
+                    continue
+            if current is None:
+                current = open_segment(None, None)
+            current["tokens"].append(token)
+            if i in closing_quotes and not colon_mode:
+                current = None  # material after a closing quote starts fresh
+            i += 1
+        return [s for s in segments if s["tokens"]]
+
+    raw = tokens.raw
+    built: list[Chunk] = []
+
+    def build(seg: dict, position: str) -> None:
+        content = seg["tokens"]
+        start, end = content[0].start, content[-1].end
+        intro_token = seg["intro"]
+        full_start = intro_token.start if intro_token is not None else start
+        built.append(
+            Chunk(
+                index=len(built),
+                position=position,
+                intro=intro_token.lower if intro_token is not None else None,
+                intro_kind=seg["intro_kind"],
+                tokens=tuple(content),
+                text=raw[start:end],
+                full_text=raw[full_start:end],
+            )
+        )
+
+    pre_segments = segment(range(0, pre_end), PRE)
+    subject_pick = None
+    for seg in pre_segments:
+        if seg["intro_kind"] is None:
+            subject_pick = seg  # the last plain pre-verbal segment
+    for seg in pre_segments:
+        build(seg, SUBJECT if seg is subject_pick else PRE)
+    for seg in segment(range(head + 1, len(tokens.tokens)), POST):
+        build(seg, POST)
+    return built
+
+
+@dataclass(frozen=True)
+class OldMention:
+    """``EntityMention`` with five fields copied from its chunk."""
+
+    text: str
+    span: tuple[int, int]
+    kind: str
+    chunk_index: int
+    chunk_position: str
+    chunk_intro: str | None
+    chunk_intro_kind: str | None
+    chunk_text: str
+    status: str = UNRESOLVED
+    iri: str | None = None
+    entity_type: str | None = None
+    implicit: bool = False
+    count_value: str | None = None
+
+    @property
+    def is_entity(self) -> bool:
+        return self.status in (LINKED, MINTED)
+
+
+def old_recognize_entities(chunks: list[Chunk], catalog) -> list[OldMention]:
+    """``recognize_entities`` with five mention blocks, kept as the oracle."""
+    mentions: list[OldMention] = []
+    for ch in chunks:
+        base = dict(
+            chunk_index=ch.index,
+            chunk_position=ch.position,
+            chunk_intro=ch.intro,
+            chunk_intro_kind=ch.intro_kind,
+            chunk_text=ch.full_text,
+        )
+        found_any = False
+
+        chunk_start = ch.tokens[0].start
+        for run in _quoted_runs(ch.tokens):
+            inner = [t for t in run if t.kind != PUNCT or t.surface not in QUOTE_CHARS]
+            if not inner:
+                continue
+            mentions.append(
+                OldMention(
+                    text=ch.text[inner[0].start - chunk_start : inner[-1].end - chunk_start],
+                    span=(inner[0].start, inner[-1].end),
+                    kind=KIND_QUOTED,
+                    **base,
+                )
+            )
+            found_any = True
+
+        words = ch.free_words
+        consumed = [False] * len(words)
+
+        reference = _parse_position_reference(tuple(t.surface for t in words), catalog)
+        if reference is not None:
+            title, org_words, used = reference
+            if used == len(words):
+                mentions.append(
+                    OldMention(
+                        text=" ".join(t.surface for t in words),
+                        span=(words[0].start, words[-1].end),
+                        kind=KIND_OTHER,
+                        implicit=True,
+                        **base,
+                    )
+                )
+                found_any = True
+                consumed = [True] * len(words)
+            else:
+                # Apposition: the trailing words must name the same referent.
+                remainder = words[used:]
+                if _alias_match_length(remainder, 0, catalog) == len(remainder):
+                    consumed[:used] = [True] * used
+
+        i = 0
+        while i < len(words):
+            if consumed[i]:
+                i += 1
+                continue
+            token = words[i]
+            if token.kind == MENTION:
+                mentions.append(
+                    OldMention(
+                        text=token.surface, span=(token.start, token.end), kind=KIND_MENTION, **base
+                    )
+                )
+                found_any = True
+                consumed[i] = True
+                i += 1
+                continue
+            matched = _alias_match_length(words, i, catalog)
+            if matched:
+                span_tokens = words[i : i + matched]
+                mentions.append(
+                    OldMention(
+                        text=" ".join(t.surface for t in span_tokens),
+                        span=(span_tokens[0].start, span_tokens[-1].end),
+                        kind=KIND_NAMED,
+                        **base,
+                    )
+                )
+                found_any = True
+                for j in range(i, i + matched):
+                    consumed[j] = True
+                i += matched
+                continue
+            if token.kind == NUMBER:
+                last = i
+                for j in range(i + 1, min(i + 4, len(words))):
+                    if words[j].lower in PERSON_WORDS:
+                        last = j
+                        break
+                span_tokens = words[i : last + 1]
+                mentions.append(
+                    OldMention(
+                        text=" ".join(t.surface for t in span_tokens),
+                        span=(span_tokens[0].start, span_tokens[-1].end),
+                        kind=KIND_NUMBER,
+                        count_value=token.surface,
+                        **base,
+                    )
+                )
+                found_any = True
+                for j in range(i, last + 1):
+                    consumed[j] = True
+                i = last + 1
+                continue
+            i += 1
+
+        if not found_any and words:
+            mentions.append(
+                OldMention(
+                    text=ch.text,
+                    span=(words[0].start, words[-1].end),
+                    kind=KIND_OTHER,
+                    **base,
+                )
+            )
+    return mentions
+
+
+def _old_is_passive(head, mentions: list[OldMention]) -> bool:
+    if head is None or not head.surface.lower().endswith(("ed", "en", "ain")):
+        return False
+    post = [m for m in mentions if m.chunk_position == POST]
+    if not post:
+        return True
+    first = min(post, key=lambda m: m.chunk_index)
+    if first.chunk_intro_kind == "prep":
+        return True
+    leading = first.chunk_text.split()
+    return bool(leading) and leading[0].lower() in _SUBORDINATORS
+
+
+def old_assign_roles(mentions: list[OldMention], frame, head=None):
+    """``assign_roles`` with nine claimed-mention checks, kept as the oracle."""
+    roles: list[tuple[str, RoleFiller]] = []
+    done: set[int] = set()
+
+    def take(idx: int, role: str, filler: RoleFiller | None = None) -> None:
+        roles.append((role, filler if filler is not None else _filler(mentions[idx])))
+        done.add(idx)
+
+    def drop(idx: int) -> None:
+        done.add(idx)
+
+    # Generic rule first: place entities inside locative prepositional chunks.
+    for i, m in enumerate(mentions):
+        if i in done:
+            continue
+        if (
+            m.is_entity
+            and m.entity_type == PLACE
+            and m.chunk_intro_kind == "prep"
+            and m.chunk_intro in LOCATIVE_PREPOSITIONS
+        ):
+            take(i, "location")
+
+    subject_ids = [i for i, m in enumerate(mentions) if m.chunk_position == SUBJECT]
+
+    if frame.event_class_name == MEET:
+        for i in subject_ids:
+            if i not in done:
+                take(i, ROLE_PARTICIPANT)
+        topic_chunks: set[int] = set()
+        for i, m in enumerate(mentions):
+            if i in done:
+                continue
+            if m.chunk_intro_kind == "to_infinitive":
+                if m.chunk_index not in topic_chunks:
+                    topic_chunks.add(m.chunk_index)
+                    roles.append((ROLE_TOPIC, TextFiller(strip_quotes(m.chunk_text))))
+                if m.is_entity:
+                    take(i, ROLE_PARTICIPANT)
+                else:
+                    drop(i)  # covered by the Topic text
+        for i, m in enumerate(mentions):
+            if i in done:
+                continue
+            if m.kind == KIND_QUOTED:
+                take(i, ROLE_TOPIC)
+            elif m.is_entity or m.kind == KIND_MENTION:
+                take(i, ROLE_PARTICIPANT)
+
+    elif frame.event_class_name == COMMUNICATION:
+        for i in subject_ids:
+            if i not in done:
+                take(i, ROLE_GIVER)
+        message_found = False
+        for i, m in enumerate(mentions):
+            if i in done or not (m.is_entity or m.kind == KIND_MENTION):
+                continue
+            recipient_intro = m.chunk_intro_kind == "to_plain" or m.chunk_intro == "with"
+            if recipient_intro and m.entity_type in (PERSON, AGENT):
+                take(i, ROLE_RECIPIENT)
+                break
+        for i, m in enumerate(mentions):
+            if i in done:
+                continue
+            if m.chunk_intro_kind == "colon":
+                if not message_found:
+                    roles.append((ROLE_MESSAGE, TextFiller(strip_quotes(m.chunk_text.lstrip(": ")))))
+                    message_found = True
+                drop(i)
+        if not message_found:
+            for i, m in enumerate(mentions):
+                if i in done:
+                    continue
+                if m.kind == KIND_QUOTED:
+                    take(i, ROLE_MESSAGE)
+                    message_found = True
+                    break
+        if not message_found:
+            post_chunks: dict[int, str] = {}
+            for m in mentions:
+                if m.chunk_position == POST:
+                    post_chunks.setdefault(m.chunk_index, m.chunk_text)
+            if post_chunks:
+                text = strip_quotes(" ".join(post_chunks[k] for k in sorted(post_chunks)))
+                roles.append((ROLE_MESSAGE, TextFiller(text)))
+                for i, m in enumerate(mentions):
+                    if i in done or m.chunk_position != POST:
+                        continue
+                    if not m.is_entity:
+                        drop(i)  # covered by the Message text
+
+    elif frame.event_class_name == MURDER:
+        passive = _old_is_passive(head, mentions)
+        if passive:
+            for i in subject_ids:
+                if i in done:
+                    continue
+                m = mentions[i]
+                if m.kind == KIND_NUMBER:
+                    take(i, ROLE_COUNT)
+                elif m.is_entity and m.entity_type == PERSON:
+                    take(i, ROLE_VICTIM)
+                elif not m.is_entity and m.kind == KIND_OTHER:
+                    take(i, ROLE_VICTIM)
+        else:
+            for i in subject_ids:
+                if i in done:
+                    continue
+                m = mentions[i]
+                if m.is_entity and m.entity_type == PERSON:
+                    take(i, ROLE_PERPETRATOR)
+                else:
+                    take(i, ROLE_CAUSE)
+                break
+            for i, m in enumerate(mentions):
+                if i in done or m.chunk_position != POST:
+                    continue
+                if m.kind == KIND_NUMBER:
+                    take(i, ROLE_COUNT)
+                elif m.is_entity and m.entity_type == PERSON:
+                    take(i, ROLE_VICTIM)
+        for i, m in enumerate(mentions):
+            if i in done or m.kind != KIND_NUMBER:
+                continue
+            take(i, ROLE_COUNT)
+
+    for i, m in enumerate(mentions):
+        if i not in done:
+            take(i, "involved")
+
+    warnings = [
+        f"required role {required} is unfilled"
+        for required in frame.required_roles
+        if not any(r == required for r, _ in roles)
+    ]
+    return roles, warnings
+
+
+def _headlines(catalog: EntityCatalog):
+    """Headlines built from the catalog's names and positions, @handles,
+    numbers, quotes, colons, "to", "at least" and the split prepositions
+    around a head verb."""
+    entities = catalog.entities()
+    names = sorted({n for e in entities for n in (e.label, *e.aliases)})
+    titles = sorted({p.title for e in entities for p in e.positions})
+    orgs = sorted({p.org for e in entities for p in e.positions})
+    inner = st.one_of(st.sampled_from(names), st.sampled_from(("to", "for", ":", "unite")))
+    quoted = st.tuples(
+        st.sampled_from(('"', "\u201c")),
+        st.lists(inner, min_size=1, max_size=3).map(" ".join),
+        st.sampled_from(('"', "\u201d", '",')),
+    ).map("".join)
+    piece = st.one_of(
+        quoted,
+        st.sampled_from(names),
+        st.sampled_from(titles),
+        st.tuples(st.sampled_from(orgs), st.sampled_from(titles)).map(" ".join),
+        st.tuples(st.sampled_from(titles), st.sampled_from(orgs)).map(" of ".join),
+        st.tuples(
+            st.sampled_from(("2", "eight", "110")),
+            st.sampled_from(("", "air force", "more than")),
+            st.sampled_from(("people", "pilots", "dead")),
+        ).map(lambda count: " ".join(word for word in count if word)),
+        st.sampled_from(("@Pontifex", "@jqd", "@_", "#SXSW", "2", "eight", "110", "people")),
+        st.sampled_from(('"', "\u201c", "\u201d", ":", ",", "to", "at least", "at most", "of")),
+        st.sampled_from(sorted(SPLIT_PREPOSITIONS | _SUBORDINATORS)),
+        st.sampled_from(("discuss", "reporters", "first time", "John Dalton", "Storms", "crowd")),
+    )
+    verbs = st.sampled_from(
+        ("meets", "met", "to meet", "visits", "says", "said", "tells", "kills", "killed", "slain")
+    )
+    return st.tuples(st.lists(piece, max_size=5), verbs, st.lists(piece, max_size=7)).map(
+        lambda parts: " ".join([*parts[0], parts[1], *parts[2]])
+    )
+
+
+def _new_shape(m: EntityMention) -> tuple:
+    ch = m.chunk
+    return (m.text, m.span, m.kind, m.implicit, m.count_value) + (
+        ch.index, ch.position, ch.intro, ch.intro_kind, ch.full_text
+    )
+
+
+def _old_shape(m: OldMention) -> tuple:
+    return (m.text, m.span, m.kind, m.implicit, m.count_value) + (
+        m.chunk_index, m.chunk_position, m.chunk_intro, m.chunk_intro_kind, m.chunk_text
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_entity_stage_matches_the_old_one(data, lexicon, catalog, policy):
+    text = data.draw(_headlines(catalog), label="headline")
+    at = data.draw(st.sampled_from((date(2009, 6, 1), date(2016, 3, 1))), label="at")
+    toks = normalize(text)
+    head = recognize_event(toks, lexicon)
+    if head is None:
+        return
+    chunks = chunk(toks, head)
+    assert chunks == old_chunk(toks, head)
+    new = recognize_entities(chunks, catalog)
+    old = old_recognize_entities(chunks, catalog)
+    assert [_new_shape(m) for m in new] == [_old_shape(m) for m in old]
+
+    context = context_words(toks)
+
+    def link(m):
+        if m.implicit:
+            holder = resolve_implicit(m, catalog, at)
+            if holder is None:
+                return m
+            return replace(m, status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
+        if m.kind in (KIND_NAMED, KIND_MENTION):
+            return link_entity(m, catalog, context, policy.entity_iri, at=at)[0]
+        return m
+
+    frame = head.event_class.frame
+    assert assign_roles([link(m) for m in new], frame, head=head) == old_assign_roles(
+        [link(m) for m in old], frame, head=head
+    )
