@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
-from .rdf import OWL_SAME_AS, RDF_TYPE, SKOS_RELATED, Literal, Triple, TripleSet, local_name
+from .rdf import OWL_SAME_AS, RDF_TYPE, SKOS_RELATED, Literal, TripleSet, _triple, local_name
 from .triplify import BODY, EXTRACTED_ON, HAS_SOURCE, SINGLETON_PROPERTY_OF, IriPolicy
 
 
@@ -68,11 +68,11 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
 
     classes: dict[str, str] = {}
     text_nodes: set[str] = set()
-    for triple in graph:
-        if triple.predicate == sp_of and isinstance(triple.object, str):
-            classes[triple.subject] = triple.object
-        elif triple.predicate == body:
-            text_nodes.add(triple.subject)
+    for subject, predicate, obj in graph:
+        if predicate == sp_of and isinstance(obj, str):
+            classes[subject] = obj
+        elif predicate == body:
+            text_nodes.add(subject)
 
     sources: dict[str, str] = {}
     dates: dict[str, datetime] = {}
@@ -80,29 +80,25 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     skip_predicates = {sp_of, has_source, extracted_on, RDF_TYPE}
 
     source_prefix = f"{policy.base_iri}source/"
-    for triple in graph:
-        sp = triple.subject
-        if sp in classes:
-            if triple.predicate == has_source and isinstance(triple.object, str):
-                target = triple.object
-                sources[sp] = (
-                    target[len(source_prefix) :]
-                    if target.startswith(source_prefix)
-                    else local_name(target)
+    for subject, predicate, obj in graph:
+        if subject in classes:
+            if predicate == has_source and isinstance(obj, str):
+                sources[subject] = (
+                    obj[len(source_prefix) :] if obj.startswith(source_prefix) else local_name(obj)
                 )
                 continue
-            if triple.predicate == extracted_on and isinstance(triple.object, Literal):
-                dates[sp] = _timestamp(triple.object.lexical)
+            if predicate == extracted_on and isinstance(obj, Literal):
+                dates[subject] = _timestamp(obj.lexical)
                 continue
-            if triple.predicate not in skip_predicates and isinstance(triple.object, str):
-                if triple.object not in text_nodes:
-                    participants[sp].add(triple.object)
-        if triple.predicate in classes:
-            bucket = participants[triple.predicate]
-            if triple.subject not in text_nodes:
-                bucket.add(triple.subject)
-            if isinstance(triple.object, str) and triple.object not in text_nodes:
-                bucket.add(triple.object)
+            if predicate not in skip_predicates and isinstance(obj, str):
+                if obj not in text_nodes:
+                    participants[subject].add(obj)
+        if predicate in classes:
+            bucket = participants[predicate]
+            if subject not in text_nodes:
+                bucket.add(subject)
+            if isinstance(obj, str) and obj not in text_nodes:
+                bucket.add(obj)
 
     entries = []
     for iri in classes:
@@ -212,9 +208,8 @@ def interlink_graph(
     entries = build_event_index(graph, policy)
     same = find_same_events(entries, window_hours=window_hours, jaccard_min=jaccard_min)
     related = find_related_events(entries, horizon_days=horizon_days, exclude=same)
-    links = TripleSet()
-    for a, b in same:
-        links.add(Triple(a, OWL_SAME_AS, b))
-    for earlier, later in related:
-        links.add(Triple(earlier, SKOS_RELATED, later))
+    # Every IRI here is a statement IRI of the input graph, checked on its
+    # way in, so the link triples are built unchecked.
+    links = TripleSet(_triple(a, OWL_SAME_AS, b) for a, b in same)
+    links.update(_triple(earlier, SKOS_RELATED, later) for earlier, later in related)
     return links, len(same), len(related)

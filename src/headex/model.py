@@ -17,7 +17,7 @@ from datetime import date, datetime
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .rdf import IRI_FORBIDDEN
+from .rdf import IRI_FORBIDDEN, is_absolute_iri
 
 if TYPE_CHECKING:  # pragma: no cover
     from .events import EventMention
@@ -43,6 +43,10 @@ class EventClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ModelError("event class name must be nonempty")
+        # The name is spelled into class and statement IRIs.
+        bad = IRI_FORBIDDEN.search(self.name)
+        if bad:
+            raise ModelError(f"event class name holds {bad.group()!r}, which IRIs forbid")
         if self.subgroup is not None and self.name != COMMUNICATION:
             raise ModelError(f"subgroup is only valid for {COMMUNICATION}, got {self.name}")
 
@@ -162,8 +166,8 @@ class EntityRef:
     iri: str
 
     def __post_init__(self) -> None:
-        if not self.iri:
-            raise ModelError("entity reference IRI must be nonempty")
+        if not is_absolute_iri(self.iri):
+            raise ModelError(f"entity reference IRI is not absolute: {self.iri!r}")
 
 
 @dataclass(frozen=True)
@@ -194,6 +198,10 @@ class EventInstance:
     def __post_init__(self) -> None:
         if not self.instance_id:
             raise ModelError("instance_id must be nonempty")
+        # The id is spelled into the statement and role-node IRIs.
+        bad = IRI_FORBIDDEN.search(self.instance_id)
+        if bad:
+            raise ModelError(f"instance_id holds {bad.group()!r}, which IRIs forbid")
         allowed = set(self.event_class.frame.role_names)
         for role_name, filler in self.roles:
             if role_name not in allowed:

@@ -7,18 +7,26 @@ N-Triples (RDF 1.1): one triple per line, sorted by codepoint order of the
 serialized subject, predicate, and object terms, so equal graphs serialize
 to equal bytes.
 
+``Triple`` and ``Literal`` are tuples, so they hash and compare in C, and
+each equals the plain tuple of its parts.  Their public constructors check
+every term.  The package builds triples with the unchecking ``_triple``
+from IRIs checked where they entered: ``parse_ntriples`` checks each
+distinct IRI token once; ``IriPolicy`` checks its base; ingest, lexicon load
+and the model keep record ids and class names free of ``IRI_FORBIDDEN``;
+slugs are letters, digits and ``_``; catalog load and ``EntityRef`` check
+entity IRIs; interlinking links statement IRIs of a checked graph.
+
 The codec does each piece of work once.  ``parse_ntriples`` parses each
 distinct term once per call and shares it between the triples that repeat
-it; every IRI is checked once, by ``Triple`` itself.  ``serialize_ntriples``
-renders each line once and sorts the lines, which gives the term order (see
-``_line``).  Escaping is one ``str.translate``; unescaping copies the text
-between backslashes in slices.
+it.  ``serialize_ntriples`` renders each line once and sorts the lines,
+which gives the term order (see ``_line``).  Escaping is one
+``str.translate``; unescaping copies the text between backslashes in slices.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -31,7 +39,7 @@ _FORBIDDEN = r'\x00-\x20<>"{}|^`\\'
 IRI_FORBIDDEN = re.compile(f"[{_FORBIDDEN}]")
 # A scheme, a colon, then any characters an IRI reference may hold.
 _ABSOLUTE_IRI = re.compile(rf"[A-Za-z][A-Za-z0-9+.\-]*:[^{_FORBIDDEN}]*")
-_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LANGTAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 
 
 class RdfError(ValueError):
@@ -58,36 +66,69 @@ def local_name(iri: str) -> str:
     return iri
 
 
-@dataclass(frozen=True)
-class Literal:
-    """An RDF literal: lexical form plus optional datatype IRI or language tag."""
+def _check_iri(position: str, value: str) -> str:
+    if not is_absolute_iri(value):
+        raise RdfError(f"{position} is not an absolute IRI: {value!r}")
+    return value
 
-    lexical: str
-    datatype: str | None = None
-    language: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+class Literal(tuple):
+    """An RDF literal: lexical form plus optional datatype IRI or language tag.
+
+    The tuple ``(lexical, datatype, language)``, and equal to it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lexical: str, datatype: str | None = None, language: str | None = None) -> Literal:
+        if datatype is not None and language is not None:
             raise RdfError("literal cannot carry both a datatype and a language tag")
-        if self.datatype is not None and not is_absolute_iri(self.datatype):
-            raise RdfError(f"datatype is not an absolute IRI: {self.datatype!r}")
-        if self.language is not None and not re.fullmatch(_LANGTAG, self.language):
-            raise RdfError(f"not a language tag: {self.language!r}")
+        if datatype is not None and not is_absolute_iri(datatype):
+            raise RdfError(f"datatype is not an absolute IRI: {datatype!r}")
+        if language is not None and _LANGTAG.fullmatch(language) is None:
+            raise RdfError(f"not a language tag: {language!r}")
+        return tuple.__new__(cls, (lexical, datatype, language))
+
+    lexical = property(itemgetter(0))
+    datatype = property(itemgetter(1))
+    language = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple[str, str | None, str | None]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Literal(lexical={self[0]!r}, datatype={self[1]!r}, language={self[2]!r})"
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: str
-    predicate: str
-    object: str | Literal
+class Triple(tuple):
+    """The tuple (subject, predicate, object), and equal to it.
 
-    def __post_init__(self) -> None:
-        if not is_absolute_iri(self.subject):
-            raise RdfError(f"subject is not an absolute IRI: {self.subject!r}")
-        if not is_absolute_iri(self.predicate):
-            raise RdfError(f"predicate is not an absolute IRI: {self.predicate!r}")
-        if isinstance(self.object, str) and not is_absolute_iri(self.object):
-            raise RdfError(f"object is not an absolute IRI: {self.object!r}")
+    Subject and predicate are IRIs; the object is an IRI or a ``Literal``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject: str, predicate: str, object: str | Literal) -> Triple:
+        _check_iri("subject", subject)
+        _check_iri("predicate", predicate)
+        if isinstance(object, str):
+            _check_iri("object", object)
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple[str, str, str | Literal]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
+
+
+def _triple(subject: str, predicate: str, obj: str | Literal) -> Triple:
+    """A triple of terms checked where they entered the program; no checks here."""
+    return tuple.__new__(Triple, (subject, predicate, obj))
 
 
 class TripleSet:
@@ -98,9 +139,7 @@ class TripleSet:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
-        self._triples: dict[Triple, None] = {}
-        for t in triples:
-            self.add(t)
+        self._triples: dict[Triple, None] = dict.fromkeys(triples)
 
     def add(self, triple: Triple) -> bool:
         """Add one triple; returns False when it was already present."""
@@ -109,8 +148,9 @@ class TripleSet:
         return len(self._triples) > size
 
     def update(self, triples: Iterable[Triple]) -> None:
-        for t in triples:
-            self.add(t)
+        """Add many triples; another TripleSet merges in, its hashes reused."""
+        added = triples._triples if isinstance(triples, TripleSet) else dict.fromkeys(triples)
+        self._triples.update(added)
 
     def union(self, other: "TripleSet") -> "TripleSet":
         merged = TripleSet(self)
@@ -129,7 +169,7 @@ class TripleSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleSet):
             return NotImplemented
-        return set(self._triples) == set(other._triples)
+        return self._triples.keys() == other._triples.keys()
 
     def __repr__(self) -> str:
         return f"TripleSet({len(self)} triples)"
@@ -142,11 +182,12 @@ def _term(value: str | Literal, iri: Callable[[str], str] = "<{}>".format) -> st
     """One term in N-Triples form; ``iri`` writes IRIs (Turtle compacts them)."""
     if not isinstance(value, Literal):
         return iri(value)
-    out = f'"{escape_literal(value.lexical)}"'
-    if value.datatype is not None:
-        return f"{out}^^{iri(value.datatype)}"
-    if value.language is not None:
-        return f"{out}@{value.language}"
+    lexical, datatype, language = value
+    out = f'"{escape_literal(lexical)}"'
+    if datatype is not None:
+        return f"{out}^^{iri(datatype)}"
+    if language is not None:
+        return f"{out}@{language}"
     return out
 
 
@@ -162,7 +203,10 @@ def _line(t: Triple) -> str:
     or a letter or digit, all above the space that follows every term in a
     line, so the shorter term sorts first both ways.
     """
-    return f"<{t.subject}> <{t.predicate}> {_term(t.object)} .\n"
+    subject, predicate, obj = t
+    if isinstance(obj, str):  # most lines: spare them the _term call
+        return f"<{subject}> <{predicate}> <{obj}> .\n"
+    return f"<{subject}> <{predicate}> {_term(obj)} .\n"
 
 
 _ESCAPES_OUT = {code: f"\\u{code:04X}" for code in range(0x20)} | {
@@ -219,7 +263,7 @@ def serialize_ntriples(graph: TripleSet) -> str:
     return "".join(sorted(map(_line, graph)))
 
 
-_LITERAL = rf'"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>|@({_LANGTAG}))?'
+_LITERAL = rf'"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>|@({_LANGTAG.pattern}))?'
 _LINE_RE = re.compile(rf"(<[^>]*>)\s+(<[^>]*>)\s+(<[^>]*>|{_LITERAL})\s*\.\s*")
 
 
@@ -230,7 +274,9 @@ def parse_ntriples(text: str) -> TripleSet:
     input.
     """
     graph = TripleSet()
-    terms: dict[str, str | Literal] = {}  # token -> its term, parsed once per call
+    triples = graph._triples  # filled in place: one dict store per line
+    # token -> its term, parsed and checked once per call, when first seen
+    terms: dict[str, str | Literal] = {}
     # Split on LF only: splitlines() would also break on NEL and friends,
     # which are legal raw inside literals.
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
@@ -241,15 +287,29 @@ def parse_ntriples(text: str) -> TripleSet:
         if match is None:
             raise NTriplesParseError(line_no, f"malformed triple: {line!r}")
         s, p, o = match.group(1, 2, 3)
+        # The literal object is checked first, then the IRIs in term order:
+        # a line with several faults reports the one that building its terms
+        # through the public constructors would.
         obj = terms.get(o)
+        if obj is None and o[0] == '"':
+            obj = terms[o] = _parse_literal(match, line_no)
+        subject = terms.get(s)
+        if subject is None:
+            subject = terms[s] = _parse_iri(s, "subject", line_no)
+        predicate = terms.get(p)
+        if predicate is None:
+            predicate = terms[p] = _parse_iri(p, "predicate", line_no)
         if obj is None:
-            obj = terms[o] = o[1:-1] if o[0] == "<" else _parse_literal(match, line_no)
-        try:
-            triple = Triple(terms.setdefault(s, s[1:-1]), terms.setdefault(p, p[1:-1]), obj)
-        except RdfError as exc:
-            raise NTriplesParseError(line_no, str(exc)) from exc
-        graph.add(triple)
+            obj = terms[o] = _parse_iri(o, "object", line_no)
+        triples[_triple(subject, predicate, obj)] = None
     return graph
+
+
+def _parse_iri(token: str, position: str, line_no: int) -> str:
+    try:
+        return _check_iri(position, token[1:-1])
+    except RdfError as exc:
+        raise NTriplesParseError(line_no, str(exc)) from exc
 
 
 def _parse_literal(match: re.Match[str], line_no: int) -> Literal:

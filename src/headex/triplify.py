@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .model import ROLE_COUNT, ROLE_TOPIC, EntityRef, EventInstance
-from .rdf import RDF_TYPE, XSD_DATE, XSD_INTEGER, Literal, Triple, TripleSet, is_absolute_iri
+from .rdf import RDF_TYPE, XSD_DATE, XSD_INTEGER, Literal, TripleSet, _triple, is_absolute_iri
 
 SINGLETON_PROPERTY_OF = "singletonPropertyOf"
 HAS_SOURCE = "hasSource"
@@ -110,29 +110,30 @@ def _count_literal(text: str) -> Literal:
 
 
 def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
-    """Emit the full triple bundle for one event instance."""
+    """Emit the full triple bundle for one event instance.
+
+    Every IRI here comes from pieces checked where they entered (see
+    ``headex.rdf``), so the triples are built unchecked.
+    """
     if not instance.roles:
         raise EmissionError(f"event {instance.instance_id} has no role fillers")
 
-    sp = policy.instance_iri(instance.event_class.name, instance.instance_id)
-    graph = TripleSet()
-    graph.add(
-        Triple(sp, policy.property_iri(SINGLETON_PROPERTY_OF), policy.class_iri(instance.event_class.name))
-    )
+    class_name = instance.event_class.name
+    sp = policy.instance_iri(class_name, instance.instance_id)
+    triples = [_triple(sp, policy.property_iri(SINGLETON_PROPERTY_OF), policy.class_iri(class_name))]
 
     # Materialize text fillers as typed nodes up front, in role order.
     ordinals: dict[str, int] = {}
     objects: list[tuple[str, str]] = []  # (role, object IRI) in original order
-    node_triples = TripleSet()
     for role, filler in instance.roles:
         if isinstance(filler, EntityRef):
             objects.append((role, filler.iri))
             continue
         ordinals[role] = ordinals.get(role, 0) + 1
         node = policy.role_node_iri(role, instance.instance_id, ordinals[role])
-        node_triples.add(Triple(node, RDF_TYPE, policy.role_type_iri(role)))
         body = _count_literal(filler.text) if role == ROLE_COUNT else Literal(filler.text)
-        node_triples.add(Triple(node, policy.property_iri(BODY), body))
+        triples.append(_triple(node, RDF_TYPE, policy.role_type_iri(role)))
+        triples.append(_triple(node, policy.property_iri(BODY), body))
         objects.append((role, node))
 
     # Each end of the main triple is the first filler matching the earliest
@@ -151,21 +152,16 @@ def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
                 break
 
     if len(ends) == 2:
-        graph.add(Triple(objects[ends[0]][1], sp, objects[ends[1]][1]))
+        triples.append(_triple(objects[ends[0]][1], sp, objects[ends[1]][1]))
     else:
         ends = []
 
     for i, (role, obj) in enumerate(objects):
         if i not in ends:
-            graph.add(Triple(sp, policy.role_property_iri(role), obj))
+            triples.append(_triple(sp, policy.role_property_iri(role), obj))
 
-    graph.update(node_triples)
-    graph.add(Triple(sp, policy.property_iri(HAS_SOURCE), policy.source_iri(instance.provenance.publisher)))
-    graph.add(
-        Triple(
-            sp,
-            policy.property_iri(EXTRACTED_ON),
-            Literal(instance.provenance.extracted_on.isoformat(), datatype=XSD_DATE),
-        )
-    )
-    return graph
+    provenance = instance.provenance
+    triples.append(_triple(sp, policy.property_iri(HAS_SOURCE), policy.source_iri(provenance.publisher)))
+    extracted_on = Literal(provenance.extracted_on.isoformat(), datatype=XSD_DATE)
+    triples.append(_triple(sp, policy.property_iri(EXTRACTED_ON), extracted_on))
+    return TripleSet(triples)

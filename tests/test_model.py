@@ -33,6 +33,11 @@ class TestEventClass:
         with pytest.raises(ModelError):
             EventClass(MEET, subgroup="SayVerbs")
 
+    @pytest.mark.parametrize("name", ["Sports Event", "Worship<", "Vote|Poll"])
+    def test_name_holds_no_character_iris_forbid(self, name):
+        with pytest.raises(ModelError, match="which IRIs forbid"):
+            EventClass(name)
+
 
 class TestFrames:
     def test_builtin_frames_have_expected_roles(self):
@@ -111,6 +116,22 @@ class TestInstances:
         assert inst.fillers("Participant") == (EntityRef("http://e/x"),)
         with pytest.raises(ModelError):
             self.make((("Winner", TextFiller("x")),))
+
+    @pytest.mark.parametrize("instance_id", ["x 1", "x<1", 'x"1', "x\\1"])
+    def test_instance_id_holds_no_character_iris_forbid(self, instance_id):
+        with pytest.raises(ModelError, match="which IRIs forbid"):
+            EventInstance(
+                instance_id=instance_id,
+                event_class=EventClass(MEET),
+                mention=None,
+                roles=(),
+                provenance=Provenance("CNN", date(2016, 2, 26)),
+            )
+
+    @pytest.mark.parametrize("iri", ["", "Kevin_Systrom", "/resource/Kevin_Systrom", "http://e/a b"])
+    def test_entity_reference_iri_must_be_absolute(self, iri):
+        with pytest.raises(ModelError, match="not absolute"):
+            EntityRef(iri)
 
     def test_generic_roles_always_allowed(self):
         inst = self.make((("involved", TextFiller("bystanders")),))

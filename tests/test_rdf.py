@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headex import rdf
 from headex.rdf import (
     RDF_TYPE,
     XSD_DATE,
+    XSD_INTEGER,
     Literal,
     NTriplesParseError,
     RdfError,
@@ -67,6 +71,42 @@ class TestTerms:
     def test_literal_object_allowed_subject_not(self):
         triple = Triple(EX + "s", EX + "p", Literal("hello"))
         assert isinstance(triple.object, Literal)
+
+    def test_terms_are_tuples_of_their_parts(self):
+        date = Literal("2016-02-26", datatype=XSD_DATE)
+        triple = Triple(EX + "s", EX + "p", date)
+        assert date == ("2016-02-26", XSD_DATE, None) and hash(date) == hash(tuple(date))
+        assert triple == (EX + "s", EX + "p", ("2016-02-26", XSD_DATE, None))
+        assert (triple.subject, triple.predicate, triple.object) == tuple(triple)
+        assert (date.lexical, date.datatype, date.language) == tuple(date)
+        assert repr(Literal("hi", language="en")) == "Literal(lexical='hi', datatype=None, language='en')"
+        assert repr(Triple(EX + "s", EX + "p", EX + "o")) == (
+            "Triple(subject='http://example.org/s', predicate='http://example.org/p', "
+            "object='http://example.org/o')"
+        )
+
+    @pytest.mark.parametrize("name", ["subject", "object", "lexical", "extra"])
+    def test_terms_are_immutable(self, name):
+        for value in (Triple(EX + "s", EX + "p", EX + "o"), Literal("x")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, EX + "t")
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Literal("plain"),
+            Literal("2", datatype=XSD_INTEGER),
+            Literal("hi", language="en-gb"),
+            Triple(EX + "s", EX + "p", EX + "o"),
+            Triple(EX + "s", EX + "p", Literal("hi", language="en")),
+            TripleSet([Triple(EX + "s", EX + "p", EX + "o"), Triple(EX + "s", EX + "q", Literal("x"))]),
+        ],
+        ids=repr,
+    )
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [*copies, copy.deepcopy(value), copy.copy(value)]:
+            assert twin == value and type(twin) is type(value)
 
 
 class TestTripleSet:
@@ -126,13 +166,28 @@ class TestEscaping:
         assert err.value.line_no == 2
         assert str(err.value) == "line 2: datatype is not an absolute IRI: 'rel'"
 
-    @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_relative_iri_in_graph_carries_line_number(self, position):
+    @pytest.mark.parametrize(
+        ("position", "later", "expected"),
+        [
+            (0, "", "line 2: subject is not an absolute IRI: 'rel'"),
+            (1, "", "line 2: predicate is not an absolute IRI: 'rel'"),
+            (2, "", "line 2: object is not an absolute IRI: 'rel'"),
+            # The bad token again on later lines, in other positions: the
+            # first line that holds it is reported.
+            (
+                2,
+                "<rel> <http://e/p> <http://e/o> .\n<http://e/s> <rel> <http://e/o> .\n",
+                "line 2: object is not an absolute IRI: 'rel'",
+            ),
+        ],
+        ids=["0", "1", "2", "repeated"],
+    )
+    def test_relative_iri_in_graph_carries_line_number(self, position, later, expected):
         terms = ["<http://e/s>", "<http://e/p>", "<http://e/o>"]
         terms[position] = "<rel>"
         with pytest.raises(NTriplesParseError) as err:
-            parse_ntriples("<http://e/s> <http://e/p> <http://e/o> .\n" + " ".join(terms) + " .\n")
-        assert err.value.line_no == 2 and "is not an absolute IRI: 'rel'" in str(err.value)
+            parse_ntriples("<http://e/s> <http://e/p> <http://e/o> .\n" + " ".join(terms) + " .\n" + later)
+        assert err.value.line_no == 2 and str(err.value) == expected
 
     def test_repeated_terms_are_shared(self):
         text = (
@@ -429,10 +484,7 @@ mutation = st.tuples(
 )
 
 
-@settings(max_examples=500)
-@given(line_index=st.integers(min_value=0), mutations=st.lists(mutation, min_size=1, max_size=4))
-def test_property_parse_mutated_events_lines(events_lines, line_index, mutations):
-    line = events_lines[line_index % len(events_lines)]
+def mutated(line: str, mutations) -> str:
     for kind, position, char in mutations:
         position %= len(line) + 1
         if kind == "insert":
@@ -441,5 +493,82 @@ def test_property_parse_mutated_events_lines(events_lines, line_index, mutations
             line = line[:position] + line[position + 1 :]
         else:
             line = line[:position] + char + line[position + 1 :]
+    return line
+
+
+@settings(max_examples=500)
+@given(line_index=st.integers(min_value=0), mutations=st.lists(mutation, min_size=1, max_size=4))
+def test_property_parse_mutated_events_lines(events_lines, line_index, mutations):
+    line = mutated(events_lines[line_index % len(events_lines)], mutations)
     parses_or_reports(line)
     parses_or_reports("\n".join(events_lines[:3] + [line]))
+
+
+def old_parse_ntriples(text: str) -> TripleSet:
+    """The parser as it was when the public ``Triple`` checked every IRI of
+    every line, kept as the oracle for the check made once per token."""
+    graph = TripleSet()
+    terms: dict = {}
+    for line_no, raw_line in enumerate(text.split("\n"), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = rdf._LINE_RE.fullmatch(line)
+        if match is None:
+            raise NTriplesParseError(line_no, f"malformed triple: {line!r}")
+        s, p, o = match.group(1, 2, 3)
+        obj = terms.get(o)
+        if obj is None:
+            obj = terms[o] = o[1:-1] if o[0] == "<" else rdf._parse_literal(match, line_no)
+        try:
+            triple = Triple(terms.setdefault(s, s[1:-1]), terms.setdefault(p, p[1:-1]), obj)
+        except RdfError as exc:
+            raise NTriplesParseError(line_no, str(exc)) from exc
+        graph.add(triple)
+    return graph
+
+
+def parse_outcome(parse, text: str):
+    try:
+        return serialize_ntriples(parse(text))
+    except NTriplesParseError as exc:
+        return ("error", str(exc), exc.line_no)
+
+
+def scheme_dropped(line: str, which: list[int]) -> str:
+    """``line`` with the colon of its ``which``-th ``<http:`` IRIs removed."""
+    for k in which:
+        head, sep, tail = line.partition("<http:")
+        for _ in range(k):
+            if not sep:
+                break
+            more, sep, tail = tail.partition("<http:")
+            head += "<http:" + more
+        if sep:
+            line = head + "<http" + tail
+    return line
+
+
+@settings(max_examples=500)
+@given(
+    picks=st.lists(
+        st.tuples(
+            st.integers(min_value=0),
+            st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+            st.lists(mutation, max_size=2),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_property_parse_matches_checking_every_triple(events_lines, picks):
+    # Lines of a real graph, some repeated, with IRIs made relative in any
+    # position (the datatype too) and characters changed: checking each
+    # token once gives the graph or the first error that checking every
+    # triple gave.
+    lines = [
+        mutated(scheme_dropped(events_lines[i % len(events_lines)], which), mutations)
+        for i, which, mutations in picks
+    ]
+    text = "\n".join(lines)
+    assert parse_outcome(parse_ntriples, text) == parse_outcome(old_parse_ntriples, text)

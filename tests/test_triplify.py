@@ -6,12 +6,24 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from headex.catalog import default_catalog_path
 from headex.events import recognize_event
 from headex.ingest import normalize, parse_record
-from headex.model import EntityRef, EventClass, EventInstance, Provenance, TextFiller
+from headex.model import FRAMES, EntityRef, EventClass, EventInstance, Provenance, TextFiller
 from headex.pipeline import process_record
-from headex.rdf import RDF_TYPE, XSD_DATE, XSD_INTEGER, Literal, Triple, serialize_ntriples
+from headex.rdf import (
+    IRI_FORBIDDEN,
+    RDF_TYPE,
+    XSD_DATE,
+    XSD_INTEGER,
+    Literal,
+    Triple,
+    parse_ntriples,
+    serialize_ntriples,
+)
 from headex.triplify import (
     EmissionError,
     IriPolicy,
@@ -274,3 +286,52 @@ class TestEmissionInvariants:
         twice = emit_event_triples(instance_by_id["no7"], policy)
         assert once == twice
         assert serialize_ntriples(once) == serialize_ntriples(twice)
+
+
+# Built instances, as the model admits them: record ids and Other:<Label>
+# class names free of the characters IRIs forbid, entity IRIs from the
+# bundled catalog, minted from slugs or any other absolute IRI, and text,
+# count and topic fillers of any text.
+_CATALOG_IRIS = sorted(e["iri"] for e in json.loads(default_catalog_path().read_text("utf-8"))["entities"])
+_IRI_SAFE = st.text(min_size=1, max_size=8).filter(lambda text: not IRI_FORBIDDEN.search(text))
+_TEXT = st.text(min_size=1, max_size=12).filter(str.strip)
+_POLICIES = st.sampled_from([IriPolicy(), IriPolicy("https://kg.example/x#"), IriPolicy("urn:kg/")])
+
+
+@st.composite
+def built_instances(draw) -> tuple[EventInstance, IriPolicy]:
+    policy = draw(_POLICIES)
+    name = draw(st.sampled_from(sorted(FRAMES)) | _IRI_SAFE)
+    minted = _TEXT.filter(lambda text: any(ch.isalnum() for ch in text)).map(
+        lambda text: policy.entity_iri(slugify(text))
+    )
+    entities = st.sampled_from(_CATALOG_IRIS) | minted | _IRI_SAFE.map("http://kb.example/".__add__)
+    counts = st.from_regex(r"[0-9]{1,3}", fullmatch=True)
+    fillers = st.one_of(entities.map(EntityRef), _TEXT.map(TextFiller), counts.map(TextFiller))
+    roles = draw(
+        st.lists(
+            st.tuples(st.sampled_from(EventClass(name).frame.role_names), fillers), min_size=1, max_size=6
+        )
+    )
+    instance = EventInstance(
+        instance_id=draw(_IRI_SAFE),
+        event_class=EventClass(name),
+        mention=None,
+        roles=tuple(roles),
+        provenance=Provenance(publisher=draw(_TEXT), extracted_on=draw(st.dates())),
+    )
+    return instance, policy
+
+
+@settings(max_examples=300)
+@given(built_instances())
+def test_property_emitted_triples_pass_the_public_checks(built):
+    instance, policy = built
+    try:
+        graph = emit_event_triples(instance, policy)
+    except PolicyError:  # a publisher with no letter or digit has no source IRI
+        assert not any(ch.isalnum() for ch in instance.provenance.publisher.casefold())
+        return
+    for triple in graph:
+        assert Triple(*triple) == triple
+    assert parse_ntriples(serialize_ntriples(graph)) == graph
