@@ -20,6 +20,11 @@ headline's date, both interval ends inclusive.  An entity comes out once,
 dated by its first such position; the most recently appointed holder comes
 first, ties going to the smaller IRI.  The shipped default catalog is
 ``data/catalog.json``.
+
+Alias look-ups are exact after ``str.casefold``.  Beside that index the
+catalog keeps, for the first space-separated word of every alias, the most
+words of any alias starting with it (``EntityCatalog.alias_words``), so a
+caller trying n-grams as aliases can skip the n-grams no alias can equal.
 """
 
 from __future__ import annotations
@@ -82,14 +87,23 @@ class EntityCatalog:
     def __init__(self, entities: Iterable[CatalogEntity]) -> None:
         self._by_iri: dict[str, CatalogEntity] = {}
         self._by_alias: dict[str, list[str]] = {}
+        # First space-separated word of an alias key -> the most words of
+        # any alias key that starts with it.
+        self._alias_words: dict[str, int] = {}
         for entity in entities:
             if entity.iri in self._by_iri:
                 raise CatalogError(f"duplicate entity IRI {entity.iri}")
             self._by_iri[entity.iri] = entity
             for alias in (entity.label, *entity.aliases):
                 key = alias.casefold()
-                bucket = self._by_alias.setdefault(key, [])
-                if entity.iri not in bucket:
+                bucket = self._by_alias.get(key)
+                if bucket is None:
+                    self._by_alias[key] = [entity.iri]
+                    first = key.partition(" ")[0]
+                    words = key.count(" ") + 1
+                    if words > self._alias_words.get(first, 0):
+                        self._alias_words[first] = words
+                elif entity.iri not in bucket:
                     bucket.append(entity.iri)
         for bucket in self._by_alias.values():
             bucket.sort()
@@ -129,6 +143,11 @@ class EntityCatalog:
 
     def is_alias(self, surface: str) -> bool:
         return surface.casefold() in self._by_alias
+
+    def alias_words(self, first: str) -> int:
+        """The most space-separated words of any alias whose first word is
+        ``first``, case-insensitively; 0 when no alias starts with it."""
+        return self._alias_words.get(first.casefold(), 0)
 
     def is_position_title(self, surface: str) -> bool:
         return surface.casefold() in self._titles

@@ -229,9 +229,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     locations: dict[str, set[str]] = {}
     location_property = policy.role_property_iri("location")
-    for triple in graph:
-        if triple.predicate == location_property and isinstance(triple.object, str):
-            locations.setdefault(triple.subject, set()).add(triple.object)
+    for subject, predicate, obj in graph:
+        if predicate == location_property and isinstance(obj, str):
+            locations.setdefault(subject, set()).add(obj)
 
     def parse_day(text: str | None) -> date | None:
         return date.fromisoformat(text) if text else None

@@ -208,7 +208,9 @@ def _parse_position_reference(
 
     Returns (title, org alias words, words consumed) or None.  The consumed
     count is less than ``len(words)`` when a name follows the reference in
-    apposition ("German Chancellor Angela Merkel").
+    apposition ("German Chancellor Angela Merkel").  The words hold no
+    whitespace, so org aliases longer than ``catalog.alias_words`` of the
+    first word need no look-up (see ``_alias_match_length``).
     """
     lowered = [w.lower() for w in words]
     if "of" in lowered:
@@ -217,7 +219,8 @@ def _parse_position_reference(
         org = words[cut + 1 :]
         if title and org and catalog.is_position_title(title) and catalog.is_alias(" ".join(org)):
             return title, tuple(org), len(words)
-    for org_len in range(len(words) - 1, 0, -1):
+    longest_org = min(len(words) - 1, catalog.alias_words(words[0])) if words else 0
+    for org_len in range(longest_org, 0, -1):
         org = words[:org_len]
         if not catalog.is_alias(" ".join(org)):
             continue
@@ -301,8 +304,17 @@ _MATCHABLE = (WORD, NUMBER, HASHTAG)
 
 
 def _alias_match_length(words: tuple[Token, ...], start: int, catalog: EntityCatalog) -> int:
-    """Longest n-gram at ``start`` that is a catalog alias; 0 when none is."""
-    limit = min(len(words) - start, 5)
+    """Longest n-gram at ``start`` (an index into ``words``) that is a catalog
+    alias; 0 when none is.
+
+    Only n-grams no longer than ``catalog.alias_words`` of the first surface
+    are tried, and that loses no match: surfaces hold no whitespace and
+    ``str.casefold`` maps each code point on its own, never to a space, so the
+    key of an n-gram has exactly n space-separated words and its first word
+    is the casefolded first surface.  An alias equal to it starts with that
+    word and has n words.
+    """
+    limit = min(len(words) - start, 5, catalog.alias_words(words[start].surface))
     for n in range(limit, 0, -1):
         span = words[start : start + n]
         if any(t.kind not in _MATCHABLE for t in span):

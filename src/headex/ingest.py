@@ -11,12 +11,15 @@ two-digit years land in 2000-2099.
 
 Tokenization is offset-sound: each token records the half-open character span
 it was cut from, tokens never overlap, and every non-space character outside a
-stripped URL belongs to exactly one token.
+stripped URL belongs to exactly one token.  A ``Token`` is an immutable tuple
+of its surface, kind, span, quoted flag and lowercase form; ``normalize``
+builds each one once, with its final kind and flag.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -72,6 +75,8 @@ def parse_timestamp(text: str, line_no: int = 0) -> datetime:
 
 
 def _unescape_text(text: str, line_no: int) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -159,17 +164,28 @@ def read_records(path: str | Path) -> tuple[list[HeadlineRecord], list[tuple[str
     return records, failures
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    kind: str
-    start: int
-    end: int
-    quoted: bool = False
+class Token(namedtuple("_TokenFields", "surface kind start end quoted lower")):
+    """One token: its surface, kind, half-open character span, whether it
+    lies inside a quoted span, and its lowercase form, computed once.
 
-    @property
-    def lower(self) -> str:
-        return self.surface.lower()
+    An immutable tuple of those six fields, and equal to it; built as
+    ``Token(surface, kind, start, end, quoted=False)``.  Rebuild a token
+    through that constructor, not ``_replace``, which would keep ``lower``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, surface: str, kind: str, start: int, end: int, quoted: bool = False) -> Token:
+        return tuple.__new__(cls, (surface, kind, start, end, quoted, surface.lower()))
+
+    def __getnewargs__(self) -> tuple[str, str, int, int, bool]:
+        return self[:5]
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(surface={self[0]!r}, kind={self[1]!r}, start={self[2]!r}, "
+            f"end={self[3]!r}, quoted={self[4]!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -220,37 +236,43 @@ def normalize(text: str) -> TokenSequence:
     """
     if not text or not text.strip():
         raise ValueError("cannot tokenize empty text")
-    tokens: list[Token] = []
+    matches: list[re.Match[str]] = []
     urls: list[tuple[int, int]] = []
+    quotes: list[int] = []  # indexes into matches
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup or PUNCT
-        surface = match.group()
+        kind = match.lastgroup
         if kind == "url":
-            urls.append((match.start(), match.end()))
+            urls.append(match.span())
             continue
-        if kind == WORD and surface.lower() in NUMBER_WORDS:
-            kind = NUMBER
-        tokens.append(Token(surface, kind, match.start(), match.end()))
+        if kind == PUNCT and match[0] in QUOTE_CHARS:
+            quotes.append(len(matches))
+        matches.append(match)
 
-    quote_positions = [i for i, t in enumerate(tokens) if t.surface in QUOTE_CHARS]
     spans: list[QuotedSpan] = []
-    if len(quote_positions) % 2 == 0:
-        quoted_token_indexes: set[int] = set()
-        for open_idx, close_idx in zip(quote_positions[::2], quote_positions[1::2]):
+    quoted: set[int] = set()  # indexes of the tokens inside quoted spans
+    if len(quotes) % 2 == 0:
+        for open_idx, close_idx in zip(quotes[::2], quotes[1::2]):
             spans.append(
                 QuotedSpan(
-                    start=tokens[open_idx].start,
-                    end=tokens[close_idx].end,
+                    start=matches[open_idx].start(),
+                    end=matches[close_idx].end(),
                     first_token=open_idx + 1,
                     last_token=close_idx - 1,
                 )
             )
-            quoted_token_indexes.update(range(open_idx, close_idx + 1))
-        if quoted_token_indexes:
-            tokens = [
-                Token(t.surface, t.kind, t.start, t.end, quoted=(i in quoted_token_indexes))
-                for i, t in enumerate(tokens)
-            ]
+            quoted.update(range(open_idx, close_idx + 1))
+
+    # Each token is built once, with its final kind and quoted flag.
+    new = tuple.__new__
+    tokens = []
+    for i, match in enumerate(matches):
+        surface = match[0]
+        lower = surface.lower()
+        kind = match.lastgroup
+        if kind == WORD and lower in NUMBER_WORDS:
+            kind = NUMBER
+        start, end = match.span()
+        tokens.append(new(Token, (surface, kind, start, end, i in quoted, lower)))
     return TokenSequence(
         raw=text, tokens=tuple(tokens), quoted_spans=tuple(spans), urls=tuple(urls)
     )

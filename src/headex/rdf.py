@@ -67,7 +67,7 @@ def local_name(iri: str) -> str:
 
 
 def _check_iri(position: str, value: str) -> str:
-    if not is_absolute_iri(value):
+    if not (isinstance(value, str) and is_absolute_iri(value)):
         raise RdfError(f"{position} is not an absolute IRI: {value!r}")
     return value
 
@@ -83,9 +83,9 @@ class Literal(tuple):
     def __new__(cls, lexical: str, datatype: str | None = None, language: str | None = None) -> Literal:
         if datatype is not None and language is not None:
             raise RdfError("literal cannot carry both a datatype and a language tag")
-        if datatype is not None and not is_absolute_iri(datatype):
-            raise RdfError(f"datatype is not an absolute IRI: {datatype!r}")
-        if language is not None and _LANGTAG.fullmatch(language) is None:
+        if datatype is not None:
+            _check_iri("datatype", datatype)
+        if language is not None and not (isinstance(language, str) and _LANGTAG.fullmatch(language)):
             raise RdfError(f"not a language tag: {language!r}")
         return tuple.__new__(cls, (lexical, datatype, language))
 
@@ -111,7 +111,7 @@ class Triple(tuple):
     def __new__(cls, subject: str, predicate: str, object: str | Literal) -> Triple:
         _check_iri("subject", subject)
         _check_iri("predicate", predicate)
-        if isinstance(object, str):
+        if not isinstance(object, Literal):
             _check_iri("object", object)
         return tuple.__new__(cls, (subject, predicate, object))
 
@@ -357,13 +357,14 @@ def serialize_turtle(graph: TripleSet, base_iri: str | None = None) -> str:
     used = set()
     by_subject: dict[str, list[Triple]] = {}
     for t in graph.sorted():
-        by_subject.setdefault(t.subject, []).append(t)
-        for term in (t.subject, t.predicate, t.object):
-            if isinstance(term, Literal):
-                if term.datatype:
-                    used.add(term.datatype)
-            else:
-                used.add(term)
+        subject, predicate, obj = t  # cheaper than three reads by name
+        by_subject.setdefault(subject, []).append(t)
+        used.add(subject)
+        used.add(predicate)
+        if not isinstance(obj, Literal):
+            used.add(obj)
+        elif obj.datatype is not None:
+            used.add(obj.datatype)
 
     lines = []
     for name, ns in prefixes:
@@ -374,7 +375,7 @@ def serialize_turtle(graph: TripleSet, base_iri: str | None = None) -> str:
     for subject in sorted(by_subject):
         triples = by_subject[subject]
         lines.append(f"{compact(subject)}")
-        for i, t in enumerate(triples):
+        for i, (_, predicate, obj) in enumerate(triples):
             sep = ";" if i < len(triples) - 1 else "."
-            lines.append(f"    {compact(t.predicate)} {_term(t.object, compact)} {sep}")
+            lines.append(f"    {compact(predicate)} {_term(obj, compact)} {sep}")
     return "".join(line + "\n" for line in lines)

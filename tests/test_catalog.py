@@ -170,6 +170,36 @@ class TestHolders:
         assert catalog.is_position_title("ceo")
 
 
+class TestAliasWords:
+    def test_most_words_of_any_alias_starting_with_the_word(self):
+        catalog = EntityCatalog(
+            [
+                org("New York", "NYC", "new york city", "New"),
+                org("Straße Bau AG"),
+                org("Acme"),
+            ]
+        )
+        assert catalog.alias_words("new") == 3
+        assert catalog.alias_words("NEW") == 3
+        assert catalog.alias_words("nyc") == 1
+        assert catalog.alias_words("Acme") == 1
+        assert catalog.alias_words("STRASSE") == 3  # casefolded, as alias look-ups are
+
+    def test_no_alias_starts_with_the_word(self):
+        catalog = EntityCatalog([org("New York")])
+        assert catalog.alias_words("York") == 0
+        assert catalog.alias_words("Acme") == 0
+        assert catalog.alias_words("") == 0
+
+    def test_words_are_split_on_single_spaces(self):
+        # A key that no n-gram of space-free surfaces can equal may count too
+        # many words, never too few.
+        catalog = EntityCatalog([org("Ab  Cd"), org(" Ef Gh")])
+        assert catalog.alias_words("ab") == 3
+        assert catalog.alias_words("") == 3
+        assert catalog.alias_words("ef") == 0
+
+
 NAMES = ("Acme", "acme", "AC", "Acorn", "Bolt")
 TITLES = ("CEO", "ceo", "Chair")
 FIRST = D(2010, 1, 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, replace
 from datetime import date
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headex.catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog
+from headex.catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog, PositionRecord
 from headex.entities import (
     _MULTIWORD_GUARD,
     _SUBORDINATORS,
@@ -46,7 +47,7 @@ from headex.entities import (
     strip_quotes,
 )
 from headex.events import recognize_event
-from headex.ingest import MENTION, NUMBER, PUNCT, QUOTE_CHARS, WORD, Token, normalize
+from headex.ingest import HASHTAG, MENTION, NUMBER, PUNCT, QUOTE_CHARS, WORD, Token, normalize
 from headex.model import (
     COMMUNICATION,
     MEET,
@@ -410,9 +411,42 @@ class TestRoles:
         assert participants == {"Pope_Francis", "Patriarch_Kirill_of_Moscow"}
 
 
-# The entity stage as it was before each mention pointed at its chunk: kept
-# as the oracle that the rewritten chunk, recognize_entities and
-# assign_roles must match on every headline.
+# The entity stage as it was before each mention pointed at its chunk, with
+# the alias look-ups as they were before ``EntityCatalog.alias_words`` capped
+# them: kept as the oracle that the rewritten chunk, recognize_entities,
+# assign_roles and the two look-ups must match on every headline.
+
+
+def old_parse_position_reference(words: tuple[str, ...], catalog):
+    """``_parse_position_reference`` trying every org length, kept as the oracle."""
+    lowered = [w.lower() for w in words]
+    if "of" in lowered:
+        cut = lowered.index("of")
+        title = " ".join(words[:cut])
+        org = words[cut + 1 :]
+        if title and org and catalog.is_position_title(title) and catalog.is_alias(" ".join(org)):
+            return title, tuple(org), len(words)
+    for org_len in range(len(words) - 1, 0, -1):
+        org = words[:org_len]
+        if not catalog.is_alias(" ".join(org)):
+            continue
+        for title_len in range(len(words) - org_len, 0, -1):
+            title = " ".join(words[org_len : org_len + title_len])
+            if catalog.is_position_title(title):
+                return title, tuple(org), org_len + title_len
+    return None
+
+
+def old_alias_match_length(words: tuple[Token, ...], start: int, catalog) -> int:
+    """``_alias_match_length`` trying every n-gram up to 5, kept as the oracle."""
+    limit = min(len(words) - start, 5)
+    for n in range(limit, 0, -1):
+        span = words[start : start + n]
+        if any(t.kind not in (WORD, NUMBER, HASHTAG) for t in span):
+            continue
+        if catalog.is_alias(" ".join(t.surface for t in span)):
+            return n
+    return 0
 
 
 def old_chunk(tokens, mention) -> list[Chunk]:
@@ -552,7 +586,7 @@ def old_recognize_entities(chunks: list[Chunk], catalog) -> list[OldMention]:
         words = ch.free_words
         consumed = [False] * len(words)
 
-        reference = _parse_position_reference(tuple(t.surface for t in words), catalog)
+        reference = old_parse_position_reference(tuple(t.surface for t in words), catalog)
         if reference is not None:
             title, org_words, used = reference
             if used == len(words):
@@ -570,7 +604,7 @@ def old_recognize_entities(chunks: list[Chunk], catalog) -> list[OldMention]:
             else:
                 # Apposition: the trailing words must name the same referent.
                 remainder = words[used:]
-                if _alias_match_length(remainder, 0, catalog) == len(remainder):
+                if old_alias_match_length(remainder, 0, catalog) == len(remainder):
                     consumed[:used] = [True] * used
 
         i = 0
@@ -589,7 +623,7 @@ def old_recognize_entities(chunks: list[Chunk], catalog) -> list[OldMention]:
                 consumed[i] = True
                 i += 1
                 continue
-            matched = _alias_match_length(words, i, catalog)
+            matched = old_alias_match_length(words, i, catalog)
             if matched:
                 span_tokens = words[i : i + matched]
                 mentions.append(
@@ -873,4 +907,97 @@ def test_entity_stage_matches_the_old_one(data, lexicon, catalog, policy):
     frame = head.event_class.frame
     assert assign_roles([link(m) for m in new], frame, head=head) == old_assign_roles(
         [link(m) for m in old], frame, head=head
+    )
+
+
+# Single surfaces (no whitespace, as every token surface) whose case folds
+# meet: ß/ẞ/ss, İ/i̇, final and medial sigma, hashtags and numbers.
+_SURFACES = (
+    "Acme", "acme", "ACME", "New", "York", "City", "Straße", "STRAẞE", "strasse", "İstanbul",
+    "i̇stanbul", "istanbul", "ΣΑΣ", "σας", "σασ", "#SXSW", "#sxsw", "2", "110", "of", "CEO",
+    "Chief", "chief", "Head",
+)
+
+
+@st.composite
+def alias_catalogs(draw):
+    """Catalogs whose labels, aliases, titles and orgs come from a few
+    phrases that join surfaces with one or two spaces, some with a leading
+    or trailing space."""
+    phrase = st.tuples(
+        st.sampled_from(("", "", " ")),
+        st.lists(st.sampled_from(_SURFACES), min_size=1, max_size=5),
+        st.sampled_from((" ", " ", "  ")),
+        st.sampled_from(("", "", " ")),
+    ).map(lambda parts: parts[0] + parts[2].join(parts[1]) + parts[3])
+    phrases = st.sampled_from(draw(st.lists(phrase, min_size=1, max_size=5)))
+    entities = []
+    for index in range(draw(st.integers(1, 5))):
+        positions = tuple(
+            PositionRecord(draw(phrases), draw(phrases), date(2010, 1, 1))
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        aliases = tuple(draw(st.lists(phrases, max_size=2)))
+        iri = f"http://kb.example/e{index}"
+        entities.append(CatalogEntity(iri, draw(phrases), AGENT, aliases, positions=positions))
+    return EntityCatalog(entities)
+
+
+def _catalog_words(catalog: EntityCatalog):
+    """Word lists mixing single surfaces and "of" with the words of the
+    catalog's aliases and titles, as a headline would hold them."""
+    entities = catalog.entities()
+    phrases = sorted(
+        {n for e in entities for n in (e.label, *e.aliases)}
+        | {p.title for e in entities for p in e.positions}
+    )
+    piece = st.one_of(
+        st.sampled_from((*_SURFACES, "of")).map(lambda surface: [surface]),
+        st.sampled_from(phrases).map(str.split),
+        st.sampled_from(phrases).map(str.split),  # twice: phrases make the matches
+        st.sampled_from(phrases).map(lambda phrase: phrase.upper().split()),
+    )
+    return st.lists(piece, max_size=4).map(lambda pieces: [w for p in pieces for w in p][:10])
+
+
+def test_casefold_never_turns_a_character_into_whitespace():
+    # What the alias cap's exactness rests on, besides surfaces holding no
+    # whitespace (see ``_alias_match_length``).
+    assert [
+        code
+        for code in range(sys.maxunicode + 1)
+        if not chr(code).isspace() and any(c.isspace() for c in chr(code).casefold())
+    ] == []
+
+
+@given(st.text(st.one_of(st.sampled_from("ΑΣσςẞßİIi "), st.characters()), max_size=20))
+def test_casefold_maps_each_code_point_on_its_own(text):
+    assert "".join(c.casefold() for c in text) == text.casefold()
+
+
+@settings(max_examples=500, deadline=None)
+@given(catalog=alias_catalogs(), data=st.data())
+def test_property_alias_match_length_matches_trying_every_ngram(catalog, data):
+    surfaces = data.draw(_catalog_words(catalog), label="surfaces")
+    kinds = data.draw(
+        st.lists(
+            st.sampled_from((WORD, WORD, WORD, NUMBER, HASHTAG, MENTION, PUNCT)),
+            min_size=len(surfaces),
+            max_size=len(surfaces),
+        ),
+        label="kinds",
+    )
+    words = tuple(Token(w, kind, 0, len(w)) for w, kind in zip(surfaces, kinds))
+    for start in range(len(words)):
+        assert _alias_match_length(words, start, catalog) == old_alias_match_length(
+            words, start, catalog
+        )
+
+
+@settings(max_examples=500, deadline=None)
+@given(catalog=alias_catalogs(), data=st.data())
+def test_property_position_reference_matches_trying_every_org_length(catalog, data):
+    words = tuple(data.draw(_catalog_words(catalog), label="words"))
+    assert _parse_position_reference(words, catalog) == old_parse_position_reference(
+        words, catalog
     )

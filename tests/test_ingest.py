@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import re
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headex.ingest import (
     MENTION,
     NUMBER,
+    NUMBER_WORDS,
     PUNCT,
+    QUOTE_CHARS,
     WORD,
+    QuotedSpan,
     RecordError,
+    Token,
+    _unescape_text,
     normalize,
     parse_record,
     parse_timestamp,
@@ -156,3 +165,177 @@ def test_property_offsets_sound(text):
         return  # nothing tokenizable
     for token in toks.tokens:
         assert toks.raw[token.start : token.end] == token.surface
+
+
+class TestTokenValue:
+    def test_token_is_the_tuple_of_its_six_fields(self):
+        token = Token("Meets", WORD, 4, 9, quoted=True)
+        assert token == ("Meets", WORD, 4, 9, True, "meets")
+        assert hash(token) == hash(("Meets", WORD, 4, 9, True, "meets"))
+        fields = (token.surface, token.kind, token.start, token.end, token.quoted, token.lower)
+        assert fields == tuple(token)
+        assert Token("x", PUNCT, 0, 1).quoted is False
+
+    @pytest.mark.parametrize("surface", ["Meets", "ΣΑΣ", "İstanbul", "STRAẞE", "@Pontifex", "2,000"])
+    def test_lower_is_the_surface_lowered(self, surface):
+        assert Token(surface, WORD, 0, len(surface)).lower == surface.lower()
+
+    def test_repr_names_the_constructor_fields(self):
+        assert repr(Token("to", WORD, 3, 5)) == (
+            "Token(surface='to', kind='word', start=3, end=5, quoted=False)"
+        )
+
+    @pytest.mark.parametrize("name", ["surface", "kind", "start", "quoted", "lower", "extra"])
+    def test_fields_cannot_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(Token("to", WORD, 3, 5), name, "x")
+
+    @pytest.mark.parametrize(
+        "token", [Token("Meets", WORD, 4, 9), Token('"', PUNCT, 0, 1, quoted=True)], ids=repr
+    )
+    def test_pickle_and_copy_round_trip(self, token):
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(token, protocol)) for protocol in protocols]
+        for twin in [*copies, copy.deepcopy(token), copy.copy(token)]:
+            assert twin == token and type(twin) is Token
+
+
+# The tokenizer and unescaper as they were before each token was built once:
+# kept as the oracles that ``normalize`` and ``_unescape_text`` must match.
+
+
+@dataclass(frozen=True)
+class OldToken:
+    surface: str
+    kind: str
+    start: int
+    end: int
+    quoted: bool = False
+
+
+_OLD_TOKEN_RE = re.compile(
+    r"""(?P<url>https?://[^\s]+)
+      | (?P<mention>@\w+)
+      | (?P<hashtag>\#\w+)
+      | (?P<number>\d+(?:[.,]\d+)*)
+      | (?P<word>[^\W\d_][\w'’\-]*)
+      | (?P<punct>[^\w\s])
+    """,
+    re.VERBOSE | re.UNICODE,
+)
+
+
+def old_normalize(text: str):
+    """``normalize`` building each quoted headline's tokens twice, kept as the oracle."""
+    if not text or not text.strip():
+        raise ValueError("cannot tokenize empty text")
+    tokens = []
+    urls = []
+    for match in _OLD_TOKEN_RE.finditer(text):
+        kind = match.lastgroup or PUNCT
+        surface = match.group()
+        if kind == "url":
+            urls.append((match.start(), match.end()))
+            continue
+        if kind == WORD and surface.lower() in NUMBER_WORDS:
+            kind = NUMBER
+        tokens.append(OldToken(surface, kind, match.start(), match.end()))
+
+    quote_positions = [i for i, t in enumerate(tokens) if t.surface in QUOTE_CHARS]
+    spans = []
+    if len(quote_positions) % 2 == 0:
+        quoted_token_indexes = set()
+        for open_idx, close_idx in zip(quote_positions[::2], quote_positions[1::2]):
+            spans.append(
+                QuotedSpan(
+                    start=tokens[open_idx].start,
+                    end=tokens[close_idx].end,
+                    first_token=open_idx + 1,
+                    last_token=close_idx - 1,
+                )
+            )
+            quoted_token_indexes.update(range(open_idx, close_idx + 1))
+        if quoted_token_indexes:
+            tokens = [
+                OldToken(t.surface, t.kind, t.start, t.end, quoted=(i in quoted_token_indexes))
+                for i, t in enumerate(tokens)
+            ]
+    return tokens, spans, urls
+
+
+def old_unescape_text(text: str, line_no: int) -> str:
+    """``_unescape_text`` without the no-backslash shortcut, kept as the oracle."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(text):
+            raise RecordError(line_no, "dangling backslash in text field")
+        nxt = text[i + 1]
+        if nxt == "t":
+            out.append("\t")
+        elif nxt == "\\":
+            out.append("\\")
+        else:
+            out.append(ch)
+            out.append(nxt)
+        i += 2
+    return "".join(out)
+
+
+_PIECES = st.sampled_from(
+    (
+        '"', "\u201c", "\u201d", "'", "“hi”", '"a b"', "http://t.co/x1", "https://a.b/c?d=e\"f",
+        "http:/no", "@Pontifex", "@_", "#SXSW", "#", "2", "2,000.5", "three", "Three", "DOZENS",
+        "threefold", "Meets", "ΣΑΣ", "İstanbul", "STRAẞE", "don't", "co-op", "_x", "x_", "é",
+        ":", ",", "-", "!", "\u2026", "\u00a0", "\t", "9a", "a9",
+    )
+)
+_SEPARATORS = st.sampled_from(("", " ", "  ", "\u00a0"))
+_HEADLINES = st.one_of(
+    st.lists(st.tuples(_PIECES, _SEPARATORS).map("".join), min_size=1, max_size=12).map("".join),
+    st.text(alphabet=st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=40),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_HEADLINES)
+def test_property_normalize_matches_the_old_tokenizer(text):
+    try:
+        expected = old_normalize(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            normalize(text)
+        return
+    toks = normalize(text)
+    old_tokens, old_spans, old_urls = expected
+    assert [t[:5] for t in toks.tokens] == [
+        (t.surface, t.kind, t.start, t.end, t.quoted) for t in old_tokens
+    ]
+    assert all(type(t) is Token and t.lower == t.surface.lower() for t in toks.tokens)
+    assert list(toks.quoted_spans) == old_spans
+    assert list(toks.urls) == old_urls
+    assert toks.raw == text
+
+
+_ESCAPE_PIECES = st.sampled_from(("\\", "t", "\\t", "\\\\", "a", "é", "\t", " ", "\\n"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.lists(_ESCAPE_PIECES, max_size=10).map("".join), st.text(max_size=30)),
+    st.integers(0, 99),
+)
+def test_property_unescape_text_matches_the_old_loop(text, line_no):
+    try:
+        expected = old_unescape_text(text, line_no)
+    except RecordError as exc:
+        with pytest.raises(RecordError) as raised:
+            _unescape_text(text, line_no)
+        assert str(raised.value) == str(exc)
+        return
+    assert _unescape_text(text, line_no) == expected

@@ -63,6 +63,22 @@ class TestTerms:
         with pytest.raises(RdfError):
             Triple(EX + "s", "p", EX + "o")
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Triple(Literal("s"), EX + "p", EX + "o"), "subject is not an absolute IRI: Literal("),
+            (lambda: Triple(EX + "s", None, EX + "o"), "predicate is not an absolute IRI: None"),
+            (lambda: Triple(EX + "s", EX + "p", 7), "object is not an absolute IRI: 7"),
+            (lambda: Literal("x", datatype=7), "datatype is not an absolute IRI: 7"),
+            (lambda: Literal("x", language=7), "not a language tag: 7"),
+        ],
+        ids=["subject", "predicate", "object", "datatype", "language"],
+    )
+    def test_term_that_is_no_string_is_an_rdf_error(self, build, message):
+        with pytest.raises(RdfError) as raised:
+            build()
+        assert str(raised.value).startswith(message)
+
     @pytest.mark.parametrize("tag", ["", "en us", "en-", "-en", "e\x1f", "en_GB"])
     def test_literal_language_must_be_a_tag(self, tag):
         with pytest.raises(RdfError):
