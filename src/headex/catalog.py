@@ -29,13 +29,13 @@ caller trying n-grams as aliases can skip the n-grams no alias can equal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import date
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+from .ingest import InputError, bad_field, list_field, read_json
 from .rdf import is_absolute_iri
 
 PERSON = "Person"
@@ -44,7 +44,7 @@ PLACE = "Place"
 AGENT = "Agent"
 
 
-class CatalogError(ValueError):
+class CatalogError(InputError):
     """Raised for malformed catalog files."""
 
 
@@ -175,40 +175,22 @@ def default_catalog_path() -> Path:
     return Path(str(resources.files("headex").joinpath("data/catalog.json")))
 
 
-def _bad(raw: dict, key: str, what: str) -> CatalogError:
-    if key not in raw:
-        return CatalogError(f"missing field {key!r}")
-    return CatalogError(f"{key!r} must be {what}, got {raw[key]!r}")
-
-
-def _list(raw: dict, key: str, kind: type) -> list:
-    """``raw[key]`` (empty when absent), which must be a list of ``kind``."""
-    values = raw.get(key, [])
-    noun = "strings" if kind is str else "objects"
-    if not isinstance(values, list):
-        raise _bad(raw, key, f"a list of {noun}")
-    for value in values:
-        if not isinstance(value, kind):
-            raise CatalogError(f"{key!r} must hold only {noun}, got {value!r}")
-    return values
-
-
 def _date(raw: dict, key: str) -> date:
     value = raw.get(key)
     if not isinstance(value, str):
-        raise _bad(raw, key, "an ISO date string")
+        raise bad_field(raw, key, "an ISO date string")
     try:
         return date.fromisoformat(value)
     except ValueError as exc:
-        raise CatalogError(f"{key!r} must be an ISO date, got {value!r}") from exc
+        raise InputError(f"{key!r} must be an ISO date, got {value!r}") from exc
 
 
 def _position(raw: dict) -> PositionRecord:
     title, org = raw.get("title"), raw.get("org")
     if not isinstance(title, str):
-        raise _bad(raw, "title", "a string")
+        raise bad_field(raw, "title", "a string")
     if not isinstance(org, str):
-        raise _bad(raw, "org", "a string")
+        raise bad_field(raw, "org", "a string")
     return PositionRecord(
         title=title,
         org=org,
@@ -220,48 +202,43 @@ def _position(raw: dict) -> PositionRecord:
 def _entity(raw: object) -> CatalogEntity:
     """One checked entity; plain ``isinstance`` tests keep a 10k-entity load fast."""
     if not isinstance(raw, dict):
-        raise CatalogError(f"expected an object, got {raw!r}")
+        raise InputError(f"expected an object, got {raw!r}")
     iri, label, entity_type = raw.get("iri"), raw.get("label"), raw.get("type", AGENT)
     if not isinstance(iri, str):
-        raise _bad(raw, "iri", "a string")
+        raise bad_field(raw, "iri", "a string")
     if not is_absolute_iri(iri):
-        raise _bad(raw, "iri", "an absolute IRI")
+        raise bad_field(raw, "iri", "an absolute IRI")
     if not isinstance(label, str):
-        raise _bad(raw, "label", "a string")
+        raise bad_field(raw, "label", "a string")
     if not isinstance(entity_type, str):
-        raise _bad(raw, "type", "a string")
+        raise bad_field(raw, "type", "a string")
     positions = []
-    roles = _list(raw, "roles", dict) if "roles" in raw else ()
+    roles = list_field(raw, "roles", dict) if "roles" in raw else ()
     for index, role in enumerate(roles):
         try:
             positions.append(_position(role))
-        except CatalogError as exc:
-            raise CatalogError(f"roles[{index}]: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"roles[{index}]: {exc}") from exc
     return CatalogEntity(
         iri=iri,
         label=label,
         entity_type=entity_type,
-        aliases=tuple(_list(raw, "aliases", str)),
-        keywords=tuple([k.casefold() for k in _list(raw, "keywords", str)]),
+        aliases=tuple(list_field(raw, "aliases", str)),
+        keywords=tuple([k.casefold() for k in list_field(raw, "keywords", str)]),
         positions=tuple(positions),
     )
 
 
 def load_catalog(path: str | Path) -> EntityCatalog:
     """Read and check a catalog file; every ``CatalogError`` names the file."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json(path, CatalogError)
     if not isinstance(payload, dict) or not isinstance(payload.get("entities"), list):
         raise CatalogError(f"{path}: expected an object with an 'entities' list")
     entities = []
     for index, raw in enumerate(payload["entities"]):
         try:
             entities.append(_entity(raw))
-        except CatalogError as exc:
+        except InputError as exc:
             raise CatalogError(f"{path}: entities[{index}]: {exc}") from exc
     try:
         return EntityCatalog(entities)

@@ -17,12 +17,12 @@ import os
 import sys
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Callable, TypeVar
 
-from .catalog import CatalogError, default_catalog_path, load_catalog
-from .datamodel import DescriptorError, Verdict, load_descriptor, validate_data_model
+from .catalog import default_catalog_path, load_catalog
+from .datamodel import Verdict, load_descriptor, validate_data_model
+from .ingest import InputError, read_text
 from .interlink import InterlinkError, build_event_index, interlink_graph
-from .lexicon import LexiconError, default_lexicon_path, load_lexicon_file
+from .lexicon import default_lexicon_path, load_lexicon_file
 from .pipeline import extract_corpus
 from .rdf import (
     NTriplesParseError,
@@ -35,7 +35,6 @@ from .rdf import (
 from .triplify import IriPolicy, PolicyError, load_policy, slugify
 
 _DEFAULT_BASE = IriPolicy().base_iri
-_T = TypeVar("_T")
 
 
 class _Fatal(Exception):
@@ -43,15 +42,9 @@ class _Fatal(Exception):
 
 
 def _policy_from(args: argparse.Namespace) -> IriPolicy:
-    try:
-        if args.policy is None:
-            return IriPolicy(base_iri=args.base)
-        return _load(load_policy, args.policy)
-    except OSError as exc:
-        raise _Fatal(f"cannot load IRI policy: {exc}") from exc
-    except PolicyError as exc:
-        where = "" if args.policy is None else f" in {args.policy}"
-        raise _Fatal(f"cannot load IRI policy: {exc}{where}") from exc
+    if args.policy is None:
+        return IriPolicy(base_iri=args.base)
+    return load_policy(args.policy)
 
 
 def _add_policy_options(parser: argparse.ArgumentParser) -> None:
@@ -59,29 +52,12 @@ def _add_policy_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", default=None, help="JSON file with IRI policy settings")
 
 
-def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> _Fatal:
-    bad = exc.object[exc.start : exc.end]
-    return _Fatal(f"cannot read {path}: not UTF-8 ({exc.reason}: {bad!r})")
-
-
-def _load(loader: Callable[[str | Path], _T], path: str | Path) -> _T:
-    """``loader(path)``, with a file that is not UTF-8 made a fatal error."""
-    try:
-        return loader(path)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
-
-
 def _read_graph(path: str) -> TripleSet:
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_ntriples(handle.read())
-    except OSError as exc:
-        raise _Fatal(f"cannot read graph: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+        return parse_ntriples(text)
     except NTriplesParseError as exc:
-        raise _Fatal(f"cannot parse graph {path}: {exc}") from exc
+        raise InputError(f"cannot parse graph {path}: {exc}") from exc
 
 
 def _write_outputs(outputs: dict[Path, str]) -> None:
@@ -109,15 +85,12 @@ def _write_outputs(outputs: dict[Path, str]) -> None:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    from .ingest import read_records
+    from .ingest import read_records  # at call time, so bench/spans.py can wrap it
 
     policy = _policy_from(args)
-    try:
-        lexicon = _load(load_lexicon_file, args.lexicon or default_lexicon_path())
-        catalog = _load(load_catalog, args.catalog or default_catalog_path())
-        records, failures = _load(read_records, args.input)
-    except (OSError, LexiconError, CatalogError) as exc:
-        raise _Fatal(str(exc)) from exc
+    lexicon = load_lexicon_file(args.lexicon or default_lexicon_path())
+    catalog = load_catalog(args.catalog or default_catalog_path())
+    records, failures = read_records(args.input)
 
     result = extract_corpus(records, lexicon, catalog, policy)
 
@@ -192,31 +165,20 @@ def _cmd_interlink(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    reports = []
-    for path in args.models:
-        try:
-            descriptor = _load(load_descriptor, path)
-        except (OSError, DescriptorError) as exc:
-            raise _Fatal(str(exc)) from exc
-        reports.append(validate_data_model(descriptor))
+    reports = [validate_data_model(load_descriptor(path)) for path in args.models]
 
     width = max(len("model"), *(len(r.model_name) for r in reports))
     requirement_ids = [res.requirement for res in reports[0].results]
     header = "model".ljust(width) + "".join(f"  {rid:<12}" for rid in requirement_ids)
     print(header)
-    all_pass = True
     for report in reports:
-        row = report.model_name.ljust(width)
-        for res in report.results:
-            row += f"  {res.verdict.value:<12}"
-            if res.verdict is not Verdict.PASS:
-                all_pass = False
-        print(row)
+        row = "".join(f"  {res.verdict.value:<12}" for res in report.results)
+        print(report.model_name.ljust(width) + row)
     for report in reports:
         for res in report.results:
             if res.verdict is not Verdict.PASS and res.note:
                 print(f"  {report.model_name} {res.requirement}: {res.note}")
-    return 0 if all_pass else 1
+    return 0 if all(report.all_pass for report in reports) else 1
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -323,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_Fatal, PolicyError) as exc:
+    except (_Fatal, InputError, PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,10 +13,11 @@ Verdicts are pass / pass_loosely / fail, with a one-line note each.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+from .ingest import InputError, bad_field, list_field, read_json
 
 COARSE = "coarse"
 FINE = "fine"
@@ -28,7 +29,7 @@ REQUIREMENT_IDS = ("R1", "R2", "R3", "R4")
 _PUBLISHER_MARKERS = ("publisher", "source")
 
 
-class DescriptorError(ValueError):
+class DescriptorError(InputError):
     """Raised for malformed data-model descriptors."""
 
 
@@ -159,37 +160,44 @@ def validate_data_model(descriptor: DataModelDescriptor) -> RequirementReport:
     return RequirementReport(descriptor.name, tuple(results))
 
 
+def _flag(payload: dict, key: str, default: bool | None = None) -> bool:
+    value = payload.get(key, default)
+    if not isinstance(value, bool):
+        raise bad_field(payload, key, "true or false")
+    return value
+
+
+def _rows(payload: dict, key: str, fields: tuple[str, ...]) -> list[list[str]]:
+    """The string ``fields`` of each object in the list ``payload[key]``."""
+    rows = []
+    for index, raw in enumerate(list_field(payload, key, dict)):
+        for name in fields:
+            if not isinstance(raw.get(name), str):
+                raise InputError(f"{key}[{index}]: {bad_field(raw, name, 'a string')}")
+        rows.append([raw[name] for name in fields])
+    return rows
+
+
 def load_descriptor(path: str | Path) -> DataModelDescriptor:
     """Load a descriptor from its JSON file; see the shipped fixtures for the schema.
 
     Every ``DescriptorError`` raised here names the file.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DescriptorError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json(path, DescriptorError)
     if not isinstance(payload, dict):
         raise DescriptorError(f"{path}: descriptor must be a JSON object")
     try:
-        entity_types = tuple(
-            EntityType(t["name"], t["granularity"]) for t in payload.get("entity_types", [])
-        )
-        properties = tuple(
-            EventEntityProperty(p["property"], p["domain"], p["range"])
-            for p in payload.get("event_entity_properties", [])
-        )
+        if not isinstance(payload.get("name"), str):
+            raise bad_field(payload, "name", "a string")
+        types = _rows(payload, "entity_types", ("name", "granularity"))
+        properties = _rows(payload, "event_entity_properties", ("property", "domain", "range"))
         return DataModelDescriptor(
             name=payload["name"],
-            has_generic_event=bool(payload["has_generic_event"]),
-            has_specific_event_types=bool(payload.get("has_specific_event_types", False)),
-            provenance_properties=tuple(payload.get("provenance_properties", [])),
-            entity_types=entity_types,
-            event_entity_properties=properties,
+            has_generic_event=_flag(payload, "has_generic_event"),
+            has_specific_event_types=_flag(payload, "has_specific_event_types", False),
+            provenance_properties=tuple(list_field(payload, "provenance_properties", str)),
+            entity_types=tuple(EntityType(*row) for row in types),
+            event_entity_properties=tuple(EventEntityProperty(*row) for row in properties),
         )
-    except DescriptorError as exc:
+    except InputError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
-    except KeyError as exc:
-        raise DescriptorError(f"{path}: missing descriptor field {exc}") from exc
-    except TypeError as exc:
-        raise DescriptorError(f"{path}: malformed descriptor ({exc})") from exc

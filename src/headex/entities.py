@@ -17,7 +17,8 @@ position, intro and full text are what the role rules read.
 Linking is closed-world: one candidate links, zero mints a deterministic IRI
 from the surface form, several go through keyword/position scoring with a
 lexicographic IRI tie-break, which makes the whole stage insensitive to
-candidate order.
+candidate order.  A surface with no letter or digit to mint from, as in
+"@_", stays unresolved and fills its role as text.
 """
 
 from __future__ import annotations
@@ -407,7 +408,8 @@ def link_entity(
     at: date | None = None,
 ) -> tuple[EntityMention, DisambiguationAudit | None]:
     """Resolve a named/@handle mention: link to the unique catalog candidate,
-    disambiguate among several, or mint a deterministic IRI for none.
+    disambiguate among several, or mint a deterministic IRI for none; a
+    surface with nothing to mint from comes back unresolved.
 
     ``entity_iri_for`` maps a slug to a minted IRI (normally
     ``IriPolicy.entity_iri``).  Returns the resolved mention and the
@@ -418,10 +420,9 @@ def link_entity(
         candidates = catalog.candidates(mention.text.lstrip("@"))
     if not candidates:
         try:
-            slug = slugify(mention.text)
+            iri = entity_iri_for(slugify(mention.text))
         except PolicyError:
-            slug = "entity"  # nothing alphanumeric to name it by, as in "@_"
-        iri = entity_iri_for(slug)
+            return mention, None  # nothing alphanumeric to name it by, as in "@_"
         if iri in catalog:
             raise LinkingError(f"minted IRI collides with catalog entity: {iri}")
         return (

@@ -1,5 +1,9 @@
 """Input parsing and headline tokenization.
 
+Every file headex is given is read by ``read_text`` or ``read_json``, which
+raise ``InputError`` (or the subclass a loader passes) naming the file once:
+``cannot read <path>: ...`` or, for bad content, ``<path>: ...``.
+
 Record format: UTF-8, newline-delimited, four tab-separated fields per line:
 
     id<TAB>publisher<TAB>date<TAB>text
@@ -18,6 +22,7 @@ builds each one once, with its final kind and flag.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -40,6 +45,50 @@ NUMBER_WORDS = frozenset(
 )
 
 QUOTE_CHARS = frozenset('"“”')
+
+
+class InputError(ValueError):
+    """Raised for an input file that cannot be read or parsed; names the file."""
+
+
+def read_text(path: str | Path, error: type[ValueError] = InputError) -> str:
+    """The file's text: UTF-8, with universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise error(f"cannot read {path}: not UTF-8 ({exc.reason}: {bad!r})") from exc
+
+
+def read_json(path: str | Path, error: type[ValueError] = InputError) -> object:
+    """The JSON value a file holds."""
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
+def bad_field(raw: dict, key: str, what: str) -> InputError:
+    """The error for a JSON object whose ``key`` is missing or not ``what``."""
+    if key not in raw:
+        return InputError(f"missing field {key!r}")
+    return InputError(f"{key!r} must be {what}, got {raw[key]!r}")
+
+
+def list_field(raw: dict, key: str, kind: type) -> list:
+    """``raw[key]`` (empty when absent), which must be a list of ``kind``."""
+    values = raw.get(key, [])
+    noun = "strings" if kind is str else "objects"
+    if not isinstance(values, list):
+        raise bad_field(raw, key, f"a list of {noun}")
+    for value in values:
+        if not isinstance(value, kind):
+            raise InputError(f"{key!r} must hold only {noun}, got {value!r}")
+    return values
 
 
 class RecordError(ValueError):
@@ -142,25 +191,24 @@ def read_records(path: str | Path) -> tuple[list[HeadlineRecord], list[tuple[str
 
     Returns (records, failures) where failures are (line label, reason) pairs;
     malformed lines and duplicate ids are reported, never raised, so one bad
-    row cannot abort a batch.
+    row cannot abort a batch.  A file that cannot be read raises InputError.
     """
     records: list[HeadlineRecord] = []
     failures: list[tuple[str, str]] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = parse_record(line, line_no)
-            except RecordError as exc:
-                failures.append((f"line{line_no}", str(exc)))
-                continue
-            if record.id in seen_ids:
-                failures.append((record.id, f"line {line_no}: duplicate record id"))
-                continue
-            seen_ids.add(record.id)
-            records.append(record)
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = parse_record(line, line_no)
+        except RecordError as exc:
+            failures.append((f"line{line_no}", str(exc)))
+            continue
+        if record.id in seen_ids:
+            failures.append((record.id, f"line {line_no}: duplicate record id"))
+            continue
+        seen_ids.add(record.id)
+        records.append(record)
     return records, failures
 
 

@@ -16,12 +16,12 @@ ignored.  The shipped default lexicon is ``data/cevo_min.tsv``.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import Iterable
 
+from .ingest import InputError, read_text
 from .model import COMMUNICATION, FRAMES, EventClass
 from .rdf import IRI_FORBIDDEN
 
@@ -29,7 +29,7 @@ _KNOWN_FLAGS = ("noun_ok",)
 _KNOWN_SUBGROUPS = ("SayVerbs", "TellVerbs")
 
 
-class LexiconError(ValueError):
+class LexiconError(InputError):
     """Raised for malformed or conflicting lexicon rows."""
 
     def __init__(self, line_no: int, message: str, path: str | Path | None = None) -> None:
@@ -83,16 +83,14 @@ def _parse_class(text: str, line_no: int) -> str:
     raise LexiconError(line_no, f"unknown event class {text!r}")
 
 
-def load_lexicon(source: BinaryIO | bytes) -> Lexicon:
-    """Load a lexicon from a byte stream (or bytes).
+def load_lexicon(text: str) -> Lexicon:
+    """Load a lexicon from its text.
 
     Raises LexiconError with a line number for wrong arity, unknown class
     names or flags, or a lemma mapped to two different classes.
     """
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
     entries: dict[str, tuple[VerbEntry, int]] = {}
-    for line_no, raw in enumerate(source.read().decode("utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -135,12 +133,12 @@ def load_lexicon(source: BinaryIO | bytes) -> Lexicon:
 
 
 def load_lexicon_file(path: str | Path) -> Lexicon:
-    """Load a lexicon file; a ``LexiconError`` names the file and the line."""
-    with open(path, "rb") as handle:
-        try:
-            return load_lexicon(handle)
-        except LexiconError as exc:
-            raise LexiconError(exc.line_no, exc.message, path) from exc
+    """Load a lexicon file; every error names the file, a ``LexiconError`` the line too."""
+    text = read_text(path)
+    try:
+        return load_lexicon(text)
+    except LexiconError as exc:
+        raise LexiconError(exc.line_no, exc.message, path) from exc
 
 
 def classify_verb(lemma: str, lexicon: Lexicon) -> EventClass | None:

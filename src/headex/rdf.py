@@ -81,6 +81,8 @@ class Literal(tuple):
     __slots__ = ()
 
     def __new__(cls, lexical: str, datatype: str | None = None, language: str | None = None) -> Literal:
+        if not isinstance(lexical, str):
+            raise RdfError(f"lexical form is not a string: {lexical!r}")
         if datatype is not None and language is not None:
             raise RdfError("literal cannot carry both a datatype and a language tag")
         if datatype is not None:

@@ -13,10 +13,10 @@ differently-sourced events.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .ingest import read_json
 from .model import ROLE_COUNT, ROLE_TOPIC, EntityRef, EventInstance
 from .rdf import RDF_TYPE, XSD_DATE, XSD_INTEGER, Literal, TripleSet, _triple, is_absolute_iri
 
@@ -90,17 +90,15 @@ class IriPolicy:
 
 
 def load_policy(path: str | Path) -> IriPolicy:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise PolicyError(f"not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise PolicyError("policy file must hold a JSON object")
-    base = data.get("base_iri")
+    """Read an IRI policy file; every ``PolicyError`` names the file."""
+    data = read_json(path, PolicyError)
+    base = data.get("base_iri") if isinstance(data, dict) else None
     if not isinstance(base, str):
-        raise PolicyError("policy file needs a string 'base_iri'")
-    return IriPolicy(base_iri=base)
+        raise PolicyError(f"{path}: expected an object with a string 'base_iri'")
+    try:
+        return IriPolicy(base_iri=base)
+    except PolicyError as exc:
+        raise PolicyError(f"{path}: {exc}") from exc
 
 
 def _count_literal(text: str) -> Literal:

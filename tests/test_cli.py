@@ -110,6 +110,18 @@ class TestExtract:
         graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
         assert any(t.subject == f"{BASE}Meet_p2" for t in graph)
 
+    def test_handle_without_letter_or_digit_stays_text(self, capsys, tmp_path):
+        source = tmp_path / "handles.tsv"
+        source.write_text("h1\tCNN\t16/3/16\t@_ meets @__\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "extract", str(source), "--out", str(out_dir))
+        assert (code, out.strip()) == (0, "records=1 events=1 skipped=0")
+        graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
+        assert not any(f"{BASE}entity/" in term for t in graph for term in t if isinstance(term, str))
+        assert not any(t.predicate == f"{BASE}Meet_h1" for t in graph)  # no main triple
+        bodies = {t.object.lexical for t in graph if t.predicate == f"{BASE}body"}
+        assert bodies == {"@_", "@__"}
+
     @pytest.mark.parametrize("option", ["input", "--lexicon", "--catalog"])
     def test_file_not_utf8_is_fatal(self, capsys, tmp_path, nine_tsv, option):
         bad = tmp_path / "bad"
@@ -173,13 +185,13 @@ class TestExtract:
         argv = ["extract", nine_tsv, "--policy", str(deep), "--out", str(tmp_path / "out")]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: cannot load IRI policy: not valid JSON (maximum recursion depth")
+        assert err.startswith(f"error: {deep}: not valid JSON (maximum recursion depth")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "content, message",
         [
-            (b"{", "error: cannot load IRI policy: not valid JSON ("),
+            (b"{", "error: {path}: not valid JSON ("),
             (b'{"base_iri": "http://kg.example/\xff"}', "error: cannot read {path}: not UTF-8 ("),
         ],
         ids=["bad-json", "not-utf8"],
@@ -379,11 +391,53 @@ class TestValidate:
             ("{", ": not valid JSON ("),
             ("[" * 100_000, ": not valid JSON (maximum recursion depth"),
             ('{"name": "", "has_generic_event": true}', ": descriptor name must be nonempty"),
-            ('{"name": "x"}', ": missing descriptor field 'has_generic_event'"),
+            ('{"name": "x"}', ": missing field 'has_generic_event'"),
             ('{"name": "x\xff"}', "not UTF-8"),
             (None, "No such file or directory"),
+            ('{"name": 5, "has_generic_event": true}', ": 'name' must be a string, got 5"),
+            ('{"name": "x", "has_generic_event": "no"}', ": 'has_generic_event' must be true or false"),
+            (
+                '{"name": "x", "has_generic_event": true, "has_specific_event_types": 1}',
+                ": 'has_specific_event_types' must be true or false, got 1",
+            ),
+            (
+                '{"name": "x", "has_generic_event": true, "provenance_properties": "publisher"}',
+                ": 'provenance_properties' must be a list of strings, got 'publisher'",
+            ),
+            (
+                '{"name": "x", "has_generic_event": true, "provenance_properties": [1]}',
+                ": 'provenance_properties' must hold only strings, got 1",
+            ),
+            (
+                '{"name": "x", "has_generic_event": true, "entity_types": ["Agent"]}',
+                ": 'entity_types' must hold only objects, got 'Agent'",
+            ),
+            (
+                '{"name": "x", "has_generic_event": true, "entity_types": [{"name": 1}]}',
+                ": entity_types[0]: 'name' must be a string, got 1",
+            ),
+            (
+                '{"name": "x", "has_generic_event": true,'
+                ' "event_entity_properties": [{"property": "p", "domain": "Event", "range": 5}]}',
+                ": event_entity_properties[0]: 'range' must be a string, got 5",
+            ),
         ],
-        ids=["bad-json", "deep-json", "empty-name", "missing-field", "not-utf8", "missing-file"],
+        ids=[
+            "bad-json",
+            "deep-json",
+            "empty-name",
+            "missing-field",
+            "not-utf8",
+            "missing-file",
+            "name-not-string",
+            "generic-not-bool",
+            "specific-not-bool",
+            "provenance-not-list",
+            "provenance-not-strings",
+            "entity-type-not-object",
+            "entity-type-name-not-string",
+            "property-range-not-string",
+        ],
     )
     def test_load_error_names_its_file_once(self, capsys, tmp_path, content, message):
         bad = tmp_path / "bad.json"
@@ -393,6 +447,49 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err
         assert err.count(str(bad)) == 1
+
+
+# Each file argument: an argv in which {bad} is that file, {nine} a good
+# records file and {out} the output, and whether the file is JSON.
+_FILE_ARGUMENTS = {
+    "extract-input": (["extract", "{bad}", "--out", "{out}"], False),
+    "extract-lexicon": (["extract", "{nine}", "--lexicon", "{bad}", "--out", "{out}"], False),
+    "extract-catalog": (["extract", "{nine}", "--catalog", "{bad}", "--out", "{out}"], True),
+    "extract-policy": (["extract", "{nine}", "--policy", "{bad}", "--out", "{out}"], True),
+    "interlink-graph": (["interlink", "{bad}", "--out", "{out}"], False),
+    "query-graph": (["query", "{bad}"], False),
+    "validate-descriptor": (["validate", "{bad}"], True),
+}
+_FILE_FAILURES = {"missing": None, "directory": None, "not-utf8": b"x\t\xff\n"}
+_JSON_FAILURES = {
+    "truncated": b"{",
+    "deep": b"[" * 100_000,
+    "huge-integer": b'{"base_iri": ' + b"1" * 5000 + b"}",
+}
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "argument, failure",
+        [(arg, kind) for arg in _FILE_ARGUMENTS for kind in _FILE_FAILURES]
+        + [(arg, kind) for arg, (_, js) in _FILE_ARGUMENTS.items() if js for kind in _JSON_FAILURES],
+    )
+    def test_unloadable_file_is_one_error_naming_it_once(
+        self, capsys, tmp_path, nine_tsv, argument, failure
+    ):
+        bad = tmp_path / "bad"
+        if failure == "directory":
+            bad.mkdir()
+        elif failure != "missing":
+            bad.write_bytes({**_FILE_FAILURES, **_JSON_FAILURES}[failure])
+        out = tmp_path / "out"
+        template, _ = _FILE_ARGUMENTS[argument]
+        argv = [arg.format(bad=bad, nine=nine_tsv, out=out) for arg in template]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert err.count(str(bad)) == 1
+        assert not out.exists()
 
 
 class TestQuery:

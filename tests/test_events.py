@@ -89,14 +89,14 @@ class TestHeadSelection:
 
 class TestNounPass:
     def test_ing_form_needs_noun_ok(self):
-        plain = load_lexicon(b"meet\tMeet\n")
-        flagged = load_lexicon(b"meet\tMeet\t-\tnoun_ok\n")
+        plain = load_lexicon("meet\tMeet\n")
+        flagged = load_lexicon("meet\tMeet\t-\tnoun_ok\n")
         text = "Meeting in Berlin today"
         assert recognize_event(normalize(text), plain) is None
         mention = recognize_event(normalize(text), flagged)
         assert mention is not None and mention.lemma == "meet"
 
     def test_finite_candidate_preempts_noun_pass(self):
-        flagged = load_lexicon(b"meet\tMeet\t-\tnoun_ok\nsay\tCommunication\tSayVerbs\n")
+        flagged = load_lexicon("meet\tMeet\t-\tnoun_ok\nsay\tCommunication\tSayVerbs\n")
         mention = recognize_event(normalize("Meeting of ministers says a lot"), flagged)
         assert mention.lemma == "say"

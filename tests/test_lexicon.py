@@ -92,7 +92,7 @@ class TestBundledLexicon:
 
 class TestFormat:
     def load(self, text: str):
-        return load_lexicon(text.encode("utf-8"))
+        return load_lexicon(text)
 
     def test_comments_blanks_and_dash_subgroup(self):
         lex = self.load("# header\n\nmeet\tMeet\t-\nsay\tCommunication\tSayVerbs\n")

@@ -71,8 +71,9 @@ class TestTerms:
             (lambda: Triple(EX + "s", EX + "p", 7), "object is not an absolute IRI: 7"),
             (lambda: Literal("x", datatype=7), "datatype is not an absolute IRI: 7"),
             (lambda: Literal("x", language=7), "not a language tag: 7"),
+            (lambda: Literal(5), "lexical form is not a string: 5"),
         ],
-        ids=["subject", "predicate", "object", "datatype", "language"],
+        ids=["subject", "predicate", "object", "datatype", "language", "lexical"],
     )
     def test_term_that_is_no_string_is_an_rdf_error(self, build, message):
         with pytest.raises(RdfError) as raised:
