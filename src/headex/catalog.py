@@ -29,7 +29,7 @@ caller trying n-grams as aliases can skip the n-grams no alias can equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import date
 from importlib import resources
 from pathlib import Path
@@ -48,37 +48,41 @@ class CatalogError(InputError):
     """Raised for malformed catalog files."""
 
 
-@dataclass(frozen=True)
-class PositionRecord:
+class PositionRecord(namedtuple("_PositionRecordFields", "title org valid_from valid_to")):
     """One held position: title at an organisation over a validity interval."""
 
-    title: str
-    org: str
-    valid_from: date
-    valid_to: date | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.title or not self.org:
+    def __new__(
+        cls, title: str, org: str, valid_from: date, valid_to: date | None = None
+    ) -> PositionRecord:
+        if not title or not org:
             raise CatalogError("position needs a title and an org")
-        if self.valid_to is not None and self.valid_to < self.valid_from:
-            raise CatalogError(f"position {self.title!r}: interval ends before it starts")
+        if valid_to is not None and valid_to < valid_from:
+            raise CatalogError(f"position {title!r}: interval ends before it starts")
+        return tuple.__new__(cls, (title, org, valid_from, valid_to))
 
     def active_on(self, day: date) -> bool:
         return self.valid_from <= day and (self.valid_to is None or day <= self.valid_to)
 
 
-@dataclass(frozen=True)
-class CatalogEntity:
-    iri: str
-    label: str
-    entity_type: str
-    aliases: tuple[str, ...]
-    keywords: tuple[str, ...] = ()
-    positions: tuple[PositionRecord, ...] = field(default=())
+class CatalogEntity(
+    namedtuple("_CatalogEntityFields", "iri label entity_type aliases keywords positions"),
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.iri or not self.label:
+    def __new__(
+        cls,
+        iri: str,
+        label: str,
+        entity_type: str,
+        aliases: tuple[str, ...],
+        keywords: tuple[str, ...] = (),
+        positions: tuple[PositionRecord, ...] = (),
+    ) -> CatalogEntity:
+        if not iri or not label:
             raise CatalogError("entity needs an iri and a label")
+        return tuple.__new__(cls, (iri, label, entity_type, aliases, keywords, positions))
 
 
 class EntityCatalog:

@@ -13,7 +13,7 @@ Verdicts are pass / pass_loosely / fail, with a one-line note each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 
@@ -39,64 +39,66 @@ class Verdict(Enum):
     FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class EntityType:
-    name: str
-    granularity: str
+class EntityType(namedtuple("_EntityTypeFields", "name granularity")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, granularity: str) -> EntityType:
+        if not name:
             raise DescriptorError("entity type name must be nonempty")
-        if self.granularity not in _GRANULARITIES:
+        if granularity not in _GRANULARITIES:
             raise DescriptorError(
-                f"entity type {self.name!r}: granularity must be one of {_GRANULARITIES}"
+                f"entity type {name!r}: granularity must be one of {_GRANULARITIES}"
             )
+        return tuple.__new__(cls, (name, granularity))
 
 
-@dataclass(frozen=True)
-class EventEntityProperty:
-    name: str
-    domain: str
-    range: str
+class EventEntityProperty(namedtuple("_EventEntityPropertyFields", "name domain range")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.name and self.domain and self.range):
+    def __new__(cls, name: str, domain: str, range: str) -> EventEntityProperty:
+        if not (name and domain and range):
             raise DescriptorError("event-entity property needs name, domain, and range")
+        return tuple.__new__(cls, (name, domain, range))
 
 
-@dataclass(frozen=True)
-class DataModelDescriptor:
-    name: str
-    has_generic_event: bool
-    has_specific_event_types: bool
-    provenance_properties: tuple[str, ...]
-    entity_types: tuple[EntityType, ...]
-    event_entity_properties: tuple[EventEntityProperty, ...]
+class DataModelDescriptor(
+    namedtuple(
+        "_DataModelDescriptorFields",
+        "name has_generic_event has_specific_event_types provenance_properties entity_types"
+        " event_entity_properties",
+    ),
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(
+        cls,
+        name: str,
+        has_generic_event: bool,
+        has_specific_event_types: bool,
+        provenance_properties: tuple[str, ...],
+        entity_types: tuple[EntityType, ...],
+        event_entity_properties: tuple[EventEntityProperty, ...],
+    ) -> DataModelDescriptor:
+        if not name:
             raise DescriptorError("descriptor name must be nonempty")
-        names = [t.name for t in self.entity_types]
+        names = [t.name for t in entity_types]
         if len(names) != len(set(names)):
-            raise DescriptorError(f"{self.name}: duplicate entity type names")
+            raise DescriptorError(f"{name}: duplicate entity type names")
+        fields = (name, has_generic_event, has_specific_event_types, provenance_properties)
+        return tuple.__new__(cls, (*fields, entity_types, event_entity_properties))
 
 
-@dataclass(frozen=True)
-class RequirementResult:
-    requirement: str
-    verdict: Verdict
-    note: str
+RequirementResult = namedtuple("RequirementResult", "requirement verdict note")
 
 
-@dataclass(frozen=True)
-class RequirementReport:
-    model_name: str
-    results: tuple[RequirementResult, ...]
+class RequirementReport(namedtuple("_RequirementReportFields", "model_name results")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ids = tuple(r.requirement for r in self.results)
+    def __new__(cls, model_name: str, results: tuple[RequirementResult, ...]) -> RequirementReport:
+        ids = tuple(r.requirement for r in results)
         if ids != REQUIREMENT_IDS:
             raise DescriptorError(f"report must cover {REQUIREMENT_IDS} in order, got {ids}")
+        return tuple.__new__(cls, (model_name, results))
 
     def result(self, requirement: str) -> RequirementResult:
         for r in self.results:

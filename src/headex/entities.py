@@ -23,8 +23,8 @@ candidate order.  A surface with no letter or digit to mint from, as in
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
 from datetime import date
 
 from .catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog
@@ -80,15 +80,13 @@ class LinkingError(ValueError):
     """Raised when a minted IRI would collide with a catalog entity."""
 
 
-@dataclass(frozen=True)
-class Chunk:
-    index: int
-    position: str  # subject | pre | post
-    intro: str | None
-    intro_kind: str | None  # prep | to_infinitive | to_plain | colon | None
-    tokens: tuple[Token, ...]
-    text: str
-    full_text: str
+class Chunk(namedtuple("_ChunkFields", "index position intro intro_kind tokens text full_text")):
+    """One argument chunk: its ``position`` (subject, pre or post), the
+    lowercased word that introduced it and that word's kind (prep,
+    to_infinitive, to_plain, colon; both None for none), its tokens, its
+    text, and its text with the intro."""
+
+    __slots__ = ()
 
     @property
     def free_words(self) -> tuple[Token, ...]:
@@ -178,17 +176,18 @@ def chunk(tokens: TokenSequence, mention: EventMention) -> list[Chunk]:
     return chunks
 
 
-@dataclass(frozen=True)
-class EntityMention:
-    text: str
-    span: tuple[int, int]
-    kind: str
-    chunk: Chunk
-    status: str = UNRESOLVED
-    iri: str | None = None
-    entity_type: str | None = None
-    implicit: bool = False
-    count_value: str | None = None
+class EntityMention(
+    namedtuple(
+        "_EntityMentionFields",
+        "text span kind chunk status iri entity_type implicit count_value",
+        defaults=(UNRESOLVED, None, None, False, None),
+    )
+):
+    """A mention in ``chunk``: its surface, span and kind, and how linking
+    left it.  Linking rebuilds it with ``_replace``, which skips ``__new__``,
+    so the class must stay without checks."""
+
+    __slots__ = ()
 
     @property
     def is_entity(self) -> bool:
@@ -325,15 +324,18 @@ def _alias_match_length(words: tuple[Token, ...], start: int, catalog: EntityCat
     return 0
 
 
-@dataclass(frozen=True)
-class DisambiguationAudit:
-    """Why one candidate won: full per-candidate scores, best first."""
+class DisambiguationAudit(
+    namedtuple(
+        "_DisambiguationAuditFields",
+        "surface chosen_iri runner_up_iri scores record_id",
+        defaults=("",),
+    )
+):
+    """Why one candidate won: full per-candidate scores, best first, each
+    ``(iri, exactness, overlap, recency)``.  The pipeline sets ``record_id``
+    with ``_replace``, which skips ``__new__``, so the class must stay without checks."""
 
-    surface: str
-    chosen_iri: str
-    runner_up_iri: str | None
-    scores: tuple[tuple[str, int, int, float], ...]  # (iri, exactness, overlap, recency)
-    record_id: str = ""
+    __slots__ = ()
 
 
 def _score(
@@ -426,7 +428,7 @@ def link_entity(
         if iri in catalog:
             raise LinkingError(f"minted IRI collides with catalog entity: {iri}")
         return (
-            replace(mention, status=MINTED, iri=iri, entity_type=_minted_type(mention)),
+            mention._replace(status=MINTED, iri=iri, entity_type=_minted_type(mention)),
             None,
         )
     if len(candidates) == 1:
@@ -434,7 +436,7 @@ def link_entity(
     else:
         chosen, audit = disambiguate(mention, candidates, context, at)
     return (
-        replace(mention, status=LINKED, iri=chosen.iri, entity_type=chosen.entity_type),
+        mention._replace(status=LINKED, iri=chosen.iri, entity_type=chosen.entity_type),
         audit,
     )
 

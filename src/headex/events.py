@@ -20,11 +20,10 @@ only when the headline has no finite hit at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ingest import NUMBER, PUNCT, WORD, Token, TokenSequence
 from .lexicon import Lexicon, lemmatize
-from .model import EventClass
 
 _DETERMINERS = frozenset(
     "the a an this that these those his her their its our your my".split()
@@ -32,27 +31,23 @@ _DETERMINERS = frozenset(
 _COORDINATORS = frozenset(("and", "&"))
 
 
-@dataclass(frozen=True)
-class VerbCandidate:
-    token_index: int
-    surface: str
-    lemma: str
-    event_class: EventClass
-    infinitive: bool = False
-    leading: bool = False
+VerbCandidate = namedtuple(
+    "VerbCandidate",
+    "token_index surface lemma event_class infinitive leading",
+    defaults=(False, False),
+)
 
 
-@dataclass(frozen=True)
-class EventMention:
+class EventMention(
+    namedtuple(
+        "_EventMentionFields",
+        "head_index surface lemma event_class span candidates infinitive_head",
+        defaults=(False,),
+    )
+):
     """The chosen head verb plus every alternate the lexicon matched."""
 
-    head_index: int
-    surface: str
-    lemma: str
-    event_class: EventClass
-    span: tuple[int, int]
-    candidates: tuple[VerbCandidate, ...]
-    infinitive_head: bool = False
+    __slots__ = ()
 
 
 def _is_capitalized(token: Token) -> bool:

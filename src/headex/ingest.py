@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -236,25 +235,22 @@ class Token(namedtuple("_TokenFields", "surface kind start end quoted lower")):
         )
 
 
-@dataclass(frozen=True)
-class QuotedSpan:
-    """A double-quoted stretch of text, quote marks included in the char span."""
+class QuotedSpan(namedtuple("_QuotedSpanFields", "start end first_token last_token")):
+    """A double-quoted stretch of text, quote marks included in the char span;
+    its inner tokens are ``first_token`` to ``last_token``, none if first > last."""
 
-    start: int
-    end: int
-    first_token: int  # index into TokenSequence.tokens, first inner token
-    last_token: int  # inclusive; first_token > last_token means an empty quote
+    __slots__ = ()
 
     def inner_text(self, raw: str) -> str:
         return raw[self.start + 1 : self.end - 1]
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    raw: str
-    tokens: tuple[Token, ...]
-    quoted_spans: tuple[QuotedSpan, ...] = ()
-    urls: tuple[tuple[int, int], ...] = field(default=())
+class TokenSequence(
+    namedtuple("_TokenSequenceFields", "raw tokens quoted_spans urls", defaults=((), ()))
+):
+    """A headline, its tokens and quoted spans, and the URL spans stripped from it."""
+
+    __slots__ = ()
 
     def words(self) -> tuple[Token, ...]:
         """Tokens that can carry content: words, @mentions, hashtags, numbers."""

@@ -20,7 +20,7 @@ is exactly the set of pairs a quadratic scan would produce.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
@@ -32,13 +32,12 @@ class InterlinkError(ValueError):
     """Raised when the graph lacks the provenance needed for linking."""
 
 
-@dataclass(frozen=True)
-class EventIndexEntry:
-    instance_iri: str
-    class_iri: str
-    participants: frozenset[str]
-    timestamp: datetime
-    publisher: str
+class EventIndexEntry(
+    namedtuple("_EventIndexEntryFields", "instance_iri class_iri participants timestamp publisher")
+):
+    """One statement: IRI, class IRI, participant IRI frozenset, date, publisher."""
+
+    __slots__ = ()
 
 
 _MICROSECOND = timedelta(microseconds=1)
@@ -48,9 +47,14 @@ def _time_order(entry: EventIndexEntry) -> tuple[datetime, str]:
     return entry.timestamp, entry.instance_iri
 
 
-def _timestamp(lexical: str) -> datetime:
+def _timestamp(statement: str, lexical: str) -> datetime:
     # extractedOn carries a date; midnight UTC makes windows well-defined.
-    day = date.fromisoformat(lexical)
+    try:
+        day = date.fromisoformat(lexical)
+    except ValueError as exc:
+        raise InterlinkError(
+            f"statement {statement}: extraction date must be an ISO date, got {lexical!r}"
+        ) from exc
     return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
 
 
@@ -88,7 +92,7 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
                 )
                 continue
             if predicate == extracted_on and isinstance(obj, Literal):
-                dates[subject] = _timestamp(obj.lexical)
+                dates[subject] = _timestamp(subject, obj.lexical)
                 continue
             if predicate not in skip_predicates and isinstance(obj, str):
                 if obj not in text_nodes:
@@ -190,10 +194,10 @@ def find_related_events(
     for earlier, later in _sharing_pairs(entries, timedelta(days=horizon_days)):
         if not earlier.timestamp < later.timestamp:
             continue
-        key = tuple(sorted((earlier.instance_iri, later.instance_iri)))
-        if key in excluded:
+        pair = (earlier.instance_iri, later.instance_iri)
+        if tuple(sorted(pair)) in excluded:
             continue
-        pairs.append((earlier.instance_iri, later.instance_iri))
+        pairs.append(pair)
     return sorted(pairs)
 
 

@@ -16,7 +16,7 @@ ignored.  The shipped default lexicon is ``data/cevo_min.tsv``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -39,11 +39,7 @@ class LexiconError(InputError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class VerbEntry:
-    lemma: str
-    event_class: EventClass
-    noun_ok: bool = False
+VerbEntry = namedtuple("VerbEntry", "lemma event_class noun_ok", defaults=(False,))
 
 
 class Lexicon:
@@ -90,7 +86,7 @@ def load_lexicon(text: str) -> Lexicon:
     names or flags, or a lemma mapped to two different classes.
     """
     entries: dict[str, tuple[VerbEntry, int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -7,12 +7,16 @@ roles (time, location, involved) are valid for every class; `involved` is the
 catch-all for arguments no class-specific rule claims.  An extension class
 (``Other:<Label>`` in the lexicon) has no frame of its own: it gets the
 generic roles only and no main triple.
+
+Each value class in the package is an immutable tuple on a ``namedtuple``
+base, equal to the tuple of its fields (a role filler only to fillers of its
+class); ``__new__`` runs its checks, also when ``copy`` or ``pickle`` (protocol 2 up) rebuild it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -33,22 +37,21 @@ class ModelError(ValueError):
     """Raised when a core-model value violates its invariants."""
 
 
-@dataclass(frozen=True)
-class EventClass:
+class EventClass(namedtuple("_EventClassFields", "name subgroup")):
     """An event class name plus, for Communication, an optional verb subgroup."""
 
-    name: str
-    subgroup: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, subgroup: str | None = None) -> EventClass:
+        if not name:
             raise ModelError("event class name must be nonempty")
         # The name is spelled into class and statement IRIs.
-        bad = IRI_FORBIDDEN.search(self.name)
+        bad = IRI_FORBIDDEN.search(name)
         if bad:
             raise ModelError(f"event class name holds {bad.group()!r}, which IRIs forbid")
-        if self.subgroup is not None and self.name != COMMUNICATION:
-            raise ModelError(f"subgroup is only valid for {COMMUNICATION}, got {self.name}")
+        if subgroup is not None and name != COMMUNICATION:
+            raise ModelError(f"subgroup is only valid for {COMMUNICATION}, got {name}")
+        return tuple.__new__(cls, (name, subgroup))
 
     @property
     def frame(self) -> RoleFrame:
@@ -56,8 +59,9 @@ class EventClass:
         return FRAMES.get(self.name) or RoleFrame(self.name)
 
 
-@dataclass(frozen=True)
-class RoleFrame:
+class RoleFrame(
+    namedtuple("_RoleFrameFields", "event_class_name roles required_roles main_subject main_object")
+):
     """What an event class decides: its roles and its main triple.
 
     ``roles`` are the class's own roles; the generic roles are valid in every
@@ -69,15 +73,20 @@ class RoleFrame:
     and always for a frame with empty chains, no main triple is emitted.
     """
 
-    event_class_name: str
-    roles: tuple[str, ...] = ()
-    required_roles: tuple[str, ...] = ()
-    main_subject: tuple[tuple[str, bool], ...] = ()
-    main_object: tuple[tuple[str, bool], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.roles) != len(set(self.roles)):
-            raise ModelError(f"duplicate role names in frame for {self.event_class_name}")
+    def __new__(
+        cls,
+        event_class_name: str,
+        roles: tuple[str, ...] = (),
+        required_roles: tuple[str, ...] = (),
+        main_subject: tuple[tuple[str, bool], ...] = (),
+        main_object: tuple[tuple[str, bool], ...] = (),
+    ) -> RoleFrame:
+        if len(roles) != len(set(roles)):
+            raise ModelError(f"duplicate role names in frame for {event_class_name}")
+        fields = (event_class_name, roles, required_roles, main_subject, main_object)
+        return tuple.__new__(cls, fields)
 
     @property
     def role_names(self) -> tuple[str, ...]:
@@ -120,97 +129,112 @@ FRAMES: Mapping[str, RoleFrame] = MappingProxyType(
 )
 
 
-@dataclass(frozen=True)
-class HeadlineRecord:
+class HeadlineRecord(namedtuple("_HeadlineRecordFields", "id publisher timestamp text")):
     """One input record: identifier, publisher, publication instant, headline text."""
 
-    id: str
-    publisher: str
-    timestamp: datetime
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id.strip():
+    def __new__(cls, id: str, publisher: str, timestamp: datetime, text: str) -> HeadlineRecord:
+        if not id.strip():
             raise ModelError("record id must be nonempty")
-        if not self.publisher.strip():
+        if not publisher.strip():
             raise ModelError("record publisher must be nonempty")
         # Publishers pass through TSV unescaped, so no separators; ids also
         # name IRIs, so none of the characters IRIs forbid (separators included).
-        if any(ch in self.publisher for ch in "\t\n\r"):
+        if any(ch in publisher for ch in "\t\n\r"):
             raise ModelError("record publisher must not contain tabs or newlines")
-        bad = IRI_FORBIDDEN.search(self.id)
+        bad = IRI_FORBIDDEN.search(id)
         if bad:
             raise ModelError(f"record id holds {bad.group()!r}, which IRIs forbid")
-        if not self.text.strip():
-            raise ModelError(f"record {self.id}: text must be nonempty")
-        if "\n" in self.text or "\r" in self.text:
-            raise ModelError(f"record {self.id}: text must not contain newlines")
+        if not text.strip():
+            raise ModelError(f"record {id}: text must be nonempty")
+        if "\n" in text or "\r" in text:
+            raise ModelError(f"record {id}: text must not contain newlines")
+        return tuple.__new__(cls, (id, publisher, timestamp, text))
 
 
-@dataclass(frozen=True)
-class Provenance:
-    publisher: str
-    extracted_on: date
+class Provenance(namedtuple("_ProvenanceFields", "publisher extracted_on")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.publisher.strip():
+    def __new__(cls, publisher: str, extracted_on: date) -> Provenance:
+        if not publisher.strip():
             raise ModelError("provenance publisher must be nonempty")
-        if not isinstance(self.extracted_on, date):
+        if not isinstance(extracted_on, date):
             raise ModelError("provenance extracted_on must be a date")
+        return tuple.__new__(cls, (publisher, extracted_on))
 
 
-@dataclass(frozen=True)
-class EntityRef:
+class _Filler(tuple):
+    """Base of the role fillers: ``EntityRef(x) != TextFiller(x)``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return tuple.__eq__(self, other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return tuple.__ne__(self, other) if other.__class__ is self.__class__ else NotImplemented
+
+    __hash__ = tuple.__hash__
+
+
+class EntityRef(_Filler, namedtuple("_EntityRefFields", "iri")):
     """A role filler that resolved to an entity IRI."""
 
-    iri: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_absolute_iri(self.iri):
-            raise ModelError(f"entity reference IRI is not absolute: {self.iri!r}")
+    def __new__(cls, iri: str) -> EntityRef:
+        if not is_absolute_iri(iri):
+            raise ModelError(f"entity reference IRI is not absolute: {iri!r}")
+        return tuple.__new__(cls, (iri,))
 
 
-@dataclass(frozen=True)
-class TextFiller:
+class TextFiller(_Filler, namedtuple("_TextFillerFields", "text")):
     """A role filler that stayed textual (topics, messages, counts, causes)."""
 
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.text.strip():
+    def __new__(cls, text: str) -> TextFiller:
+        if not text.strip():
             raise ModelError("text filler must be nonempty")
+        return tuple.__new__(cls, (text,))
 
 
 RoleFiller = EntityRef | TextFiller
 
 
-@dataclass(frozen=True)
-class EventInstance:
+class EventInstance(
+    namedtuple("_EventInstanceFields", "instance_id event_class mention roles provenance warnings")
+):
     """One extracted event: identity, class, trigger mention, roles, provenance."""
 
-    instance_id: str
-    event_class: EventClass
-    mention: "EventMention"
-    roles: tuple[tuple[str, RoleFiller], ...]
-    provenance: Provenance
-    warnings: tuple[str, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.instance_id:
+    def __new__(
+        cls,
+        instance_id: str,
+        event_class: EventClass,
+        mention: EventMention,
+        roles: tuple[tuple[str, RoleFiller], ...],
+        provenance: Provenance,
+        warnings: tuple[str, ...] = (),
+    ) -> EventInstance:
+        if not instance_id:
             raise ModelError("instance_id must be nonempty")
         # The id is spelled into the statement and role-node IRIs.
-        bad = IRI_FORBIDDEN.search(self.instance_id)
+        bad = IRI_FORBIDDEN.search(instance_id)
         if bad:
             raise ModelError(f"instance_id holds {bad.group()!r}, which IRIs forbid")
-        allowed = set(self.event_class.frame.role_names)
-        for role_name, filler in self.roles:
+        allowed = set(event_class.frame.role_names)
+        for role_name, filler in roles:
             if role_name not in allowed:
                 raise ModelError(
-                    f"{self.instance_id}: role {role_name!r} is not in the "
-                    f"{self.event_class.name} frame"
+                    f"{instance_id}: role {role_name!r} is not in the "
+                    f"{event_class.name} frame"
                 )
             if not isinstance(filler, (EntityRef, TextFiller)):
-                raise ModelError(f"{self.instance_id}: bad filler for {role_name!r}")
+                raise ModelError(f"{instance_id}: bad filler for {role_name!r}")
+        return tuple.__new__(cls, (instance_id, event_class, mention, roles, provenance, warnings))
 
     def fillers(self, role_name: str) -> tuple[RoleFiller, ...]:
         return tuple(f for name, f in self.roles if name == role_name)

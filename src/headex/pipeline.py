@@ -11,7 +11,7 @@ record itself rather than the wall clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .catalog import EntityCatalog
 from .entities import (
@@ -43,18 +43,17 @@ class SkipRecord(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class SkippedRecord:
-    record_id: str
-    reason: str
+SkippedRecord = namedtuple("SkippedRecord", "record_id reason")
 
 
-@dataclass
 class ExtractResult:
-    graph: TripleSet = field(default_factory=TripleSet)
-    instances: list[EventInstance] = field(default_factory=list)
-    skipped: list[SkippedRecord] = field(default_factory=list)
-    audits: list[DisambiguationAudit] = field(default_factory=list)
+    """What a corpus run produced, filled in record order."""
+
+    def __init__(self) -> None:
+        self.graph = TripleSet()
+        self.instances: list[EventInstance] = []
+        self.skipped: list[SkippedRecord] = []
+        self.audits: list[DisambiguationAudit] = []
 
     @property
     def warnings(self) -> list[tuple[str, str]]:
@@ -96,9 +95,7 @@ def process_record(
                 resolved.append(mention)
             else:
                 resolved.append(
-                    replace(
-                        mention, status=LINKED, iri=holder.iri, entity_type=holder.entity_type
-                    )
+                    mention._replace(status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
                 )
             continue
         if mention.kind in (KIND_NAMED, KIND_MENTION):
@@ -108,7 +105,7 @@ def process_record(
                 raise SkipRecord(str(exc)) from exc
             resolved.append(linked)
             if audit is not None:
-                audits.append(replace(audit, record_id=record.id))
+                audits.append(audit._replace(record_id=record.id))
             continue
         resolved.append(mention)
 

@@ -26,7 +26,7 @@ which gives the term order (see ``_line``).  Escaping is one
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -72,7 +72,7 @@ def _check_iri(position: str, value: str) -> str:
     return value
 
 
-class Literal(tuple):
+class Literal(namedtuple("_LiteralFields", "lexical datatype language")):
     """An RDF literal: lexical form plus optional datatype IRI or language tag.
 
     The tuple ``(lexical, datatype, language)``, and equal to it.
@@ -91,18 +91,8 @@ class Literal(tuple):
             raise RdfError(f"not a language tag: {language!r}")
         return tuple.__new__(cls, (lexical, datatype, language))
 
-    lexical = property(itemgetter(0))
-    datatype = property(itemgetter(1))
-    language = property(itemgetter(2))
 
-    def __getnewargs__(self) -> tuple[str, str | None, str | None]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"Literal(lexical={self[0]!r}, datatype={self[1]!r}, language={self[2]!r})"
-
-
-class Triple(tuple):
+class Triple(namedtuple("_TripleFields", "subject predicate object")):
     """The tuple (subject, predicate, object), and equal to it.
 
     Subject and predicate are IRIs; the object is an IRI or a ``Literal``.
@@ -116,16 +106,6 @@ class Triple(tuple):
         if not isinstance(object, Literal):
             _check_iri("object", object)
         return tuple.__new__(cls, (subject, predicate, object))
-
-    subject = property(itemgetter(0))
-    predicate = property(itemgetter(1))
-    object = property(itemgetter(2))
-
-    def __getnewargs__(self) -> tuple[str, str, str | Literal]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
 
 
 def _triple(subject: str, predicate: str, obj: str | Literal) -> Triple:

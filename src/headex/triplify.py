@@ -13,7 +13,7 @@ differently-sourced events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .ingest import read_json
@@ -51,15 +51,15 @@ def slugify(text: str) -> str:
     return slug
 
 
-@dataclass(frozen=True)
-class IriPolicy:
+class IriPolicy(namedtuple("_IriPolicyFields", "base_iri")):
     """How every minted IRI is spelled.  One namespace, deterministic names."""
 
-    base_iri: str = "http://example.org/news/"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_absolute_iri(self.base_iri) or not self.base_iri.endswith(("/", "#")):
-            raise PolicyError(f"base IRI must be absolute and end with / or #: {self.base_iri!r}")
+    def __new__(cls, base_iri: str = "http://example.org/news/") -> IriPolicy:
+        if not is_absolute_iri(base_iri) or not base_iri.endswith(("/", "#")):
+            raise PolicyError(f"base IRI must be absolute and end with / or #: {base_iri!r}")
+        return tuple.__new__(cls, (base_iri,))
 
     def instance_iri(self, event_class_name: str, record_id: str) -> str:
         return f"{self.base_iri}{event_class_name}_{record_id}"

@@ -358,6 +358,27 @@ class TestRelativeDatatype:
         assert not (tmp_path / "links.nt").exists()
 
 
+class TestNonIsoExtractionDate:
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    def test_extraction_date_not_iso_is_fatal(self, capsys, tmp_path, command):
+        graph = tmp_path / "bad.nt"
+        graph.write_text(
+            f"<{BASE}Meet_1> <{BASE}singletonPropertyOf> <{BASE}Meet> .\n"
+            f"<{BASE}Meet_1> <{BASE}hasSource> <{BASE}source/bbc> .\n"
+            f'<{BASE}Meet_1> <{BASE}extractedOn> "not-a-date"'
+            "^^<http://www.w3.org/2001/XMLSchema#date> .\n",
+            encoding="utf-8",
+        )
+        extra = ["--out", str(tmp_path / "links.nt")] if command == "interlink" else []
+        code, out, err = run(capsys, command, str(graph), *extra)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: statement {BASE}Meet_1: extraction date must be an ISO date, "
+            "got 'not-a-date'\n"
+        )
+        assert not (tmp_path / "links.nt").exists()
+
+
 class TestValidate:
     def test_matrix_and_exit_code(self, capsys, fixtures_dir):
         models = sorted(str(p) for p in (fixtures_dir / "datamodels").glob("*.json"))

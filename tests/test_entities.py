@@ -82,7 +82,7 @@ def pipeline_roles(text: str, lexicon, catalog, policy, at=date(2016, 3, 1)):
         if m.implicit:
             holder = resolve_implicit(m, catalog, at)
             if holder is not None:
-                m = replace(m, status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
+                m = m._replace(status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
         elif m.kind in (KIND_NAMED, KIND_MENTION):
             m, _ = link_entity(m, catalog, context_words(toks), policy.entity_iri, at=at)
         resolved.append(m)
@@ -554,6 +554,9 @@ class OldMention:
     def is_entity(self) -> bool:
         return self.status in (LINKED, MINTED)
 
+    def _replace(self, **changes) -> OldMention:
+        return replace(self, **changes)
+
 
 def old_recognize_entities(chunks: list[Chunk], catalog) -> list[OldMention]:
     """``recognize_entities`` with five mention blocks, kept as the oracle."""
@@ -899,7 +902,7 @@ def test_entity_stage_matches_the_old_one(data, lexicon, catalog, policy):
             holder = resolve_implicit(m, catalog, at)
             if holder is None:
                 return m
-            return replace(m, status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
+            return m._replace(status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
         if m.kind in (KIND_NAMED, KIND_MENTION):
             return link_entity(m, catalog, context, policy.entity_iri, at=at)[0]
         return m

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -308,8 +307,8 @@ class TestParametersEqualBruteForce:
         people = frozenset({"http://x/p"})
         a = entry("http://x/a", participants=people, publisher="alpha")
         day, tick = timedelta(days=1), timedelta(microseconds=1)
-        b = replace(a, instance_iri="http://x/b", publisher="beta", timestamp=a.timestamp + day)
-        c = replace(b, instance_iri="http://x/c", publisher="gamma", timestamp=b.timestamp + tick)
+        b = a._replace(instance_iri="http://x/b", publisher="beta", timestamp=a.timestamp + day)
+        c = b._replace(instance_iri="http://x/c", publisher="gamma", timestamp=b.timestamp + tick)
         assert find_same_events([a, b, c], window_hours=24) == [
             ("http://x/a", "http://x/b"),
             ("http://x/b", "http://x/c"),

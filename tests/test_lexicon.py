@@ -8,6 +8,7 @@ from headex.lexicon import (
     LexiconError,
     classify_verb,
     load_lexicon,
+    load_lexicon_file,
 )
 
 # The full bundled verb inventory, frozen: (lemma, class, subgroup).
@@ -122,6 +123,18 @@ class TestFormat:
         with pytest.raises(LexiconError) as err:
             self.load(line)
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("separator", ["\f", "\u2028"])
+    def test_only_newline_ends_a_line(self, tmp_path, separator):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(f"meet\tMeet{separator}foo\n", encoding="utf-8")
+        with pytest.raises(LexiconError) as err:
+            load_lexicon_file(path)
+        assert str(err.value) == f"{path}: line 1: unknown event class {f'Meet{separator}foo'!r}"
+        path.write_text(f"meet\tMeet{separator}\nsay\tBanquet\n", encoding="utf-8")
+        with pytest.raises(LexiconError) as err:
+            load_lexicon_file(path)
+        assert str(err.value) == f"{path}: line 2: unknown event class 'Banquet'"
 
     def test_conflicting_classes_rejected(self):
         with pytest.raises(LexiconError) as err:
