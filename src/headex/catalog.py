@@ -9,8 +9,9 @@ of time-scoped position records:
 
     {"title": "CEO", "org": "Instagram", "from": "2010-10-06", "to": null}
 
-``title`` and ``org`` are strings, ``from`` and ``to`` ISO dates; ``to`` may
-be null or absent for an open interval.  A value of the wrong kind is a
+``title`` and ``org`` are strings, ``from`` and ``to`` ``YYYY-MM-DD`` dates
+(``ingest.parse_date``: a zone after the day is allowed and ignored); ``to``
+may be null or absent for an open interval.  A value of the wrong kind is a
 ``CatalogError`` naming the file and the entity, never a later failure.
 
 Position records power implicit references like "Instagram CEO":
@@ -35,11 +36,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .ingest import InputError, bad_field, list_field, read_json
-from .rdf import is_absolute_iri
+from .ingest import InputError, bad_field, list_field, parse_date, read_json
+from .rdf import Checked, is_absolute_iri
 
 PERSON = "Person"
-ORGANISATION = "Organisation"
 PLACE = "Place"
 AGENT = "Agent"
 
@@ -48,7 +48,9 @@ class CatalogError(InputError):
     """Raised for malformed catalog files."""
 
 
-class PositionRecord(namedtuple("_PositionRecordFields", "title org valid_from valid_to")):
+class PositionRecord(
+    Checked, namedtuple("_PositionRecordFields", "title org valid_from valid_to")
+):
     """One held position: title at an organisation over a validity interval."""
 
     __slots__ = ()
@@ -67,6 +69,7 @@ class PositionRecord(namedtuple("_PositionRecordFields", "title org valid_from v
 
 
 class CatalogEntity(
+    Checked,
     namedtuple("_CatalogEntityFields", "iri label entity_type aliases keywords positions"),
 ):
     __slots__ = ()
@@ -184,7 +187,7 @@ def _date(raw: dict, key: str) -> date:
     if not isinstance(value, str):
         raise bad_field(raw, key, "an ISO date string")
     try:
-        return date.fromisoformat(value)
+        return parse_date(value)
     except ValueError as exc:
         raise InputError(f"{key!r} must be an ISO date, got {value!r}") from exc
 

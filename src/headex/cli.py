@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from datetime import date, timedelta
+from datetime import timedelta
 from pathlib import Path
 
 from .catalog import default_catalog_path, load_catalog
 from .datamodel import Verdict, load_descriptor, validate_data_model
-from .ingest import InputError, read_text
+from .ingest import InputError, parse_date, read_text
 from .interlink import InterlinkError, build_event_index, interlink_graph
 from .lexicon import default_lexicon_path, load_lexicon_file
 from .pipeline import extract_corpus
@@ -195,11 +195,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if predicate == location_property and isinstance(obj, str):
             locations.setdefault(subject, set()).add(obj)
 
-    def parse_day(text: str | None) -> date | None:
-        return date.fromisoformat(text) if text else None
-
     try:
-        since, until = parse_day(args.since), parse_day(args.until)
+        since, until = (parse_date(text) if text else None for text in (args.since, args.until))
     except ValueError as exc:
         raise _Fatal(f"bad date filter: {exc}") from exc
 

@@ -18,6 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 from .ingest import InputError, bad_field, list_field, read_json
+from .rdf import Checked
 
 COARSE = "coarse"
 FINE = "fine"
@@ -39,7 +40,7 @@ class Verdict(Enum):
     FAIL = "fail"
 
 
-class EntityType(namedtuple("_EntityTypeFields", "name granularity")):
+class EntityType(Checked, namedtuple("_EntityTypeFields", "name granularity")):
     __slots__ = ()
 
     def __new__(cls, name: str, granularity: str) -> EntityType:
@@ -52,7 +53,7 @@ class EntityType(namedtuple("_EntityTypeFields", "name granularity")):
         return tuple.__new__(cls, (name, granularity))
 
 
-class EventEntityProperty(namedtuple("_EventEntityPropertyFields", "name domain range")):
+class EventEntityProperty(Checked, namedtuple("_EventEntityPropertyFields", "name domain range")):
     __slots__ = ()
 
     def __new__(cls, name: str, domain: str, range: str) -> EventEntityProperty:
@@ -62,6 +63,7 @@ class EventEntityProperty(namedtuple("_EventEntityPropertyFields", "name domain 
 
 
 class DataModelDescriptor(
+    Checked,
     namedtuple(
         "_DataModelDescriptorFields",
         "name has_generic_event has_specific_event_types provenance_properties entity_types"
@@ -91,7 +93,7 @@ class DataModelDescriptor(
 RequirementResult = namedtuple("RequirementResult", "requirement verdict note")
 
 
-class RequirementReport(namedtuple("_RequirementReportFields", "model_name results")):
+class RequirementReport(Checked, namedtuple("_RequirementReportFields", "model_name results")):
     __slots__ = ()
 
     def __new__(cls, model_name: str, results: tuple[RequirementResult, ...]) -> RequirementReport:

@@ -93,10 +93,6 @@ class Chunk(namedtuple("_ChunkFields", "index position intro intro_kind tokens t
         """Content tokens outside quotes: what alias matching runs over."""
         return tuple(t for t in self.tokens if t.kind != PUNCT and not t.quoted)
 
-    @property
-    def has_quote(self) -> bool:
-        return any(t.quoted for t in self.tokens)
-
 
 def _looks_infinitive(token: Token | None) -> bool:
     # "to discuss" vs "to reporters": a following plural or capitalized word

@@ -9,9 +9,15 @@ Record format: UTF-8, newline-delimited, four tab-separated fields per line:
     id<TAB>publisher<TAB>date<TAB>text
 
 The text field is last and may contain any character except newlines; literal
-tabs and backslashes inside it are escaped as ``\\t`` and ``\\\\``.  Dates are
-either ISO-8601 (date or datetime) or day-first ``D/M/YY`` / ``D/M/YYYY``;
-two-digit years land in 2000-2099.
+tabs and backslashes inside it are escaped as ``\\t`` and ``\\\\``.
+
+Every date headex reads fits one grammar, ``_DATE``.  A record date
+(``parse_timestamp``) is day-first ``D/M/YY`` or ``D/M/YYYY``, two-digit years
+landing in 2000-2099, or ``YYYY-MM-DD``, optionally followed by ``T`` or a
+space and ``HH:MM[:SS[.fff|.ffffff]]``, then optionally by ``Z`` or ``±HH:MM``.
+Every other date (``parse_date``: catalog positions, ``extractedOn``, ``query``
+filters) is ``YYYY-MM-DD`` with an optional zone, as ``xsd:date`` allows.  A
+zone on a bare date leaves the day as written; on a datetime it converts to UTC.
 
 Tokenization is offset-sound: each token records the half-open character span
 it was cut from, tokens never overlap, and every non-space character outside a
@@ -29,6 +35,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .model import HeadlineRecord, ModelError
+from .rdf import Checked
 
 WORD = "word"
 MENTION = "mention"
@@ -98,28 +105,46 @@ class RecordError(ValueError):
         self.line_no = line_no
 
 
-_DAY_FIRST = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{2}|\d{4})$")
+# Only the matched ISO text reaches the standard library's calendar check,
+# which reads that subset alike on every supported Python.  Groups: day,
+# month, year of a day-first date; ISO date, time, zone.
+_DATE = re.compile(
+    r"(\d\d?)/(\d\d?)/(\d\d|\d{4})"
+    r"|(\d{4}-\d\d-\d\d)"
+    r"([T ](?:[01]\d|2[0-3]):[0-5]\d(?::[0-5]\d(?:\.\d{3}|\.\d{6})?)?)?"
+    r"(Z|[+-](?:[01]\d|2[0-3]):[0-5]\d)?",
+    re.ASCII,
+)
 
 
 def parse_timestamp(text: str, line_no: int = 0) -> datetime:
-    """Parse an ISO-8601 or day-first D/M/YY date into a UTC datetime."""
+    """Parse a record date (see the module docstring) into a UTC datetime."""
     text = text.strip()
-    match = _DAY_FIRST.match(text)
-    if match:
-        day, month, year = (int(g) for g in match.groups())
-        if year < 100:
-            year += 2000
+    match = _DATE.fullmatch(text)
+    if match is None:
+        raise RecordError(line_no, f"unparseable date {text!r}")
+    day, month, year, iso, time, zone = match.groups()
+    if iso is None:
+        century = 2000 if len(year) == 2 else 0
         try:
-            return datetime(year, month, day, tzinfo=timezone.utc)
+            return datetime(century + int(year), int(month), int(day), tzinfo=timezone.utc)
         except ValueError as exc:
             raise RecordError(line_no, f"invalid calendar date {text!r}") from exc
     try:
-        parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
+        if time is None:
+            return datetime.fromisoformat(iso).replace(tzinfo=timezone.utc)
+        offset = "+00:00" if zone in (None, "Z") else zone
+        return datetime.fromisoformat(iso + time + offset).astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:  # no such day, or no such UTC instant
         raise RecordError(line_no, f"unparseable date {text!r}") from exc
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+
+
+def parse_date(text: str) -> date:
+    """Parse an ISO ``YYYY-MM-DD`` date; a zone after it leaves the day as written."""
+    match = _DATE.fullmatch(text)
+    if match is None or match[4] is None or match[5] is not None:
+        raise ValueError(f"not an ISO date: {text!r}")
+    return date.fromisoformat(match[4])
 
 
 def _unescape_text(text: str, line_no: int) -> str:
@@ -148,10 +173,6 @@ def _unescape_text(text: str, line_no: int) -> str:
     return "".join(out)
 
 
-def _escape_text(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t")
-
-
 def parse_record(line: str, line_no: int = 0) -> HeadlineRecord:
     """Parse one input line into a HeadlineRecord.
 
@@ -173,16 +194,6 @@ def parse_record(line: str, line_no: int = 0) -> HeadlineRecord:
         )
     except ModelError as exc:
         raise RecordError(line_no, str(exc)) from exc
-
-
-def serialize_record(record: HeadlineRecord) -> str:
-    """Inverse of parse_record: one tab-separated line without the newline."""
-    ts = record.timestamp
-    if (ts.hour, ts.minute, ts.second, ts.microsecond) == (0, 0, 0, 0):
-        date_text = ts.date().isoformat()
-    else:
-        date_text = ts.isoformat()
-    return "\t".join((record.id, record.publisher, date_text, _escape_text(record.text)))
 
 
 def read_records(path: str | Path) -> tuple[list[HeadlineRecord], list[tuple[str, str]]]:
@@ -211,7 +222,7 @@ def read_records(path: str | Path) -> tuple[list[HeadlineRecord], list[tuple[str
     return records, failures
 
 
-class Token(namedtuple("_TokenFields", "surface kind start end quoted lower")):
+class Token(Checked, namedtuple("_TokenFields", "surface kind start end quoted lower")):
     """One token: its surface, kind, half-open character span, whether it
     lies inside a quoted span, and its lowercase form, computed once.
 
@@ -235,14 +246,9 @@ class Token(namedtuple("_TokenFields", "surface kind start end quoted lower")):
         )
 
 
-class QuotedSpan(namedtuple("_QuotedSpanFields", "start end first_token last_token")):
-    """A double-quoted stretch of text, quote marks included in the char span;
-    its inner tokens are ``first_token`` to ``last_token``, none if first > last."""
-
-    __slots__ = ()
-
-    def inner_text(self, raw: str) -> str:
-        return raw[self.start + 1 : self.end - 1]
+# A double-quoted stretch of text, quote marks included in the char span; its
+# inner tokens are ``first_token`` to ``last_token``, none if first > last.
+QuotedSpan = namedtuple("QuotedSpan", "start end first_token last_token")
 
 
 class TokenSequence(

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
+from .ingest import parse_date
 from .rdf import OWL_SAME_AS, RDF_TYPE, SKOS_RELATED, Literal, TripleSet, _triple, local_name
 from .triplify import BODY, EXTRACTED_ON, HAS_SOURCE, SINGLETON_PROPERTY_OF, IriPolicy
 
@@ -50,7 +51,7 @@ def _time_order(entry: EventIndexEntry) -> tuple[datetime, str]:
 def _timestamp(statement: str, lexical: str) -> datetime:
     # extractedOn carries a date; midnight UTC makes windows well-defined.
     try:
-        day = date.fromisoformat(lexical)
+        day = parse_date(lexical)
     except ValueError as exc:
         raise InterlinkError(
             f"statement {statement}: extraction date must be an ISO date, got {lexical!r}"

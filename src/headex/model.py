@@ -10,7 +10,8 @@ generic roles only and no main triple.
 
 Each value class in the package is an immutable tuple on a ``namedtuple``
 base, equal to the tuple of its fields (a role filler only to fillers of its
-class); ``__new__`` runs its checks, also when ``copy`` or ``pickle`` (protocol 2 up) rebuild it.
+class).  A class whose ``__new__`` checks its fields derives from ``rdf.Checked``,
+so ``copy`` and ``pickle``, at every protocol, rebuild a value through those checks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from datetime import date, datetime
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .rdf import IRI_FORBIDDEN, is_absolute_iri
+from .rdf import IRI_FORBIDDEN, Checked, is_absolute_iri
 
 if TYPE_CHECKING:  # pragma: no cover
     from .events import EventMention
@@ -37,7 +38,7 @@ class ModelError(ValueError):
     """Raised when a core-model value violates its invariants."""
 
 
-class EventClass(namedtuple("_EventClassFields", "name subgroup")):
+class EventClass(Checked, namedtuple("_EventClassFields", "name subgroup")):
     """An event class name plus, for Communication, an optional verb subgroup."""
 
     __slots__ = ()
@@ -60,6 +61,7 @@ class EventClass(namedtuple("_EventClassFields", "name subgroup")):
 
 
 class RoleFrame(
+    Checked,
     namedtuple("_RoleFrameFields", "event_class_name roles required_roles main_subject main_object")
 ):
     """What an event class decides: its roles and its main triple.
@@ -129,7 +131,7 @@ FRAMES: Mapping[str, RoleFrame] = MappingProxyType(
 )
 
 
-class HeadlineRecord(namedtuple("_HeadlineRecordFields", "id publisher timestamp text")):
+class HeadlineRecord(Checked, namedtuple("_HeadlineRecordFields", "id publisher timestamp text")):
     """One input record: identifier, publisher, publication instant, headline text."""
 
     __slots__ = ()
@@ -153,7 +155,7 @@ class HeadlineRecord(namedtuple("_HeadlineRecordFields", "id publisher timestamp
         return tuple.__new__(cls, (id, publisher, timestamp, text))
 
 
-class Provenance(namedtuple("_ProvenanceFields", "publisher extracted_on")):
+class Provenance(Checked, namedtuple("_ProvenanceFields", "publisher extracted_on")):
     __slots__ = ()
 
     def __new__(cls, publisher: str, extracted_on: date) -> Provenance:
@@ -164,7 +166,7 @@ class Provenance(namedtuple("_ProvenanceFields", "publisher extracted_on")):
         return tuple.__new__(cls, (publisher, extracted_on))
 
 
-class _Filler(tuple):
+class _Filler(Checked):
     """Base of the role fillers: ``EntityRef(x) != TextFiller(x)``."""
 
     __slots__ = ()
@@ -204,7 +206,8 @@ RoleFiller = EntityRef | TextFiller
 
 
 class EventInstance(
-    namedtuple("_EventInstanceFields", "instance_id event_class mention roles provenance warnings")
+    Checked,
+    namedtuple("_EventInstanceFields", "instance_id event_class mention roles provenance warnings"),
 ):
     """One extracted event: identity, class, trigger mention, roles, provenance."""
 

@@ -72,7 +72,17 @@ def _check_iri(position: str, value: str) -> str:
     return value
 
 
-class Literal(namedtuple("_LiteralFields", "lexical datatype language")):
+class Checked(tuple):
+    """Base of the value classes whose ``__new__`` checks their fields: ``pickle``,
+    at every protocol, and ``copy`` rebuild a value through that ``__new__``."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return self.__class__, self.__getnewargs__()
+
+
+class Literal(Checked, namedtuple("_LiteralFields", "lexical datatype language")):
     """An RDF literal: lexical form plus optional datatype IRI or language tag.
 
     The tuple ``(lexical, datatype, language)``, and equal to it.
@@ -92,7 +102,7 @@ class Literal(namedtuple("_LiteralFields", "lexical datatype language")):
         return tuple.__new__(cls, (lexical, datatype, language))
 
 
-class Triple(namedtuple("_TripleFields", "subject predicate object")):
+class Triple(Checked, namedtuple("_TripleFields", "subject predicate object")):
     """The tuple (subject, predicate, object), and equal to it.
 
     Subject and predicate are IRIs; the object is an IRI or a ``Literal``.
@@ -133,11 +143,6 @@ class TripleSet:
         """Add many triples; another TripleSet merges in, its hashes reused."""
         added = triples._triples if isinstance(triples, TripleSet) else dict.fromkeys(triples)
         self._triples.update(added)
-
-    def union(self, other: "TripleSet") -> "TripleSet":
-        merged = TripleSet(self)
-        merged.update(other)
-        return merged
 
     def __contains__(self, triple: object) -> bool:
         return triple in self._triples

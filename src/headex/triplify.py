@@ -18,7 +18,16 @@ from pathlib import Path
 
 from .ingest import read_json
 from .model import ROLE_COUNT, ROLE_TOPIC, EntityRef, EventInstance
-from .rdf import RDF_TYPE, XSD_DATE, XSD_INTEGER, Literal, TripleSet, _triple, is_absolute_iri
+from .rdf import (
+    RDF_TYPE,
+    XSD_DATE,
+    XSD_INTEGER,
+    Checked,
+    Literal,
+    TripleSet,
+    _triple,
+    is_absolute_iri,
+)
 
 SINGLETON_PROPERTY_OF = "singletonPropertyOf"
 HAS_SOURCE = "hasSource"
@@ -51,7 +60,7 @@ def slugify(text: str) -> str:
     return slug
 
 
-class IriPolicy(namedtuple("_IriPolicyFields", "base_iri")):
+class IriPolicy(Checked, namedtuple("_IriPolicyFields", "base_iri")):
     """How every minted IRI is spelled.  One namespace, deterministic names."""
 
     __slots__ = ()

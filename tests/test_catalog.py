@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from headex.catalog import (
     AGENT,
-    ORGANISATION,
     PERSON,
     CatalogEntity,
     CatalogError,
@@ -42,7 +41,7 @@ def reference_holders(catalog: EntityCatalog, title: str, org_iris: set[str], on
 
 
 def org(name: str, *aliases: str) -> CatalogEntity:
-    return CatalogEntity(KB + name, name, ORGANISATION, aliases)
+    return CatalogEntity(KB + name, name, "Organisation", aliases)
 
 
 def person(name: str, *positions: tuple[str, str, date, date | None]) -> CatalogEntity:

@@ -13,7 +13,7 @@ from headex import cli
 from headex.cli import main
 from headex.catalog import default_catalog_path
 from headex.lexicon import default_lexicon_path
-from headex.rdf import Triple, parse_ntriples
+from headex.rdf import XSD_DATE, Triple, parse_ntriples
 
 BASE = "http://example.org/news/"
 
@@ -60,6 +60,35 @@ class TestExtract:
         assert skipped[1] == "ok2\tno event verb recognized"
         graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
         assert any(t.subject == f"{BASE}Meet_ok1" for t in graph)
+
+    def test_dates_outside_the_grammar_are_skipped(self, capsys, tmp_path):
+        dates = ["20160301", "2016-W09-2", "2016-03-01T0900", "2016-03-01x09:00"]
+        source = tmp_path / "dates.tsv"
+        source.write_text(
+            "".join(f"a{n}\tCNN\t{day}\tObama meets Putin\n" for n, day in enumerate(dates, 1)),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "extract", str(source), "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "records=4 events=0 skipped=4\n")
+        skipped = (tmp_path / "out" / "skipped.tsv").read_text(encoding="utf-8").splitlines()
+        assert skipped == [
+            f"line{n}\tline {n}: unparseable date {day!r}" for n, day in enumerate(dates, 1)
+        ]
+
+    def test_catalog_date_outside_the_grammar_is_fatal(self, capsys, tmp_path, nine_tsv):
+        catalog = tmp_path / "catalog.json"
+        position = {"title": "CEO", "org": "Acme", "from": "2016-W09-2"}
+        entity = {"iri": "http://x/p1", "label": "Abel Ames", "roles": [position]}
+        catalog.write_text(json.dumps({"entities": [entity]}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["extract", nine_tsv, "--catalog", str(catalog), "--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"error: {catalog}: entities[0]: roles[0]: "
+            "'from' must be an ISO date, got '2016-W09-2'\n"
+        )
+        assert not out.exists()
 
     def test_record_id_not_valid_in_an_iri_is_skipped(self, capsys, tmp_path):
         source = tmp_path / "ids.tsv"
@@ -379,6 +408,46 @@ class TestNonIsoExtractionDate:
         assert not (tmp_path / "links.nt").exists()
 
 
+class TestExtractionDateForms:
+    """``extractedOn`` is an ``xsd:date``: ``YYYY-MM-DD`` with an optional
+    zone, which leaves the day as written; no other ISO form."""
+
+    def graph(self, tmp_path, *days: str) -> str:
+        lines = []
+        for n, day in enumerate(days, start=1):
+            statement = f"<{BASE}Meet_{n}>"
+            lines += [
+                f"{statement} <{BASE}singletonPropertyOf> <{BASE}Meet> .",
+                f"{statement} <{BASE}hasSource> <{BASE}source/s{n}> .",
+                f'{statement} <{BASE}extractedOn> "{day}"^^<{XSD_DATE}> .',
+                f"<{BASE}entity/obama> {statement} <{BASE}entity/putin> .",
+            ]
+        path = tmp_path / "graph.nt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return str(path)
+
+    def test_a_zone_leaves_the_day_as_written(self, capsys, tmp_path):
+        graph = self.graph(tmp_path, "2016-03-01Z", "2016-03-01", "2016-03-01+05:00")
+        links = str(tmp_path / "links.nt")
+        code, out, err = run(capsys, "interlink", graph, "--out", links, "--same-window-hours", "0")
+        assert (code, out, err) == (0, "sameas=3 related=0\n", "")
+        code, out, err = run(capsys, "query", graph)
+        assert (code, err) == (0, "")
+        assert [row.split("\t")[3] for row in out.splitlines()] == ["2016-03-01"] * 3
+
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    @pytest.mark.parametrize("day", ["2016-W09-2", "20160301", "2016-03-01T00:00"])
+    def test_other_iso_forms_are_fatal(self, capsys, tmp_path, command, day):
+        graph = self.graph(tmp_path, day)
+        extra = ["--out", str(tmp_path / "links.nt")] if command == "interlink" else []
+        code, out, err = run(capsys, command, graph, *extra)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: statement {BASE}Meet_1: extraction date must be an ISO date, got {day!r}\n"
+        )
+        assert not (tmp_path / "links.nt").exists()
+
+
 class TestValidate:
     def test_matrix_and_exit_code(self, capsys, fixtures_dir):
         models = sorted(str(p) for p in (fixtures_dir / "datamodels").glob("*.json"))
@@ -572,6 +641,12 @@ class TestQuery:
     def test_bad_date_is_fatal(self, capsys, graph_path):
         code, _, err = run(capsys, "query", graph_path, "--from", "not-a-date")
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("option", ["--from", "--to"])
+    def test_date_filter_outside_the_grammar_is_fatal(self, capsys, graph_path, option):
+        code, out, err = run(capsys, "query", graph_path, option, "20160301")
+        assert (code, out) == (1, "")
+        assert err == "error: bad date filter: not an ISO date: '20160301'\n"
 
 
 class _FullDisk:

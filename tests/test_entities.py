@@ -129,7 +129,8 @@ class TestChunking:
         _, _, chunks = chunks_for(record_by_id["no4"].text, lexicon)
         assert [(c.position, c.intro_kind) for c in chunks] == [("pre", None), ("subject", None)]
         assert chunks[1].text == "German Chancellor Angela Merkel"
-        assert chunks[0].has_quote and not chunks[1].has_quote
+        assert any(t.quoted for t in chunks[0].tokens)
+        assert not any(t.quoted for t in chunks[1].tokens)
 
     def test_colon_swallows_rest(self, record_by_id, lexicon):
         _, _, chunks = chunks_for(record_by_id["no1"].text, lexicon)

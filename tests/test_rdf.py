@@ -142,12 +142,6 @@ class TestTripleSet:
         g2 = TripleSet([t("b", "p", "x"), t("a", "p", "x")])
         assert g1 == g2
 
-    def test_union_leaves_inputs_alone(self):
-        g1 = TripleSet([t("a", "p", "x")])
-        g2 = TripleSet([t("b", "p", "x")])
-        merged = g1.union(g2)
-        assert len(merged) == 2 and len(g1) == 1 and len(g2) == 1
-
 
 class TestEscaping:
     @pytest.mark.parametrize(

@@ -211,13 +211,12 @@ class TestValueClass:
 @pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
 def test_rebuilding_runs_the_checks(cls):
     """A value that skipped its checks, as ``tuple.__new__`` lets one, fails
-    them when it is rebuilt.  Protocols 0 and 1 rebuild a tuple subclass
-    through ``tuple.__new__``, so only protocols 2 and up are covered."""
+    them when it is rebuilt, by ``pickle`` at every protocol and by ``copy``."""
     _, _, (fields, error) = VALUES[cls]
     with pytest.raises(error):
         cls(*fields)
     bad = tuple.__new__(cls, fields)
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         data = pickle.dumps(bad, protocol)
         with pytest.raises(error):
             pickle.loads(data)
