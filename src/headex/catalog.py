@@ -92,44 +92,46 @@ class EntityCatalog:
     """Alias-indexed entity collection with position-based implicit lookup."""
 
     def __init__(self, entities: Iterable[CatalogEntity]) -> None:
-        self._by_iri: dict[str, CatalogEntity] = {}
-        self._by_alias: dict[str, list[str]] = {}
+        by_iri: dict[str, CatalogEntity] = {}
+        # Casefolded label or alias -> the IRIs it names, in catalog order until
+        # sorted below; an entity whose names casefold alike adds its IRI twice.
+        by_alias: dict[str, tuple[str, ...]] = {}
+        held = []  # the entities that hold positions, in catalog order
+        for entity in entities:
+            iri, label, _, aliases, _, positions = entity
+            if iri in by_iri:
+                raise CatalogError(f"duplicate entity IRI {iri}")
+            by_iri[iri] = entity
+            key = label.casefold()
+            by_alias[key] = by_alias.get(key, ()) + (iri,)
+            for alias in aliases:
+                key = alias.casefold()
+                by_alias[key] = by_alias.get(key, ()) + (iri,)
+            if positions:
+                held.append(entity)
         # First space-separated word of an alias key -> the most words of
         # any alias key that starts with it.
-        self._alias_words: dict[str, int] = {}
-        for entity in entities:
-            if entity.iri in self._by_iri:
-                raise CatalogError(f"duplicate entity IRI {entity.iri}")
-            self._by_iri[entity.iri] = entity
-            for alias in (entity.label, *entity.aliases):
-                key = alias.casefold()
-                bucket = self._by_alias.get(key)
-                if bucket is None:
-                    self._by_alias[key] = [entity.iri]
-                    first = key.partition(" ")[0]
-                    words = key.count(" ") + 1
-                    if words > self._alias_words.get(first, 0):
-                        self._alias_words[first] = words
-                elif entity.iri not in bucket:
-                    bucket.append(entity.iri)
-        for bucket in self._by_alias.values():
-            bucket.sort()
+        alias_words: dict[str, int] = {}
+        for key, iris in by_alias.items():
+            if len(iris) > 1:
+                by_alias[key] = tuple(sorted(set(iris)))
+            first, space, rest = key.partition(" ")
+            words = rest.count(" ") + 2 if space else 1
+            if words > alias_words.get(first, 0):
+                alias_words[first] = words
+        self._by_iri, self._by_alias, self._alias_words = by_iri, by_alias, alias_words
         self._titles: set[str] = set()
         # (casefolded title, org IRI) -> (rank, entity, position) in catalog
         # order, rank being the position's index in entity.positions.  The
         # org IRIs are those the position's org names as an alias; the
         # catalog never changes, so they are resolved once, here.
         self._positions: dict[tuple[str, str], list[tuple[int, CatalogEntity, PositionRecord]]] = {}
-        for entity in self._by_iri.values():
-            if not entity.positions:
-                continue  # the common case; skipping it early keeps large loads fast
+        for entity in held:
             for rank, position in enumerate(entity.positions):
                 title = position.title.casefold()
                 self._titles.add(title)
-                for org_iri in self._by_alias.get(position.org.casefold(), ()):
-                    self._positions.setdefault((title, org_iri), []).append(
-                        (rank, entity, position)
-                    )
+                for org_iri in by_alias.get(position.org.casefold(), ()):
+                    self._positions.setdefault((title, org_iri), []).append((rank, entity, position))
 
     def __len__(self) -> int:
         return len(self._by_iri)
@@ -145,7 +147,7 @@ class EntityCatalog:
 
     def candidates(self, surface: str) -> tuple[CatalogEntity, ...]:
         """Entities whose label or alias equals the surface, case-insensitively."""
-        iris = self._by_alias.get(surface.casefold(), [])
+        iris = self._by_alias.get(surface.casefold(), ())
         return tuple(self._by_iri[iri] for iri in iris)
 
     def is_alias(self, surface: str) -> bool:
@@ -198,16 +200,13 @@ def _position(raw: dict) -> PositionRecord:
         raise bad_field(raw, "title", "a string")
     if not isinstance(org, str):
         raise bad_field(raw, "org", "a string")
-    return PositionRecord(
-        title=title,
-        org=org,
-        valid_from=_date(raw, "from"),
-        valid_to=None if raw.get("to") is None else _date(raw, "to"),
-    )
+    valid_from = _date(raw, "from")
+    valid_to = None if raw.get("to") is None else _date(raw, "to")
+    return PositionRecord(title, org, valid_from, valid_to)
 
 
 def _entity(raw: object) -> CatalogEntity:
-    """One checked entity; plain ``isinstance`` tests keep a 10k-entity load fast."""
+    """One checked entity: each field read once, the checks run in the order written."""
     if not isinstance(raw, dict):
         raise InputError(f"expected an object, got {raw!r}")
     iri, label, entity_type = raw.get("iri"), raw.get("label"), raw.get("type", AGENT)
@@ -220,20 +219,18 @@ def _entity(raw: object) -> CatalogEntity:
     if not isinstance(entity_type, str):
         raise bad_field(raw, "type", "a string")
     positions = []
-    roles = list_field(raw, "roles", dict) if "roles" in raw else ()
-    for index, role in enumerate(roles):
-        try:
-            positions.append(_position(role))
-        except InputError as exc:
-            raise InputError(f"roles[{index}]: {exc}") from exc
-    return CatalogEntity(
-        iri=iri,
-        label=label,
-        entity_type=entity_type,
-        aliases=tuple(list_field(raw, "aliases", str)),
-        keywords=tuple([k.casefold() for k in list_field(raw, "keywords", str)]),
-        positions=tuple(positions),
-    )
+    if "roles" in raw:
+        for index, role in enumerate(list_field(raw, "roles", dict)):
+            try:
+                positions.append(_position(role))
+            except InputError as exc:
+                raise InputError(f"roles[{index}]: {exc}") from exc
+    aliases = tuple(list_field(raw, "aliases", str))
+    keywords = tuple([k.casefold() for k in list_field(raw, "keywords", str)])
+    if not label:
+        raise CatalogError("entity needs an iri and a label")
+    fields = (iri, label, entity_type, aliases, keywords, tuple(positions))
+    return tuple.__new__(CatalogEntity, fields)  # every check of __new__ is made above
 
 
 def load_catalog(path: str | Path) -> EntityCatalog:
@@ -247,6 +244,7 @@ def load_catalog(path: str | Path) -> EntityCatalog:
             entities.append(_entity(raw))
         except InputError as exc:
             raise CatalogError(f"{path}: entities[{index}]: {exc}") from exc
+    del payload  # free the parsed JSON: a collection while indexing need not walk it
     try:
         return EntityCatalog(entities)
     except CatalogError as exc:

@@ -88,11 +88,11 @@ def bad_field(raw: dict, key: str, what: str) -> InputError:
 def list_field(raw: dict, key: str, kind: type) -> list:
     """``raw[key]`` (empty when absent), which must be a list of ``kind``."""
     values = raw.get(key, [])
-    noun = "strings" if kind is str else "objects"
     if not isinstance(values, list):
-        raise bad_field(raw, key, f"a list of {noun}")
+        raise bad_field(raw, key, "a list of strings" if kind is str else "a list of objects")
     for value in values:
         if not isinstance(value, kind):
+            noun = "strings" if kind is str else "objects"
             raise InputError(f"{key!r} must hold only {noun}, got {value!r}")
     return values
 
@@ -144,7 +144,10 @@ def parse_date(text: str) -> date:
     match = _DATE.fullmatch(text)
     if match is None or match[4] is None or match[5] is not None:
         raise ValueError(f"not an ISO date: {text!r}")
-    return date.fromisoformat(match[4])
+    try:
+        return date.fromisoformat(match[4])
+    except ValueError as exc:  # no such day in that month
+        raise ValueError(f"not a calendar date: {text!r}") from exc
 
 
 def _unescape_text(text: str, line_no: int) -> str:

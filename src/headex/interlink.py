@@ -66,10 +66,10 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     its role properties plus both ends of its main triple, minus text-role
     nodes (recognized by their body literal) and provenance targets.
     """
-    sp_of = policy.property_iri(SINGLETON_PROPERTY_OF)
-    has_source = policy.property_iri(HAS_SOURCE)
-    extracted_on = policy.property_iri(EXTRACTED_ON)
-    body = policy.property_iri(BODY)
+    sp_of = policy.term_iri(SINGLETON_PROPERTY_OF)
+    has_source = policy.term_iri(HAS_SOURCE)
+    extracted_on = policy.term_iri(EXTRACTED_ON)
+    body = policy.term_iri(BODY)
 
     classes: dict[str, str] = {}
     text_nodes: set[str] = set()

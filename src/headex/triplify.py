@@ -73,16 +73,14 @@ class IriPolicy(Checked, namedtuple("_IriPolicyFields", "base_iri")):
     def instance_iri(self, event_class_name: str, record_id: str) -> str:
         return f"{self.base_iri}{event_class_name}_{record_id}"
 
-    def class_iri(self, name: str) -> str:
-        return f"{self.base_iri}{name}"
-
-    def property_iri(self, name: str) -> str:
+    def term_iri(self, name: str) -> str:
+        """A class or property of the policy's vocabulary."""
         return f"{self.base_iri}{name}"
 
     def role_property_iri(self, role: str) -> str:
         if role == ROLE_TOPIC:
-            return self.property_iri(ABOUT)
-        return self.property_iri(role[:1].lower() + role[1:])
+            return self.term_iri(ABOUT)
+        return self.term_iri(role[:1].lower() + role[1:])
 
     def entity_iri(self, slug: str) -> str:
         return f"{self.base_iri}entity/{slug}"
@@ -95,7 +93,7 @@ class IriPolicy(Checked, namedtuple("_IriPolicyFields", "base_iri")):
         return f"{self.base_iri}{role.lower()}/{record_id}{suffix}"
 
     def role_type_iri(self, role: str) -> str:
-        return self.class_iri(role[:1].upper() + role[1:])
+        return self.term_iri(role[:1].upper() + role[1:])
 
 
 def load_policy(path: str | Path) -> IriPolicy:
@@ -127,7 +125,7 @@ def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
 
     class_name = instance.event_class.name
     sp = policy.instance_iri(class_name, instance.instance_id)
-    triples = [_triple(sp, policy.property_iri(SINGLETON_PROPERTY_OF), policy.class_iri(class_name))]
+    triples = [_triple(sp, policy.term_iri(SINGLETON_PROPERTY_OF), policy.term_iri(class_name))]
 
     # Materialize text fillers as typed nodes up front, in role order.
     ordinals: dict[str, int] = {}
@@ -140,7 +138,7 @@ def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
         node = policy.role_node_iri(role, instance.instance_id, ordinals[role])
         body = _count_literal(filler.text) if role == ROLE_COUNT else Literal(filler.text)
         triples.append(_triple(node, RDF_TYPE, policy.role_type_iri(role)))
-        triples.append(_triple(node, policy.property_iri(BODY), body))
+        triples.append(_triple(node, policy.term_iri(BODY), body))
         objects.append((role, node))
 
     # Each end of the main triple is the first filler matching the earliest
@@ -168,7 +166,7 @@ def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
             triples.append(_triple(sp, policy.role_property_iri(role), obj))
 
     provenance = instance.provenance
-    triples.append(_triple(sp, policy.property_iri(HAS_SOURCE), policy.source_iri(provenance.publisher)))
+    triples.append(_triple(sp, policy.term_iri(HAS_SOURCE), policy.source_iri(provenance.publisher)))
     extracted_on = Literal(provenance.extracted_on.isoformat(), datatype=XSD_DATE)
-    triples.append(_triple(sp, policy.property_iri(EXTRACTED_ON), extracted_on))
+    triples.append(_triple(sp, policy.term_iri(EXTRACTED_ON), extracted_on))
     return TripleSet(triples)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headex.catalog import (
@@ -16,8 +17,12 @@ from headex.catalog import (
     CatalogError,
     EntityCatalog,
     PositionRecord,
+    _date,
+    _entity,
     load_catalog,
 )
+from headex.ingest import InputError, bad_field, list_field, read_json
+from headex.rdf import is_absolute_iri
 
 KB = "http://kb.example/"
 
@@ -340,3 +345,268 @@ class TestLoadChecks:
             load_catalog(path)
         assert str(err.value).startswith(f"{path}: ")
         assert str(err.value).count(str(path)) == 1
+
+
+# The load as it was before it read each field once and freed the parsed JSON
+# before indexing, with the index as it was before one pass over the alias
+# keys: kept as the oracle the load must match, checks, messages and answers.
+
+
+def reference_position(raw: dict) -> PositionRecord:
+    title, org = raw.get("title"), raw.get("org")
+    if not isinstance(title, str):
+        raise bad_field(raw, "title", "a string")
+    if not isinstance(org, str):
+        raise bad_field(raw, "org", "a string")
+    return PositionRecord(
+        title=title,
+        org=org,
+        valid_from=_date(raw, "from"),
+        valid_to=None if raw.get("to") is None else _date(raw, "to"),
+    )
+
+
+def reference_entity(raw: object) -> CatalogEntity:
+    if not isinstance(raw, dict):
+        raise InputError(f"expected an object, got {raw!r}")
+    iri, label, entity_type = raw.get("iri"), raw.get("label"), raw.get("type", AGENT)
+    if not isinstance(iri, str):
+        raise bad_field(raw, "iri", "a string")
+    if not is_absolute_iri(iri):
+        raise bad_field(raw, "iri", "an absolute IRI")
+    if not isinstance(label, str):
+        raise bad_field(raw, "label", "a string")
+    if not isinstance(entity_type, str):
+        raise bad_field(raw, "type", "a string")
+    positions = []
+    roles = list_field(raw, "roles", dict) if "roles" in raw else ()
+    for index, role in enumerate(roles):
+        try:
+            positions.append(reference_position(role))
+        except InputError as exc:
+            raise InputError(f"roles[{index}]: {exc}") from exc
+    return CatalogEntity(
+        iri=iri,
+        label=label,
+        entity_type=entity_type,
+        aliases=tuple(list_field(raw, "aliases", str)),
+        keywords=tuple([k.casefold() for k in list_field(raw, "keywords", str)]),
+        positions=tuple(positions),
+    )
+
+
+class ReferenceCatalog(EntityCatalog):
+    def __init__(self, entities) -> None:
+        self._by_iri = {}
+        self._by_alias = {}
+        self._alias_words = {}
+        for entity in entities:
+            if entity.iri in self._by_iri:
+                raise CatalogError(f"duplicate entity IRI {entity.iri}")
+            self._by_iri[entity.iri] = entity
+            for alias in (entity.label, *entity.aliases):
+                key = alias.casefold()
+                bucket = self._by_alias.get(key)
+                if bucket is None:
+                    self._by_alias[key] = [entity.iri]
+                    first = key.partition(" ")[0]
+                    words = key.count(" ") + 1
+                    if words > self._alias_words.get(first, 0):
+                        self._alias_words[first] = words
+                elif entity.iri not in bucket:
+                    bucket.append(entity.iri)
+        for bucket in self._by_alias.values():
+            bucket.sort()
+        self._titles = set()
+        self._positions = {}
+        for entity in self._by_iri.values():
+            if not entity.positions:
+                continue
+            for rank, position in enumerate(entity.positions):
+                title = position.title.casefold()
+                self._titles.add(title)
+                for org_iri in self._by_alias.get(position.org.casefold(), ()):
+                    self._positions.setdefault((title, org_iri), []).append(
+                        (rank, entity, position)
+                    )
+
+
+def reference_load(path) -> EntityCatalog:
+    payload = read_json(path, CatalogError)
+    entities = []
+    for index, raw in enumerate(payload["entities"]):
+        try:
+            entities.append(reference_entity(raw))
+        except InputError as exc:
+            raise CatalogError(f"{path}: entities[{index}]: {exc}") from exc
+    try:
+        return ReferenceCatalog(entities)
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
+
+
+# Names that casefold alike ("Acme"/"ACME", "Straße"/"STRASSE"), share a first
+# word, or are no single word, so that buckets hold several IRIs and one
+# entity's label and alias can share a key.
+RAW_NAMES = (
+    "Acme", "ACME", "acme corp", "Straße", "STRASSE",
+    "New York", "new york city", "Bolt", " Bolt", "",
+)
+RAW_DAYS = ("2010-01-01", "2010-01-05", "2010-01-05+05:00", "2010-01-09Z")  # in date order
+ANY_ROLE = {"title": "CEO", "org": "Acme", "from": "2010-01-01"}
+
+
+def _set(key, value):
+    return lambda entity, n: {**entity, key: value} if isinstance(entity, dict) else entity
+
+
+def _drop(key):
+    return lambda entity, n: (
+        {k: v for k, v in entity.items() if k != key} if isinstance(entity, dict) else entity
+    )
+
+
+def _role(change):
+    """The fault ``change`` made to the entity's role ``n``, adding a role if it has none."""
+
+    def fault(entity, n):
+        if not isinstance(entity, dict):
+            return entity
+        roles = entity.get("roles")
+        roles = list(roles) if isinstance(roles, list) and roles else [ANY_ROLE]
+        n %= len(roles)
+        if isinstance(roles[n], dict):
+            roles[n] = change(roles[n])
+        return {**entity, "roles": roles}
+
+    return fault
+
+
+# One fault for each bad-value row of TestLoadChecks, in its order.
+FAULTS = (
+    lambda entity, n: 1,
+    lambda entity, n: "x",
+    _set("iri", 7),
+    _set("iri", "not an iri"),
+    _set("iri", "http://x/o b"),
+    _set("iri", ""),
+    _drop("iri"),
+    _drop("label"),
+    _set("label", 3),
+    _set("label", None),
+    _set("label", ""),
+    _set("type", ["Person"]),
+    _set("aliases", "AB"),
+    _set("aliases", ["A", 2]),
+    _set("keywords", [5]),
+    _set("keywords", None),
+    _set("roles", {"title": "CEO"}),
+    _set("roles", ["CEO"]),
+    _role(lambda role: {**role, "title": 1}),
+    _role(lambda role: {**role, "org": None}),
+    _role(lambda role: {k: v for k, v in role.items() if k != "from"}),
+    _role(lambda role: {**role, "to": 5}),
+    _role(lambda role: {**role, "to": "soon"}),
+    _role(lambda role: {**role, "title": ""}),
+    _role(lambda role: {**role, "to": "2009-01-01"}),
+)
+
+
+@st.composite
+def raw_roles(draw):
+    start = draw(st.integers(0, len(RAW_DAYS) - 1))
+    role = {
+        "title": draw(st.sampled_from(TITLES)),
+        "org": draw(st.sampled_from(RAW_NAMES[:-1])),
+        "from": RAW_DAYS[start],
+    }
+    to = draw(st.sampled_from((False, None, *RAW_DAYS[start:])))
+    if to is not False:
+        role["to"] = to
+    return role
+
+
+@st.composite
+def raw_catalogs(draw):
+    """Raw entity lists in which one entity may carry up to two faults, so the
+    order in which the checks run shows."""
+    size = draw(st.integers(1, 6))
+    faulty = draw(st.integers(0, size - 1))
+    entities = []
+    for index in range(size):
+        shared = draw(st.integers(0, index)) if draw(st.integers(0, 7)) == 7 else index
+        entity = {
+            "iri": f"{KB}e{shared}",
+            "label": draw(st.sampled_from(RAW_NAMES[:-1])),
+        }
+        for key, values in (
+            ("type", st.sampled_from((PERSON, AGENT))),
+            ("aliases", st.lists(st.sampled_from(RAW_NAMES), max_size=3)),
+            ("keywords", st.lists(st.sampled_from(RAW_NAMES), max_size=2)),
+            ("roles", st.lists(raw_roles(), max_size=3)),
+        ):
+            if draw(st.booleans()):
+                entity[key] = draw(values)
+        for _ in range(draw(st.integers(0, 2)) if index == faulty else 0):
+            entity = draw(st.sampled_from(FAULTS))(entity, draw(st.integers(0, 2)))
+        entities.append(entity)
+    return entities
+
+
+def outcome(check, raw):
+    try:
+        entity = check(raw)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return type(entity), entity
+
+
+def test_every_pair_of_faults_reads_as_the_reference():
+    """Each ordered pair of faults, on one role or on two, gives the
+    reference's entity or message: the checks run in the reference's order."""
+    base = {**GOOD, "roles": [role(), role(title="Chair", to=None)]}
+    for first, second, n, m in itertools.product(FAULTS, FAULTS, (0, 1), (0, 1)):
+        raw = second(first(base, n), m)
+        assert outcome(_entity, raw) == outcome(reference_entity, raw)
+
+
+PROBES = (*RAW_NAMES, "acme corp".upper(), "strasse", "new", "absent")
+FIRST_WORDS = ("acme", "ACME", "strasse", "straße", "new", "york", "bolt", "", "absent")
+PROBE_DAYS = (D(2009, 12, 31), D(2010, 1, 1), D(2010, 1, 5), D(2010, 1, 9), D(2010, 1, 10))
+
+
+class TestLoadMatchesTheReference:
+    @settings(max_examples=400, deadline=None)
+    @given(raw=raw_catalogs())
+    @example(
+        raw=[
+            {"iri": f"{KB}a", "label": "Straße", "aliases": ["STRASSE", "Bolt"]},
+            {"iri": f"{KB}b", "label": "Bolt", "aliases": ["strasse", "acme corp"]},
+            {"iri": f"{KB}c", "label": "ACME", "roles": [{**ANY_ROLE, "org": "BOLT"}]},
+        ]
+    )
+    def test_load_equals_the_reference(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "raw_catalog.json"
+        path.write_text(json.dumps({"entities": raw}), encoding="utf-8")
+        try:
+            expected = reference_load(path)
+        except CatalogError as exc:
+            with pytest.raises(CatalogError) as err:
+                load_catalog(path)
+            assert str(err.value) == str(exc)
+            return
+        catalog = load_catalog(path)
+        assert catalog.entities() == expected.entities()
+        assert all(type(e) is CatalogEntity for e in catalog.entities())
+        for name in PROBES:
+            assert catalog.candidates(name) == expected.candidates(name)
+        for word in FIRST_WORDS:
+            assert catalog.alias_words(word) == expected.alias_words(word)
+        iris = sorted(e.iri for e in catalog.entities())
+        for title in (*TITLES, "absent"):
+            assert catalog.is_position_title(title) == expected.is_position_title(title)
+            for day in PROBE_DAYS:
+                for org_iris in ({iris[0]}, set(iris), {f"{KB}absent"}):
+                    assert catalog.holders(title, org_iris, day) == expected.holders(
+                        title, org_iris, day
+                    )

@@ -436,7 +436,7 @@ class TestExtractionDateForms:
         assert [row.split("\t")[3] for row in out.splitlines()] == ["2016-03-01"] * 3
 
     @pytest.mark.parametrize("command", ["interlink", "query"])
-    @pytest.mark.parametrize("day", ["2016-W09-2", "20160301", "2016-03-01T00:00"])
+    @pytest.mark.parametrize("day", ["2016-W09-2", "20160301", "2016-03-01T00:00", "2016-02-30"])
     def test_other_iso_forms_are_fatal(self, capsys, tmp_path, command, day):
         graph = self.graph(tmp_path, day)
         extra = ["--out", str(tmp_path / "links.nt")] if command == "interlink" else []
@@ -647,6 +647,12 @@ class TestQuery:
         code, out, err = run(capsys, "query", graph_path, option, "20160301")
         assert (code, out) == (1, "")
         assert err == "error: bad date filter: not an ISO date: '20160301'\n"
+
+    @pytest.mark.parametrize("option", ["--from", "--to"])
+    def test_date_filter_with_no_such_day_names_it(self, capsys, graph_path, option):
+        code, out, err = run(capsys, "query", graph_path, option, "2016-02-30")
+        assert (code, out) == (1, "")
+        assert err == "error: bad date filter: not a calendar date: '2016-02-30'\n"
 
 
 class _FullDisk:

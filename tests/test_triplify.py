@@ -54,7 +54,7 @@ class TestSlugify:
 class TestIriPolicy:
     def test_naming_scheme(self, policy):
         assert policy.instance_iri("Meet", "no2") == f"{BASE}Meet_no2"
-        assert policy.class_iri("Meet") == f"{BASE}Meet"
+        assert policy.term_iri("Meet") == f"{BASE}Meet"
         assert policy.role_property_iri("Giver") == f"{BASE}giver"
         assert policy.role_property_iri("Topic") == f"{BASE}about"
         assert policy.entity_iri("pontifex") == f"{BASE}entity/pontifex"
