@@ -149,16 +149,13 @@ def _cmd_interlink(args: argparse.Namespace) -> int:
     _check_interlink_options(args)
     policy = _policy_from(args)
     graph = _read_graph(args.graph)
-    try:
-        links, same, related = interlink_graph(
-            graph,
-            policy,
-            window_hours=args.same_window_hours,
-            jaccard_min=args.same_jaccard,
-            horizon_days=args.related_horizon_days,
-        )
-    except InterlinkError as exc:
-        raise _Fatal(str(exc)) from exc
+    links, same, related = interlink_graph(
+        graph,
+        policy,
+        window_hours=args.same_window_hours,
+        jaccard_min=args.same_jaccard,
+        horizon_days=args.related_horizon_days,
+    )
     _write_outputs({Path(args.out): serialize_ntriples(links)})
     print(f"sameas={same} related={related}")
     return 0
@@ -184,10 +181,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     policy = _policy_from(args)
     graph = _read_graph(args.graph)
-    try:
-        entries = build_event_index(graph, policy)
-    except InterlinkError as exc:
-        raise _Fatal(str(exc)) from exc
+    entries = build_event_index(graph, policy)
 
     locations: dict[str, set[str]] = {}
     location_property = policy.role_property_iri("location")
@@ -282,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_Fatal, InputError, PolicyError) as exc:
+    except (_Fatal, InputError, InterlinkError, PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,8 @@
 """Event trigger recognition: find the verb that anchors a headline's event.
 
-Candidate collection scans word tokens left to right, outside quoted spans,
-and keeps tokens whose lemma is in the verb lexicon.  Two noun-context rules
-drop false verb readings:
+One left-to-right scan over the word tokens outside quoted spans keeps each
+token whose lemma is in the verb lexicon.  Two noun-context rules drop false
+verb readings:
 
 * a candidate right after a determiner or possessive is a noun ("the report");
 * a base-form candidate right after a capitalized, non-initial modifier is a
@@ -14,15 +14,15 @@ win only when nothing better exists: candidates preceded by infinitive "to"
 ("Pope to meet ..." headline future), and candidates that open the headline,
 where capitalization says nothing ("State elections ..." must not head on
 "State", but a lone leading verb still can).  Surface forms ending in -ing
-are considered only for lemmas flagged ``noun_ok`` in the lexicon, and then
-only when the headline has no finite hit at all.
+are candidates only for lemmas flagged ``noun_ok`` in the lexicon, and they
+count only when no other candidate exists.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .ingest import NUMBER, PUNCT, WORD, Token, TokenSequence
+from .ingest import NUMBER, PUNCT, WORD, TokenSequence
 from .lexicon import Lexicon, lemmatize
 
 _DETERMINERS = frozenset(
@@ -50,67 +50,6 @@ class EventMention(
     __slots__ = ()
 
 
-def _is_capitalized(token: Token) -> bool:
-    return token.surface[:1].isupper()
-
-
-def _previous_word(tokens: tuple[Token, ...], index: int) -> tuple[int, Token] | None:
-    """The token immediately before ``index`` unless punctuation intervenes."""
-    if index == 0 or tokens[index - 1].kind == PUNCT:
-        return None
-    return index - 1, tokens[index - 1]
-
-
-def _noun_context(tokens: tuple[Token, ...], index: int, base_form: bool) -> bool:
-    previous = _previous_word(tokens, index)
-    if previous is None:
-        return False
-    prev_index, prev = previous
-    if prev.kind == WORD and prev.lower in _DETERMINERS:
-        return True
-    if (
-        base_form
-        and prev.kind in (WORD, NUMBER)
-        and prev_index > 0
-        and _is_capitalized(prev)
-        and not any(t.lower in _COORDINATORS for t in tokens[:index] if t.kind == WORD)
-    ):
-        return True
-    return False
-
-
-def _collect(tokens: tuple[Token, ...], lexicon: Lexicon, noun_pass: bool) -> list[VerbCandidate]:
-    candidates = []
-    for i, token in enumerate(tokens):
-        if token.kind != WORD or token.quoted:
-            continue
-        lemma = lemmatize(token.surface)
-        entry = lexicon.get(lemma)
-        if entry is None:
-            continue
-        ing_form = token.lower.endswith("ing") and token.lower != lemma
-        if ing_form and not (noun_pass and entry.noun_ok):
-            continue
-        if not ing_form and noun_pass:
-            continue
-        base_form = token.lower == lemma
-        if _noun_context(tokens, i, base_form):
-            continue
-        previous = _previous_word(tokens, i)
-        infinitive = previous is not None and previous[1].lower == "to"
-        candidates.append(
-            VerbCandidate(
-                token_index=i,
-                surface=token.surface,
-                lemma=lemma,
-                event_class=entry.event_class,
-                infinitive=infinitive,
-                leading=(i == 0),
-            )
-        )
-    return candidates
-
-
 def recognize_event(tokens: TokenSequence, lexicon: Lexicon) -> EventMention | None:
     """Pick the head verb of a headline, or None when no lexicon verb occurs.
 
@@ -118,15 +57,48 @@ def recognize_event(tokens: TokenSequence, lexicon: Lexicon) -> EventMention | N
     headline-initial; when only demoted candidates exist, the leftmost of
     those is used, so "Pope to meet ..." still yields an event.
     """
-    candidates = _collect(tokens.tokens, lexicon, noun_pass=False)
-    if not candidates:
-        candidates = _collect(tokens.tokens, lexicon, noun_pass=True)
+    words = tokens.tokens
+    finite: list[VerbCandidate] = []
+    ing: list[VerbCandidate] = []
+    for i, token in enumerate(words):
+        if token.kind != WORD or token.quoted:
+            continue
+        lemma = lemmatize(token.surface)
+        entry = lexicon.get(lemma)
+        if entry is None:
+            continue
+        ing_form = token.lower.endswith("ing") and token.lower != lemma
+        if ing_form and not entry.noun_ok:
+            continue
+        # The word just before, unless the candidate opens the headline or
+        # punctuation intervenes.
+        prev = words[i - 1] if i and words[i - 1].kind != PUNCT else None
+        if prev is not None and (
+            (prev.kind == WORD and prev.lower in _DETERMINERS)
+            or (
+                token.lower == lemma
+                and i > 1
+                and prev.kind in (WORD, NUMBER)
+                and prev.surface[:1].isupper()
+                and not any(t.lower in _COORDINATORS for t in words[:i] if t.kind == WORD)
+            )
+        ):
+            continue  # a noun: "the report", "White House report"
+        (ing if ing_form else finite).append(
+            VerbCandidate(
+                token_index=i,
+                surface=token.surface,
+                lemma=lemma,
+                event_class=entry.event_class,
+                infinitive=prev is not None and prev.lower == "to",
+                leading=(i == 0),
+            )
+        )
+    candidates = finite or ing
     if not candidates:
         return None
-    head = next((c for c in candidates if not c.infinitive and not c.leading), None)
-    if head is None:
-        head = candidates[0]
-    token = tokens.tokens[head.token_index]
+    head = next((c for c in candidates if not c.infinitive and not c.leading), candidates[0])
+    token = words[head.token_index]
     return EventMention(
         head_index=head.token_index,
         surface=head.surface,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
 from .ingest import parse_date
@@ -48,15 +48,13 @@ def _time_order(entry: EventIndexEntry) -> tuple[datetime, str]:
     return entry.timestamp, entry.instance_iri
 
 
-def _timestamp(statement: str, lexical: str) -> datetime:
-    # extractedOn carries a date; midnight UTC makes windows well-defined.
+def _day(statement: str, lexical: str) -> date:
     try:
-        day = parse_date(lexical)
+        return parse_date(lexical)
     except ValueError as exc:
         raise InterlinkError(
             f"statement {statement}: extraction date must be an ISO date, got {lexical!r}"
         ) from exc
-    return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
 
 
 def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEntry]:
@@ -64,23 +62,27 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
 
     Participants are the IRI-valued arguments of the statement: objects of
     its role properties plus both ends of its main triple, minus text-role
-    nodes (recognized by their body literal) and provenance targets.
+    nodes (recognized by their body literal) and provenance targets.  A
+    statement given two classes, publishers or extraction days is an error.
     """
     sp_of = policy.term_iri(SINGLETON_PROPERTY_OF)
     has_source = policy.term_iri(HAS_SOURCE)
     extracted_on = policy.term_iri(EXTRACTED_ON)
     body = policy.term_iri(BODY)
 
+    # (statement, what) -> every value given, once a second one turns up.
+    clashes: dict[tuple[str, str], set] = {}
     classes: dict[str, str] = {}
     text_nodes: set[str] = set()
     for subject, predicate, obj in graph:
         if predicate == sp_of and isinstance(obj, str):
-            classes[subject] = obj
+            if classes.setdefault(subject, obj) != obj:
+                clashes.setdefault((subject, "classes"), {classes[subject]}).add(obj)
         elif predicate == body:
             text_nodes.add(subject)
 
     sources: dict[str, str] = {}
-    dates: dict[str, datetime] = {}
+    days: dict[str, date] = {}
     participants: dict[str, set[str]] = {iri: set() for iri in classes}
     skip_predicates = {sp_of, has_source, extracted_on, RDF_TYPE}
 
@@ -88,12 +90,16 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     for subject, predicate, obj in graph:
         if subject in classes:
             if predicate == has_source and isinstance(obj, str):
-                sources[subject] = (
+                publisher = (
                     obj[len(source_prefix) :] if obj.startswith(source_prefix) else local_name(obj)
                 )
+                if sources.setdefault(subject, publisher) != publisher:
+                    clashes.setdefault((subject, "publishers"), {sources[subject]}).add(publisher)
                 continue
             if predicate == extracted_on and isinstance(obj, Literal):
-                dates[subject] = _timestamp(subject, obj.lexical)
+                day = _day(subject, obj.lexical)
+                if days.setdefault(subject, day) != day:
+                    clashes.setdefault((subject, "extraction days"), {days[subject]}).add(day)
                 continue
             if predicate not in skip_predicates and isinstance(obj, str):
                 if obj not in text_nodes:
@@ -105,16 +111,22 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
             if isinstance(obj, str) and obj not in text_nodes:
                 bucket.add(obj)
 
+    if clashes:
+        (statement, what), values = min(clashes.items())
+        shown = ", ".join(str(value) for value in sorted(values))
+        raise InterlinkError(f"statement {statement} has {len(values)} {what}: {shown}")
     entries = []
     for iri in classes:
-        if iri not in sources or iri not in dates:
+        if iri not in sources or iri not in days:
             raise InterlinkError(f"statement {iri} lacks source or extraction date")
+        day = days[iri]
         entries.append(
             EventIndexEntry(
                 instance_iri=iri,
                 class_iri=classes[iri],
                 participants=frozenset(participants[iri]),
-                timestamp=dates[iri],
+                # extractedOn carries a date; midnight UTC makes windows well-defined.
+                timestamp=datetime(day.year, day.month, day.day, tzinfo=timezone.utc),
                 publisher=sources[iri],
             )
         )

@@ -124,6 +124,24 @@ class TestExtract:
         generic = {"singletonPropertyOf", "involved", "location", "hasSource", "extractedOn"}
         assert used == {BASE + name for name in generic}
 
+    def test_extension_class_naming_a_built_in_class_is_fatal(self, capsys, tmp_path):
+        lexicon = tmp_path / "lexicon.tsv"
+        bundled = default_lexicon_path().read_text(encoding="utf-8")
+        lexicon.write_text(bundled.rstrip("\n") + "\npray\tOther:Meet\n", encoding="utf-8")
+        line_no = len(bundled.rstrip("\n").split("\n")) + 1
+        source = tmp_path / "worship.tsv"
+        source.write_text("w1\tCNN\t1/3/16\tObama pray with Putin\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "extract", str(source), "--lexicon", str(lexicon), "--out", str(out_dir)
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {lexicon}: line {line_no}: "
+            "extension class 'Other:Meet' names the built-in class Meet\n"
+        )
+        assert not out_dir.exists()
+
     def test_publisher_without_a_slug_is_skipped(self, capsys, tmp_path):
         source = tmp_path / "publishers.tsv"
         source.write_text(
@@ -448,6 +466,61 @@ class TestExtractionDateForms:
         assert not (tmp_path / "links.nt").exists()
 
 
+class TestOneValuePerStatement:
+    """A statement has one class, one publisher and one extraction day; a
+    graph that gives it two is refused the same way in any line order."""
+
+    # The kind of value -> Meet_a's two lines for it and the error's tail.
+    CLASHES = {
+        "classes": (
+            f"<{BASE}Meet_a> <{BASE}singletonPropertyOf> <{BASE}Meet> .",
+            f"<{BASE}Meet_a> <{BASE}singletonPropertyOf> <{BASE}Murder> .",
+            f"2 classes: {BASE}Meet, {BASE}Murder",
+        ),
+        "publishers": (
+            f"<{BASE}Meet_a> <{BASE}hasSource> <{BASE}source/cnn> .",
+            f"<{BASE}Meet_a> <{BASE}hasSource> <{BASE}source/bbc> .",
+            "2 publishers: bbc, cnn",
+        ),
+        "days": (
+            f'<{BASE}Meet_a> <{BASE}extractedOn> "2016-03-01"^^<{XSD_DATE}> .',
+            f'<{BASE}Meet_a> <{BASE}extractedOn> "2016-03-02"^^<{XSD_DATE}> .',
+            "2 extraction days: 2016-03-01, 2016-03-02",
+        ),
+    }
+
+    def graph(self, tmp_path, clash: str, swapped: bool) -> str:
+        # Meet_a gets one line of each kind but the clashing one, which gets
+        # two; Meet_b shares its participants, publisher cnn and day.
+        lines = []
+        for kind, (first, second, _) in self.CLASHES.items():
+            if kind == clash:
+                lines += [second, first] if swapped else [first, second]
+            else:
+                lines.append(first)
+        lines += [
+            f"<{BASE}entity/obama> <{BASE}Meet_a> <{BASE}entity/putin> .",
+            f"<{BASE}Meet_b> <{BASE}singletonPropertyOf> <{BASE}Meet> .",
+            f"<{BASE}Meet_b> <{BASE}hasSource> <{BASE}source/cnn> .",
+            f'<{BASE}Meet_b> <{BASE}extractedOn> "2016-03-01"^^<{XSD_DATE}> .',
+            f"<{BASE}entity/obama> <{BASE}Meet_b> <{BASE}entity/putin> .",
+        ]
+        path = tmp_path / f"{clash}-{swapped}.nt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    @pytest.mark.parametrize("clash", sorted(CLASHES))
+    def test_two_values_are_fatal_in_either_line_order(self, capsys, tmp_path, command, clash):
+        links = tmp_path / "links.nt"
+        extra = ["--out", str(links)] if command == "interlink" else []
+        for swapped in (False, True):
+            code, out, err = run(capsys, command, self.graph(tmp_path, clash, swapped), *extra)
+            assert (code, out) == (1, "")
+            assert err == f"error: statement {BASE}Meet_a has {self.CLASHES[clash][2]}\n"
+            assert not links.exists()
+
+
 class TestValidate:
     def test_matrix_and_exit_code(self, capsys, fixtures_dir):
         models = sorted(str(p) for p in (fixtures_dir / "datamodels").glob("*.json"))
@@ -653,6 +726,30 @@ class TestQuery:
         code, out, err = run(capsys, "query", graph_path, option, "2016-02-30")
         assert (code, out) == (1, "")
         assert err == "error: bad date filter: not a calendar date: '2016-02-30'\n"
+
+
+class TestGoldenOutputs:
+    """``extract --turtle`` then ``interlink`` on each fixture corpus give,
+    byte for byte, the outputs under ``fixtures/golden/<corpus>/``: every
+    file written, and each command's stdout, stderr and exit code.  A change
+    meant to alter an output updates the golden file with it."""
+
+    @pytest.mark.parametrize("corpus", ["headlines9", "duplicates"])
+    def test_outputs_match_the_golden_files(self, capsys, tmp_path, fixtures_dir, corpus):
+        records = str(fixtures_dir / f"{corpus}.tsv")
+        graph, links = str(tmp_path / "events.nt"), str(tmp_path / "links.nt")
+        got = {}
+        for command, argv in (
+            ("extract", [records, "--out", str(tmp_path), "--turtle"]),
+            ("interlink", [graph, "--out", links]),
+        ):
+            code, out, err = run(capsys, command, *argv)
+            got[f"{command}.exit"] = f"{code}\n".encode()
+            got[f"{command}.stdout"] = out.encode("utf-8")
+            got[f"{command}.stderr"] = err.encode("utf-8")
+        got.update((path.name, path.read_bytes()) for path in tmp_path.iterdir())
+        golden = fixtures_dir / "golden" / corpus
+        assert got == {path.name: path.read_bytes() for path in golden.iterdir()}
 
 
 class _FullDisk:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headex.events import recognize_event
-from headex.ingest import normalize
-from headex.lexicon import load_lexicon
+from headex import events
+from headex.events import EventMention, VerbCandidate, recognize_event
+from headex.ingest import NUMBER, PUNCT, WORD, normalize
+from headex.lexicon import lemmatize, load_lexicon
 
 EXPECTED_CLASSES = {
     "no1": ("Communication", "tells"),
@@ -100,3 +103,151 @@ class TestNounPass:
         flagged = load_lexicon("meet\tMeet\t-\tnoun_ok\nsay\tCommunication\tSayVerbs\n")
         mention = recognize_event(normalize("Meeting of ministers says a lot"), flagged)
         assert mention.lemma == "say"
+
+
+# Head-verb recognition as it was with a second -ing pass: kept as the oracle
+# that the one-pass ``recognize_event`` must match on every headline.
+
+_OLD_DETERMINERS = frozenset(
+    "the a an this that these those his her their its our your my".split()
+)
+_OLD_COORDINATORS = frozenset(("and", "&"))
+
+
+def old_previous_word(tokens, index):
+    if index == 0 or tokens[index - 1].kind == PUNCT:
+        return None
+    return index - 1, tokens[index - 1]
+
+
+def old_noun_context(tokens, index, base_form):
+    previous = old_previous_word(tokens, index)
+    if previous is None:
+        return False
+    prev_index, prev = previous
+    if prev.kind == WORD and prev.lower in _OLD_DETERMINERS:
+        return True
+    if (
+        base_form
+        and prev.kind in (WORD, NUMBER)
+        and prev_index > 0
+        and prev.surface[:1].isupper()
+        and not any(t.lower in _OLD_COORDINATORS for t in tokens[:index] if t.kind == WORD)
+    ):
+        return True
+    return False
+
+
+def old_collect(tokens, lexicon, noun_pass):
+    candidates = []
+    for i, token in enumerate(tokens):
+        if token.kind != WORD or token.quoted:
+            continue
+        lemma = lemmatize(token.surface)
+        entry = lexicon.get(lemma)
+        if entry is None:
+            continue
+        ing_form = token.lower.endswith("ing") and token.lower != lemma
+        if ing_form and not (noun_pass and entry.noun_ok):
+            continue
+        if not ing_form and noun_pass:
+            continue
+        base_form = token.lower == lemma
+        if old_noun_context(tokens, i, base_form):
+            continue
+        previous = old_previous_word(tokens, i)
+        infinitive = previous is not None and previous[1].lower == "to"
+        candidates.append(
+            VerbCandidate(
+                token_index=i,
+                surface=token.surface,
+                lemma=lemma,
+                event_class=entry.event_class,
+                infinitive=infinitive,
+                leading=(i == 0),
+            )
+        )
+    return candidates
+
+
+def old_recognize_event(tokens, lexicon):
+    candidates = old_collect(tokens.tokens, lexicon, noun_pass=False)
+    if not candidates:
+        candidates = old_collect(tokens.tokens, lexicon, noun_pass=True)
+    if not candidates:
+        return None
+    head = next((c for c in candidates if not c.infinitive and not c.leading), None)
+    if head is None:
+        head = candidates[0]
+    token = tokens.tokens[head.token_index]
+    return EventMention(
+        head_index=head.token_index,
+        surface=head.surface,
+        lemma=head.lemma,
+        event_class=head.event_class,
+        span=(token.start, token.end),
+        candidates=tuple(candidates),
+        infinitive_head=head.infinitive,
+    )
+
+
+# Lemma -> surface forms: base, -s, -ed and -ing, some capitalized.  "bring"
+# ends in -ing as a base form; "and" and "the" as lemmas put a coordinator
+# or a determiner among the candidates.
+_FORMS = {
+    "meet": ("meet", "meets", "met", "meeting", "Meet", "Meets", "Meeting"),
+    "kill": ("kill", "kills", "killed", "killing", "Kill"),
+    "say": ("say", "says", "said", "saying"),
+    "visit": ("visit", "visits", "visited", "visiting", "Visiting"),
+    "state": ("state", "states", "stated", "stating", "State"),
+    "fight": ("fight", "fights", "fought", "fighting"),
+    "bring": ("bring", "brings", "bringing"),
+    "report": ("report", "reports", "reported", "reporting", "Report"),
+    "and": ("and", "And"),
+    "the": ("the",),
+}
+_OTHER_PIECES = (
+    "the", "The", "his", "a", "White", "House", "Obama", "UN", "Three", "2016",
+    "and", "&", "to", "To", "in", "of", "talks", "officials", "#tag", "@user",
+    ",", ":", "-", ".", "?", '"', "\u201c", "\u201d", '"kill', 'deal"',
+)
+_CLASSES = ("Meet", "Murder", "Communication", "Other:Worship")
+
+
+@st.composite
+def _lexicons(draw):
+    lemmas = draw(st.lists(st.sampled_from(sorted(_FORMS)), min_size=1, unique=True))
+    rows = []
+    for lemma in lemmas:
+        flags = "noun_ok" if draw(st.booleans()) else ""
+        rows.append(f"{lemma}\t{draw(st.sampled_from(_CLASSES))}\t-\t{flags}")
+    return load_lexicon("".join(row + "\n" for row in rows))
+
+
+_PIECES = st.one_of(
+    st.sampled_from([form for forms in _FORMS.values() for form in forms]),
+    st.sampled_from(_OTHER_PIECES),
+)
+_HEADLINES = st.lists(_PIECES, min_size=1, max_size=12).map(" ".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lexicon=_lexicons(), text=_HEADLINES)
+def test_property_one_pass_matches_the_two_pass_oracle(lexicon, text):
+    tokens = normalize(text)
+    assert recognize_event(tokens, lexicon) == old_recognize_event(tokens, lexicon)
+
+
+def test_each_unquoted_word_is_lemmatized_once(monkeypatch):
+    calls = []
+
+    def counting(surface):
+        calls.append(surface)
+        return lemmatize(surface)
+
+    monkeypatch.setattr(events, "lemmatize", counting)
+    flagged = load_lexicon("meet\tMeet\t-\tnoun_ok\n")
+    # No finite hit, so only the -ing form can head.
+    mention = recognize_event(normalize('Meeting of ministers in "Berlin" today'), flagged)
+    assert mention is not None and mention.surface == "Meeting"
+    assert calls == ["Meeting", "of", "ministers", "in", "today"]

@@ -21,7 +21,7 @@ from headex.interlink import (
     jaccard,
 )
 from headex.pipeline import extract_corpus
-from headex.rdf import OWL_SAME_AS, SKOS_RELATED, Triple, TripleSet
+from headex.rdf import OWL_SAME_AS, SKOS_RELATED, XSD_DATE, Literal, Triple, TripleSet
 
 BASE = "http://example.org/news/"
 UTC = timezone.utc
@@ -142,6 +142,18 @@ class TestEventIndex:
         graph = TripleSet([Triple(f"{BASE}Meet_x", f"{BASE}singletonPropertyOf", f"{BASE}Meet")])
         with pytest.raises(InterlinkError):
             build_event_index(graph, policy)
+
+    def test_every_value_of_a_clash_is_named_in_any_order(self, policy):
+        statement = f"{BASE}Meet_x"
+        provenance = [
+            Triple(statement, f"{BASE}singletonPropertyOf", f"{BASE}Meet"),
+            Triple(statement, f"{BASE}extractedOn", Literal("2016-03-01", XSD_DATE)),
+        ]
+        sources = [Triple(statement, f"{BASE}hasSource", f"{BASE}source/{p}") for p in "abc"]
+        for order in itertools.permutations(sources):
+            with pytest.raises(InterlinkError) as err:
+                build_event_index(TripleSet(provenance + list(order)), policy)
+            assert str(err.value) == f"statement {statement} has 3 publishers: a, b, c"
 
 
 class TestSameEvents:

@@ -117,6 +117,8 @@ class TestFormat:
             "say\tCommunication\tSayVerbs\textra\ttoomany\n",
             "pray\tOther:Big Deal\n",
             "pray\tOther:Big<Deal>\n",
+            "pray\tOther:Meet\n",
+            "pray\tOther:Communication\n",
         ],
     )
     def test_malformed_lines_raise_with_line_number(self, line):
