@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
 from .ingest import parse_date
@@ -48,13 +48,14 @@ def _time_order(entry: EventIndexEntry) -> tuple[datetime, str]:
     return entry.timestamp, entry.instance_iri
 
 
-def _day(statement: str, lexical: str) -> date:
+def _midnight(lexical: str) -> datetime | None:
+    """Midnight UTC of an ``extractedOn`` date, so that windows are
+    well-defined; None if the form is no ISO date."""
     try:
-        return parse_date(lexical)
-    except ValueError as exc:
-        raise InterlinkError(
-            f"statement {statement}: extraction date must be an ISO date, got {lexical!r}"
-        ) from exc
+        day = parse_date(lexical)
+    except ValueError:
+        return None
+    return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
 
 
 def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEntry]:
@@ -63,7 +64,10 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     Participants are the IRI-valued arguments of the statement: objects of
     its role properties plus both ends of its main triple, minus text-role
     nodes (recognized by their body literal) and provenance targets.  A
-    statement given two classes, publishers or extraction days is an error.
+    statement given two classes, publishers or extraction days is an error,
+    as is one with no publisher or day, or a day that is no ISO date.  The
+    error names the smallest statement IRI of the first of these kinds that
+    occurs: bad day, two values, none.
     """
     sp_of = policy.term_iri(SINGLETON_PROPERTY_OF)
     has_source = policy.term_iri(HAS_SOURCE)
@@ -82,7 +86,10 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
             text_nodes.add(subject)
 
     sources: dict[str, str] = {}
-    days: dict[str, date] = {}
+    times: dict[str, datetime] = {}
+    # extractedOn lexical form -> its midnight, parsed once per call
+    midnights: dict[str, datetime | None] = {}
+    bad_days: list[tuple[str, str]] = []
     participants: dict[str, set[str]] = {iri: set() for iri in classes}
     skip_predicates = {sp_of, has_source, extracted_on, RDF_TYPE}
 
@@ -97,9 +104,15 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
                     clashes.setdefault((subject, "publishers"), {sources[subject]}).add(publisher)
                 continue
             if predicate == extracted_on and isinstance(obj, Literal):
-                day = _day(subject, obj.lexical)
-                if days.setdefault(subject, day) != day:
-                    clashes.setdefault((subject, "extraction days"), {days[subject]}).add(day)
+                lexical = obj.lexical
+                if lexical not in midnights:
+                    midnights[lexical] = _midnight(lexical)
+                at = midnights[lexical]
+                if at is None:
+                    bad_days.append((subject, lexical))
+                elif times.setdefault(subject, at) != at:
+                    days = clashes.setdefault((subject, "extraction days"), {times[subject].date()})
+                    days.add(at.date())
                 continue
             if predicate not in skip_predicates and isinstance(obj, str):
                 if obj not in text_nodes:
@@ -111,34 +124,35 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
             if isinstance(obj, str) and obj not in text_nodes:
                 bucket.add(obj)
 
+    if bad_days:
+        statement, lexical = min(bad_days)
+        raise InterlinkError(
+            f"statement {statement}: extraction date must be an ISO date, got {lexical!r}"
+        )
     if clashes:
         (statement, what), values = min(clashes.items())
         shown = ", ".join(str(value) for value in sorted(values))
         raise InterlinkError(f"statement {statement} has {len(values)} {what}: {shown}")
     entries = []
-    for iri in classes:
-        if iri not in sources or iri not in days:
-            raise InterlinkError(f"statement {iri} lacks source or extraction date")
-        day = days[iri]
-        entries.append(
-            EventIndexEntry(
-                instance_iri=iri,
-                class_iri=classes[iri],
-                participants=frozenset(participants[iri]),
-                # extractedOn carries a date; midnight UTC makes windows well-defined.
-                timestamp=datetime(day.year, day.month, day.day, tzinfo=timezone.utc),
-                publisher=sources[iri],
-            )
-        )
+    lacking = []
+    for iri, class_iri in classes.items():
+        publisher = sources.get(iri)
+        at = times.get(iri)
+        if publisher is None or at is None:
+            lacking.append(iri)
+        else:
+            entry = EventIndexEntry(iri, class_iri, frozenset(participants[iri]), at, publisher)
+            entries.append(entry)
+    if lacking:
+        raise InterlinkError(f"statement {min(lacking)} lacks source or extraction date")
     entries.sort(key=_time_order)
     return entries
 
 
 def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
+    shared = len(a & b)
+    union = len(a) + len(b) - shared
+    return shared / union if union else 0.0
 
 
 def _sharing_pairs(
@@ -159,7 +173,11 @@ def _sharing_pairs(
         at = (later.timestamp - origin) // _MICROSECOND
         candidates: set[int] = set()
         for participant in later.participants:
-            times, positions = postings.setdefault(participant, ([], []))
+            posting = postings.get(participant)
+            if posting is None:  # first seen: no earlier entry to pair with
+                postings[participant] = ([at], [j])
+                continue
+            times, positions = posting
             candidates.update(positions[bisect_left(times, at - reach_us) :])
             times.append(at)
             positions.append(j)
@@ -187,7 +205,8 @@ def find_same_events(
             continue
         if jaccard(earlier.participants, later.participants) < jaccard_min:
             continue
-        pairs.add(tuple(sorted((earlier.instance_iri, later.instance_iri))))
+        a, b = earlier.instance_iri, later.instance_iri
+        pairs.add((a, b) if a < b else (b, a))
     return sorted(pairs)
 
 
@@ -202,13 +221,13 @@ def find_related_events(
     and pairs listed in ``exclude`` (same-event links, in any order) are
     skipped.
     """
-    excluded = {tuple(sorted(pair)) for pair in exclude}
+    excluded = {pair for a, b in exclude for pair in ((a, b), (b, a))}
     pairs: list[tuple[str, str]] = []
     for earlier, later in _sharing_pairs(entries, timedelta(days=horizon_days)):
         if not earlier.timestamp < later.timestamp:
             continue
         pair = (earlier.instance_iri, later.instance_iri)
-        if tuple(sorted(pair)) in excluded:
+        if pair in excluded:
             continue
         pairs.append(pair)
     return sorted(pairs)

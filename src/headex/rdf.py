@@ -17,10 +17,19 @@ slugs are letters, digits and ``_``; catalog load and ``EntityRef`` check
 entity IRIs; interlinking links statement IRIs of a checked graph.
 
 The codec does each piece of work once.  ``parse_ntriples`` parses each
-distinct term once per call and shares it between the triples that repeat
-it.  ``serialize_ntriples`` renders each line once and sorts the lines,
-which gives the term order (see ``_line``).  Escaping is one
-``str.translate``; unescaping copies the text between backslashes in slices.
+distinct token once per call and shares its term between the triples that
+repeat it.  A line of the plain shape ``S P O .`` (single spaces, nothing
+around) takes the token path: it is split at its first two spaces and each
+token looked up in the call's term table; a new token is checked on its
+own (an IRI by ``is_absolute_iri``, a literal by one match of the literal
+pattern and ``Literal``) and entered only if it passes.  Any other line,
+and a line with a token that fails, takes the pattern path: one match of
+the whole-line pattern, then the checks in the order the public
+constructors make them.  Only the pattern path raises, so a message and its
+line number do not depend on the path.  ``serialize_ntriples`` renders each
+line once and sorts the lines, which gives the term order (see ``_line``).
+Escaping is one ``str.translate``; unescaping copies the text between
+backslashes in slices.
 """
 
 from __future__ import annotations
@@ -252,6 +261,7 @@ def serialize_ntriples(graph: TripleSet) -> str:
 
 _LITERAL = rf'"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>|@({_LANGTAG.pattern}))?'
 _LINE_RE = re.compile(rf"(<[^>]*>)\s+(<[^>]*>)\s+(<[^>]*>|{_LITERAL})\s*\.\s*")
+_LITERAL_TOKEN = re.compile(_LITERAL)
 
 
 def parse_ntriples(text: str) -> TripleSet:
@@ -264,9 +274,25 @@ def parse_ntriples(text: str) -> TripleSet:
     triples = graph._triples  # filled in place: one dict store per line
     # token -> its term, parsed and checked once per call, when first seen
     terms: dict[str, str | Literal] = {}
+    get = terms.get
+    new = tuple.__new__
     # Split on LF only: splitlines() would also break on NEL and friends,
     # which are legal raw inside literals.
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
+        # The token path: a line `S P O .` with single spaces, nothing around.
+        parts = raw_line.split(" ", 2)
+        if len(parts) == 3 and parts[2][-2:] == " .":
+            s, p, o = parts
+            o = o[:-2]
+            subject = get(s) or _new_term(terms, s)
+            predicate = get(p) or _new_term(terms, p)
+            obj = get(o) or _new_term(terms, o)
+            # A failed token, or a literal as subject or predicate, sends the
+            # line on to the pattern path.
+            if subject.__class__ is str is predicate.__class__ and obj:
+                triples[new(Triple, (subject, predicate, obj))] = None
+                continue
+        # The pattern path: any other line, or a token that failed its check.
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -290,6 +316,25 @@ def parse_ntriples(text: str) -> TripleSet:
             obj = terms[o] = _parse_iri(o, "object", line_no)
         triples[_triple(subject, predicate, obj)] = None
     return graph
+
+
+def _new_term(terms: dict[str, str | Literal], token: str) -> str | Literal | None:
+    """The term of a token not seen before, entered in ``terms``; None if the
+    token fails its check."""
+    if token[:1] == "<":
+        term = token[1:-1]
+        if token[-1:] != ">" or not is_absolute_iri(term):
+            return None
+    else:
+        match = _LITERAL_TOKEN.fullmatch(token)
+        if match is None:
+            return None
+        try:
+            term = Literal(unescape_literal(match[1]), match[2], match[3])
+        except RdfError:
+            return None
+    terms[token] = term
+    return term
 
 
 def _parse_iri(token: str, position: str, line_no: int) -> str:

@@ -521,6 +521,72 @@ class TestOneValuePerStatement:
             assert not links.exists()
 
 
+class TestErrorsInAnyLineOrder:
+    """Of several statements at fault, the error names the smallest IRI of the
+    first kind of fault: a day that is no date, then two values, then none."""
+
+    def statement(self, name: str, source: str | None, day: str | None) -> list[str]:
+        lines = [f"<{BASE}{name}> <{BASE}singletonPropertyOf> <{BASE}Meet> ."]
+        if source is not None:
+            lines.append(f"<{BASE}{name}> <{BASE}hasSource> <{BASE}source/{source}> .")
+        if day is not None:
+            lines.append(f'<{BASE}{name}> <{BASE}extractedOn> "{day}"^^<{XSD_DATE}> .')
+        return lines
+
+    def check_both_orders(self, capsys, tmp_path, first: list[str], second: list[str], error: str):
+        for command in ("interlink", "query"):
+            links = tmp_path / "links.nt"
+            extra = ["--out", str(links)] if command == "interlink" else []
+            for order, lines in (("xy", first + second), ("yx", second + first)):
+                path = tmp_path / f"{order}.nt"
+                path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+                code, out, err = run(capsys, command, str(path), *extra)
+                assert (code, out, err) == (1, "", f"error: {error}\n"), (command, order)
+                assert not links.exists()
+
+    def test_missing_provenance_names_the_smallest_statement(self, capsys, tmp_path):
+        self.check_both_orders(
+            capsys,
+            tmp_path,
+            self.statement("Meet_x", None, None),
+            self.statement("Meet_y", None, None),
+            f"statement {BASE}Meet_x lacks source or extraction date",
+        )
+
+    def test_bad_day_names_the_smallest_statement(self, capsys, tmp_path):
+        self.check_both_orders(
+            capsys,
+            tmp_path,
+            self.statement("Meet_x", "bbc", "2016-02-30"),
+            self.statement("Meet_y", "cnn", "someday"),
+            f"statement {BASE}Meet_x: extraction date must be an ISO date, got '2016-02-30'",
+        )
+
+    def test_bad_day_comes_before_two_values_and_missing_provenance(self, capsys, tmp_path):
+        clash = self.statement("Meet_a", "bbc", "2016-03-01") + [
+            f"<{BASE}Meet_a> <{BASE}hasSource> <{BASE}source/cnn> ."
+        ]
+        self.check_both_orders(
+            capsys,
+            tmp_path,
+            clash + self.statement("Meet_b", None, None),
+            self.statement("Meet_z", "cnn", "not-a-date"),
+            f"statement {BASE}Meet_z: extraction date must be an ISO date, got 'not-a-date'",
+        )
+
+    def test_two_values_come_before_missing_provenance(self, capsys, tmp_path):
+        clash = self.statement("Meet_z", "bbc", "2016-03-01") + [
+            f'<{BASE}Meet_z> <{BASE}extractedOn> "2016-03-02"^^<{XSD_DATE}> .'
+        ]
+        self.check_both_orders(
+            capsys,
+            tmp_path,
+            self.statement("Meet_a", "bbc", None),
+            clash,
+            f"statement {BASE}Meet_z has 2 extraction days: 2016-03-01, 2016-03-02",
+        )
+
+
 class TestValidate:
     def test_matrix_and_exit_code(self, capsys, fixtures_dir):
         models = sorted(str(p) for p in (fixtures_dir / "datamodels").glob("*.json"))

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headex import cli, interlink
 from headex.ingest import read_records
 from headex.interlink import (
     EventIndexEntry,
@@ -95,6 +97,11 @@ def random_entries(rng: random.Random, size: int) -> list[EventIndexEntry]:
 
 
 class TestJaccard:
+    @given(st.frozensets(st.integers(0, 9)), st.frozensets(st.integers(0, 9)))
+    def test_equals_shared_over_union(self, a, b):
+        union = a | b
+        assert jaccard(a, b) == (len(a & b) / len(union) if union else 0.0)
+
     def test_cases(self):
         a = frozenset({"x", "y"})
         assert jaccard(frozenset(), frozenset()) == 0.0
@@ -358,3 +365,77 @@ class TestEndToEnd:
         links, same_count, related_count = interlink_graph(nine_result.graph, policy)
         assert (same_count, related_count) == (0, 0)
         assert len(links) == 0
+
+
+class TestLayersCalledThroughModuleGlobals:
+    """Tracing wraps the module globals ``cli.parse_ntriples``,
+    ``interlink.build_event_index``, ``find_same_events``,
+    ``find_related_events`` and ``jaccard``; a layer reached another way
+    would be timed and counted as zero."""
+
+    def graph_text(self, seed: int) -> str:
+        rng = random.Random(seed)
+        lines = []
+        for k in range(40):
+            statement = f"<{BASE}Meet_{k}>"
+            event_class, publisher = rng.choice(["Meet", "Murder"]), rng.choice("abc")
+            day = f"2016-03-{rng.randint(1, 9):02d}"
+            lines += [
+                f"{statement} <{BASE}singletonPropertyOf> <{BASE}{event_class}> .",
+                f"{statement} <{BASE}hasSource> <{BASE}source/{publisher}> .",
+                f'{statement} <{BASE}extractedOn> "{day}"^^<{XSD_DATE}> .',
+            ]
+            for participant in rng.sample(range(6), rng.randint(1, 3)):
+                lines.append(f"{statement} <{BASE}hasAgent> <{BASE}entity/e{participant}> .")
+        return "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interlink_reaches_each_layer_through_its_global(
+        self, monkeypatch, tmp_path, capsys, seed
+    ):
+        calls: Counter[str] = Counter()
+        indexes = []
+
+        def wrap(module, name, after=None):
+            function = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                result = function(*args, **kwargs)
+                if after is not None:
+                    after(result)
+                return result
+
+            monkeypatch.setattr(module, name, counted)
+
+        wrap(cli, "parse_ntriples")
+        wrap(interlink, "build_event_index", indexes.append)
+        for name in ("find_same_events", "find_related_events", "jaccard"):
+            wrap(interlink, name)
+        graph = tmp_path / "events.nt"
+        graph.write_text(self.graph_text(seed), encoding="utf-8")
+        code = cli.main(["interlink", str(graph), "--out", str(tmp_path / "links.nt")])
+        assert code == 0, capsys.readouterr().err
+
+        (entries,) = indexes
+        same = brute_same(entries)
+        related = brute_related(entries, exclude=same)
+        assert capsys.readouterr().out == f"sameas={len(same)} related={len(related)}\n"
+        # One comparison per pair in the window that shares a participant
+        # and passed the class and publisher checks.
+        compared = sum(
+            1
+            for a, b in itertools.combinations(entries, 2)
+            if a.class_iri == b.class_iri
+            and a.publisher != b.publisher
+            and a.participants & b.participants
+            and abs(a.timestamp - b.timestamp) <= timedelta(hours=48)
+        )
+        assert compared > len(same) > 0
+        assert calls == {
+            "parse_ntriples": 1,
+            "build_event_index": 1,
+            "find_same_events": 1,
+            "find_related_events": 1,
+            "jaccard": compared,
+        }

@@ -7,7 +7,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headex import rdf
@@ -583,3 +583,131 @@ def test_property_parse_matches_checking_every_triple(events_lines, picks):
     ]
     text = "\n".join(lines)
     assert parse_outcome(parse_ntriples, text) == parse_outcome(old_parse_ntriples, text)
+
+
+def pattern_parse_ntriples(text: str) -> TripleSet:
+    """The parser as it was before well-formed lines were split into tokens:
+    every line goes through the whole-line pattern.  Kept as the oracle for
+    the token path."""
+    graph = TripleSet()
+    triples = graph._triples
+    terms: dict = {}
+    for line_no, raw_line in enumerate(text.split("\n"), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = rdf._LINE_RE.fullmatch(line)
+        if match is None:
+            raise NTriplesParseError(line_no, f"malformed triple: {line!r}")
+        s, p, o = match.group(1, 2, 3)
+        obj = terms.get(o)
+        if obj is None and o[0] == '"':
+            obj = terms[o] = rdf._parse_literal(match, line_no)
+        subject = terms.get(s)
+        if subject is None:
+            subject = terms[s] = rdf._parse_iri(s, "subject", line_no)
+        predicate = terms.get(p)
+        if predicate is None:
+            predicate = terms[p] = rdf._parse_iri(p, "predicate", line_no)
+        if obj is None:
+            obj = terms[o] = rdf._parse_iri(o, "object", line_no)
+        triples[rdf._triple(subject, predicate, obj)] = None
+    return graph
+
+
+# Tokens drawn from small pools, so that lines repeat them, in any position:
+# good IRIs, relative ones, ones that hold a space or a '>' and ones that lack
+# a '<' or '>'; literals whose text holds spaces, ' .', good and bad escapes
+# or a quote, bare, typed (by an absolute or a relative IRI, or one with a
+# space) or tagged.
+GOOD_IRIS = ["<http://e/a>", "<http://e/b>", "<urn:x>", "<http://e/é>"]
+BAD_IRIS = ["<rel>", "<>", "<http://e/a b>", "<http://e/a>b>", "http://e/a", "<http://e/a", "urn:x>"]
+GOOD_PIECES = ["x", " ", "a b", " . ", "x .", ".", "é"]
+GOOD_PIECES += ["\\n", "\\t", "\\u00E9", "\\U0001F600", '\\"']  # good escapes
+BAD_PIECES = ["\\uZZZZ", "\\uD800", "\\q", "\\", '"', "\r"]
+GOOD_SUFFIXES = ["", f"^^<{XSD_DATE}>", "@en", "@en-gb"]
+BAD_SUFFIXES = ["^^<rel>", "^^<http://e/a b>", "@", "@en-"]
+# Line parts other than the token path's: a leading space or tab, two spaces
+# or a tab between tokens, and endings other than ' .'.
+OTHER_LEADS = [" ", "\t"]
+OTHER_SEPARATORS = ["  ", "\t"]
+OTHER_ENDINGS = [".", " . ", " .\r", "\r", "\t.", "  ."]
+OTHER_LINES = ["", " ", "\r", "# a comment", "# <urn:x> <urn:x> <urn:x> .", "<urn:x> ."]
+
+
+def literal_token(pieces, suffixes):
+    return st.builds(
+        lambda text, suffix: f'"{"".join(text)}"{suffix}',
+        st.lists(st.sampled_from(pieces), max_size=3),
+        st.sampled_from(suffixes),
+    )
+
+
+good_iri = st.sampled_from(GOOD_IRIS)
+other_token = st.sampled_from(BAD_IRIS) | literal_token(
+    GOOD_PIECES + BAD_PIECES, GOOD_SUFFIXES + BAD_SUFFIXES
+)
+any_token = st.one_of(good_iri, good_iri, other_token)
+# The parts of a line the token path takes: lead, subject, separator,
+# predicate, separator, object, ending.
+good_parts = st.tuples(
+    st.just(""),
+    good_iri,
+    st.just(" "),
+    good_iri,
+    st.just(" "),
+    good_iri | literal_token(GOOD_PIECES, GOOD_SUFFIXES),
+    st.just(" ."),
+)
+other_separator = st.sampled_from(OTHER_SEPARATORS)
+other_parts = [
+    st.sampled_from(OTHER_LEADS),
+    other_token,
+    other_separator,
+    other_token,
+    other_separator,
+    other_token,
+    st.sampled_from(OTHER_ENDINGS),
+]
+good_line = good_parts.map("".join)
+
+
+def changed(parts: tuple, change: tuple) -> str:
+    """A good line with one part changed."""
+    i, value = change
+    return "".join(parts[:i] + (value,) + parts[i + 1 :])
+
+
+part_change = st.integers(0, len(other_parts) - 1).flatmap(
+    lambda i: st.tuples(st.just(i), other_parts[i])
+)
+changed_line = st.builds(changed, good_parts, part_change)
+# A line whose parts may all differ from the token path's.
+any_line = st.tuples(
+    st.sampled_from(["", "", ""] + OTHER_LEADS),
+    any_token,
+    st.sampled_from([" ", " ", " "] + OTHER_SEPARATORS),
+    any_token,
+    st.sampled_from([" ", " ", " "] + OTHER_SEPARATORS),
+    any_token,
+    st.sampled_from([" .", " .", " ."] + OTHER_ENDINGS),
+).map("".join)
+other_line = st.sampled_from(OTHER_LINES)
+# Most lines parse, so that the first error often comes late in the text.
+ntriples_lines = st.lists(
+    st.one_of(good_line, good_line, good_line, changed_line, changed_line, any_line, other_line),
+    max_size=8,
+)
+
+
+@settings(max_examples=1000)
+@given(ntriples_lines)
+# A tag that runs into the dot, an IRI token with no '>', and a literal seen
+# as an object and then as a subject.
+@example(['<urn:x> <urn:x> "x"@en-gb.'])
+@example(["<http://e/a <urn:x> <urn:x> ."])
+@example(['<urn:x> <urn:x> "x" .', '"x" <urn:x> <urn:x> .'])
+def test_property_token_path_agrees_with_pattern_path(lines):
+    text = "\n".join(lines)
+    assert parse_outcome(parse_ntriples, text) == parse_outcome(pattern_parse_ntriples, text)
+
