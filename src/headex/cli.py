@@ -32,7 +32,7 @@ from .rdf import (
     serialize_ntriples,
     serialize_turtle,
 )
-from .triplify import IriPolicy, PolicyError, load_policy, slugify
+from .triplify import IriPolicy, PolicyError, slugify
 
 _DEFAULT_BASE = IriPolicy().base_iri
 
@@ -41,15 +41,8 @@ class _Fatal(Exception):
     pass
 
 
-def _policy_from(args: argparse.Namespace) -> IriPolicy:
-    if args.policy is None:
-        return IriPolicy(base_iri=args.base)
-    return load_policy(args.policy)
-
-
-def _add_policy_options(parser: argparse.ArgumentParser) -> None:
+def _add_base_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base", default=_DEFAULT_BASE, help="base IRI for minted names")
-    parser.add_argument("--policy", default=None, help="JSON file with IRI policy settings")
 
 
 def _read_graph(path: str) -> TripleSet:
@@ -87,7 +80,7 @@ def _write_outputs(outputs: dict[Path, str]) -> None:
 def _cmd_extract(args: argparse.Namespace) -> int:
     from .ingest import read_records  # at call time, so bench/spans.py can wrap it
 
-    policy = _policy_from(args)
+    policy = IriPolicy(base_iri=args.base)
     lexicon = load_lexicon_file(args.lexicon or default_lexicon_path())
     catalog = load_catalog(args.catalog or default_catalog_path())
     records, failures = read_records(args.input)
@@ -147,7 +140,7 @@ def _check_interlink_options(args: argparse.Namespace) -> None:
 
 def _cmd_interlink(args: argparse.Namespace) -> int:
     _check_interlink_options(args)
-    policy = _policy_from(args)
+    policy = IriPolicy(base_iri=args.base)
     graph = _read_graph(args.graph)
     links, same, related = interlink_graph(
         graph,
@@ -179,7 +172,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    policy = _policy_from(args)
+    policy = IriPolicy(base_iri=args.base)
     graph = _read_graph(args.graph)
     entries = build_event_index(graph, policy)
 
@@ -235,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--lexicon", default=None, help="verb lexicon TSV (default: bundled)")
     p_extract.add_argument("--catalog", default=None, help="entity catalog JSON (default: bundled)")
     p_extract.add_argument("--turtle", action="store_true", help="also write events.ttl")
-    _add_policy_options(p_extract)
+    _add_base_option(p_extract)
     p_extract.set_defaults(func=_cmd_extract)
 
     p_link = sub.add_parser("interlink", help="find same/related event links in a graph")
@@ -250,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_link.add_argument("--same-jaccard", type=float, default=0.5)
     p_link.add_argument("--related-horizon-days", type=float, default=7.0)
-    _add_policy_options(p_link)
+    _add_base_option(p_link)
     p_link.set_defaults(func=_cmd_interlink)
 
     p_validate = sub.add_parser("validate", help="check data model descriptors")
@@ -266,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--from", dest="since", default=None, help="earliest date, inclusive")
     p_query.add_argument("--to", dest="until", default=None, help="latest date, inclusive")
     p_query.add_argument("--location", default=None, help="location IRI or local name")
-    _add_policy_options(p_query)
+    _add_base_option(p_query)
     p_query.set_defaults(func=_cmd_query)
     return parser
 

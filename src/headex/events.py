@@ -80,7 +80,7 @@ def recognize_event(tokens: TokenSequence, lexicon: Lexicon) -> EventMention | N
                 and i > 1
                 and prev.kind in (WORD, NUMBER)
                 and prev.surface[:1].isupper()
-                and not any(t.lower in _COORDINATORS for t in words[:i] if t.kind == WORD)
+                and not any(t.lower in _COORDINATORS for t in words[:i])
             )
         ):
             continue  # a noun: "the report", "White House report"

@@ -71,8 +71,9 @@ class RoleFrame(
     fallback chains for the two ends of the singleton-property triple, each
     link a ``(role, entity_only)`` pair: an end is the first filler of the
     earliest link's role (an entity filler, when ``entity_only``), and the
-    object never reuses the subject's filler.  With either end unmatched,
-    and always for a frame with empty chains, no main triple is emitted.
+    object never reuses the subject's filler or its IRI, so the main triple
+    is never a self-loop.  With either end unmatched, and always for a frame
+    with empty chains, no main triple is emitted.
     """
 
     __slots__ = ()

@@ -14,9 +14,7 @@ differently-sourced events.
 from __future__ import annotations
 
 from collections import namedtuple
-from pathlib import Path
 
-from .ingest import read_json
 from .model import ROLE_COUNT, ROLE_TOPIC, EntityRef, EventInstance
 from .rdf import (
     RDF_TYPE,
@@ -41,7 +39,7 @@ class EmissionError(ValueError):
 
 
 class PolicyError(ValueError):
-    """Raised for unusable IRI policy configuration."""
+    """Raised for an unusable base IRI or a publisher with no IRI slug."""
 
 
 def slugify(text: str) -> str:
@@ -96,18 +94,6 @@ class IriPolicy(Checked, namedtuple("_IriPolicyFields", "base_iri")):
         return self.term_iri(role[:1].upper() + role[1:])
 
 
-def load_policy(path: str | Path) -> IriPolicy:
-    """Read an IRI policy file; every ``PolicyError`` names the file."""
-    data = read_json(path, PolicyError)
-    base = data.get("base_iri") if isinstance(data, dict) else None
-    if not isinstance(base, str):
-        raise PolicyError(f"{path}: expected an object with a string 'base_iri'")
-    try:
-        return IriPolicy(base_iri=base)
-    except PolicyError as exc:
-        raise PolicyError(f"{path}: {exc}") from exc
-
-
 def _count_literal(text: str) -> Literal:
     if text.isdigit():
         return Literal(text, datatype=XSD_INTEGER)
@@ -142,15 +128,18 @@ def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
         objects.append((role, node))
 
     # Each end of the main triple is the first filler matching the earliest
-    # link of the frame's chain; the object skips the subject's filler.
+    # link of the frame's chain; the object skips the subject's IRI.
     frame = instance.event_class.frame
     ends: list[int] = []
     for chain in (frame.main_subject, frame.main_object):
+        taken = [objects[e][1] for e in ends]
         for role, entity_only in chain:
             found = [
                 i
                 for i, (r, f) in enumerate(instance.roles)
-                if r == role and i not in ends and (isinstance(f, EntityRef) or not entity_only)
+                if r == role
+                and objects[i][1] not in taken
+                and (isinstance(f, EntityRef) or not entity_only)
             ]
             if found:
                 ends.append(found[0])

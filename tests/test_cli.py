@@ -226,35 +226,6 @@ class TestExtract:
         assert err.count(str(bad)) == 1
         assert not (tmp_path / "out").exists()
 
-    def test_deeply_nested_policy_is_fatal(self, capsys, tmp_path, nine_tsv):
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100_000, encoding="utf-8")
-        argv = ["extract", nine_tsv, "--policy", str(deep), "--out", str(tmp_path / "out")]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith(f"error: {deep}: not valid JSON (maximum recursion depth")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            (b"{", "error: {path}: not valid JSON ("),
-            (b'{"base_iri": "http://kg.example/\xff"}', "error: cannot read {path}: not UTF-8 ("),
-        ],
-        ids=["bad-json", "not-utf8"],
-    )
-    def test_policy_load_error_names_its_file_once(
-        self, capsys, tmp_path, nine_tsv, content, message
-    ):
-        bad = tmp_path / "policy.json"
-        bad.write_bytes(content)
-        argv = ["extract", nine_tsv, "--policy", str(bad), "--out", str(tmp_path / "out")]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith(message.format(path=bad))
-        assert err.count(str(bad)) == 1
-        assert not (tmp_path / "out").exists()
-
     def test_minted_iri_owned_by_a_catalog_entity_is_skipped(self, capsys, tmp_path):
         # "@zork" has no catalog candidate, and the IRI it would be minted
         # under belongs to an entity whose label it does not match.
@@ -291,6 +262,33 @@ class TestExtract:
         assert code == 0
         graph = parse_ntriples((tmp_path / "events.nt").read_text(encoding="utf-8"))
         assert any(t.subject == "https://kg.example/Meet_no2" for t in graph)
+
+    @pytest.mark.parametrize("corpus", ["headlines9", "duplicates"])
+    def test_base_carries_through_every_command(self, capsys, tmp_path, fixtures_dir, corpus):
+        # The same --base on extract, interlink and query swaps only the
+        # prefix of every minted IRI in what they print and write.
+        other = "https://kg.example/graph/"
+        got = {}
+        for run_no, base in enumerate((BASE, other)):
+            out = tmp_path / str(run_no)
+            graph, links = str(out / "events.nt"), str(out / "links.nt")
+            records = str(fixtures_dir / f"{corpus}.tsv")
+            assert run(capsys, "extract", records, "--out", str(out), "--base", base)[0] == 0
+            code, linked, _ = run(capsys, "interlink", graph, "--out", links, "--base", base)
+            assert code == 0
+            code, rows, _ = run(capsys, "query", graph, "--base", base)
+            assert code == 0 and rows
+            texts = [Path(path).read_text(encoding="utf-8") for path in (graph, links)]
+            got[base] = [sorted(text.splitlines()) for text in (*texts, linked, rows)]
+        swapped = [sorted(line.replace(BASE, other) for line in lines) for lines in got[BASE]]
+        assert got[other] == swapped
+        assert BASE not in repr(got[other])
+
+    def test_policy_option_is_gone(self, capsys, tmp_path, nine_tsv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["extract", nine_tsv, "--policy", str(tmp_path / "p.json")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --policy" in capsys.readouterr().err
 
     def test_missing_input_is_fatal(self, capsys, tmp_path):
         code, out, err = run(capsys, "extract", str(tmp_path / "absent.tsv"))
@@ -684,7 +682,6 @@ _FILE_ARGUMENTS = {
     "extract-input": (["extract", "{bad}", "--out", "{out}"], False),
     "extract-lexicon": (["extract", "{nine}", "--lexicon", "{bad}", "--out", "{out}"], False),
     "extract-catalog": (["extract", "{nine}", "--catalog", "{bad}", "--out", "{out}"], True),
-    "extract-policy": (["extract", "{nine}", "--policy", "{bad}", "--out", "{out}"], True),
     "interlink-graph": (["interlink", "{bad}", "--out", "{out}"], False),
     "query-graph": (["query", "{bad}"], False),
     "validate-descriptor": (["validate", "{bad}"], True),

@@ -73,6 +73,11 @@ class TestHeadSelection:
     def test_coordination_lifts_modifier_block(self, lexicon):
         mention = head_of("Obama and Justin Trudeau announce efforts", lexicon)
         assert mention is not None and mention.surface == "announce"
+        # "&" is a punctuation token, and it coordinates as "and" does.
+        for text in ("Smith and Jones announce new plan", "Smith & Jones announce new plan"):
+            mention = head_of(text, lexicon)
+            assert mention is not None and mention.surface == "announce"
+            assert mention.event_class.name == "Communication"
 
     def test_inflected_form_not_blocked_by_modifier(self, lexicon):
         # The noun rule targets base forms only; "says" stays a verb here.
@@ -132,7 +137,7 @@ def old_noun_context(tokens, index, base_form):
         and prev.kind in (WORD, NUMBER)
         and prev_index > 0
         and prev.surface[:1].isupper()
-        and not any(t.lower in _OLD_COORDINATORS for t in tokens[:index] if t.kind == WORD)
+        and not any(t.lower in _OLD_COORDINATORS for t in tokens[:index])
     ):
         return True
     return False

@@ -29,7 +29,6 @@ from headex.triplify import (
     IriPolicy,
     PolicyError,
     emit_event_triples,
-    load_policy,
     slugify,
 )
 
@@ -69,21 +68,6 @@ class TestIriPolicy:
         with pytest.raises(PolicyError):
             IriPolicy("http://example.org/news")
         IriPolicy("https://kg.example/x#")  # hash namespaces are fine
-
-    def test_load_policy(self, tmp_path):
-        path = tmp_path / "policy.json"
-        path.write_text(json.dumps({"base_iri": "https://kg.example/x#"}), encoding="utf-8")
-        assert load_policy(path).instance_iri("Meet", "no2") == "https://kg.example/x#Meet_no2"
-
-    def test_load_policy_rejects_bad_payloads(self, tmp_path):
-        not_object = tmp_path / "list.json"
-        not_object.write_text("[1, 2]", encoding="utf-8")
-        with pytest.raises(PolicyError):
-            load_policy(not_object)
-        missing = tmp_path / "missing.json"
-        missing.write_text("{}", encoding="utf-8")
-        with pytest.raises(PolicyError):
-            load_policy(missing)
 
 
 class TestRunningExampleShape:
@@ -163,6 +147,16 @@ class TestMainTripleSelection:
         sp = f"{BASE}Meet_x1"
         assert not [t for t in graph if t.predicate == sp]
         assert Triple(sp, f"{BASE}participant", "http://dbpedia.org/resource/Pope_Francis") in graph
+
+    def test_object_never_repeats_the_subject_iri(self, lexicon, catalog, policy):
+        # Three participants link to one entity: no self-loop main triple,
+        # and the entity hangs off the statement once.
+        record = parse_record("x1\tBBC\t11/3/16\t@US meets #US and US")
+        _, graph, _ = process_record(record, lexicon, catalog, policy)
+        sp = f"{BASE}Meet_x1"
+        us = "http://dbpedia.org/resource/United_States"
+        assert not [t for t in graph if t.predicate == sp]
+        assert predicates(graph, f"{BASE}participant") == [Triple(sp, f"{BASE}participant", us)]
 
     def test_entity_recipient_beats_message(self, policy):
         instance = built_instance(
