@@ -30,7 +30,8 @@ from .triplify import BODY, EXTRACTED_ON, HAS_SOURCE, SINGLETON_PROPERTY_OF, Iri
 
 
 class InterlinkError(ValueError):
-    """Raised when the graph lacks the provenance needed for linking."""
+    """Raised when the graph holds no statement under the base, or a
+    statement lacks or doubles the provenance needed for linking."""
 
 
 class EventIndexEntry(
@@ -63,11 +64,13 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
 
     Participants are the IRI-valued arguments of the statement: objects of
     its role properties plus both ends of its main triple, minus text-role
-    nodes (recognized by their body literal) and provenance targets.  A
-    statement given two classes, publishers or extraction days is an error,
-    as is one with no publisher or day, or a day that is no ISO date.  The
-    error names the smallest statement IRI of the first of these kinds that
-    occurs: bad day, two values, none.
+    nodes (recognized by their body literal), provenance targets and the
+    statements it is linked to, so links added to a graph leave its index
+    unchanged.  A graph that holds triples but no statement under the
+    policy's base is an error naming the base.  So is a statement given two
+    classes, publishers or extraction days, one with no publisher or day, or
+    a day that is no ISO date; that error names the smallest statement IRI
+    of the first of these kinds that occurs: bad day, two values, none.
     """
     sp_of = policy.term_iri(SINGLETON_PROPERTY_OF)
     has_source = policy.term_iri(HAS_SOURCE)
@@ -84,6 +87,10 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
                 clashes.setdefault((subject, "classes"), {classes[subject]}).add(obj)
         elif predicate == body:
             text_nodes.add(subject)
+    if not classes and len(graph):
+        raise InterlinkError(
+            f"graph holds {len(graph):,} triples but no statement under base {policy.base_iri}"
+        )
 
     sources: dict[str, str] = {}
     times: dict[str, datetime] = {}
@@ -91,7 +98,7 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     midnights: dict[str, datetime | None] = {}
     bad_days: list[tuple[str, str]] = []
     participants: dict[str, set[str]] = {iri: set() for iri in classes}
-    skip_predicates = {sp_of, has_source, extracted_on, RDF_TYPE}
+    skip_predicates = {sp_of, has_source, extracted_on, RDF_TYPE, OWL_SAME_AS, SKOS_RELATED}
 
     source_prefix = f"{policy.base_iri}source/"
     for subject, predicate, obj in graph:

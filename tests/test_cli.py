@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 from pathlib import Path
@@ -366,6 +367,110 @@ class TestInterlink:
         argv = ["interlink", graph_path, "--out", str(links_path), f"{option}={value}"]
         code, out, _ = run(capsys, *argv)
         assert (code, out.strip()) == (0, counts)
+
+
+class TestRepublishedGraph:
+    # a1 and a2 share no participant, but each is related to a3; a link
+    # read as a participant would relate a1 to a2 on the second run.
+    CHAIN = (
+        "a1\tBBC\t1/3/16\tPope Francis visits Cuba\n"
+        "a2\tCNN\t4/3/16\tAngela Merkel meets Justin Trudeau\n"
+        "a3\tNYT\t6/3/16\tPope Francis meets Angela Merkel in Mexico\n"
+    )
+
+    @pytest.mark.parametrize(
+        "corpus, counts", [("duplicates", (1, 2)), ("chain", (0, 2))], ids=["duplicates", "chain"]
+    )
+    def test_interlinking_events_and_links_gives_the_links(
+        self, capsys, tmp_path, fixtures_dir, corpus, counts
+    ):
+        # The published graph is events.nt plus links.nt; interlinking it
+        # again gives the same links, byte for byte.
+        records = fixtures_dir / f"{corpus}.tsv"
+        if corpus == "chain":
+            records = tmp_path / "chain.tsv"
+            records.write_text(self.CHAIN, encoding="utf-8")
+        assert run(capsys, "extract", str(records), "--out", str(tmp_path))[0] == 0
+        events, links = tmp_path / "events.nt", tmp_path / "links.nt"
+        summary = "sameas={} related={}\n".format(*counts)
+        assert run(capsys, "interlink", str(events), "--out", str(links)) == (0, summary, "")
+        published = tmp_path / "all.nt"
+        published.write_bytes(events.read_bytes() + links.read_bytes())
+        again = tmp_path / "again.nt"
+        assert run(capsys, "interlink", str(published), "--out", str(again)) == (0, summary, "")
+        assert again.read_bytes() == links.read_bytes()
+
+
+class TestBaseMismatch:
+    """A graph whose statements all sit under another base is an error
+    naming the base given; a graph with no triples at all is not."""
+
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    def test_graph_extracted_under_another_base_is_fatal(
+        self, capsys, tmp_path, fixtures_dir, command
+    ):
+        graph = fixtures_dir / "golden" / "duplicates" / "events.nt"
+        triples = len(graph.read_text(encoding="utf-8").splitlines())
+        links = tmp_path / "links.nt"
+        extra = ["--out", str(links)] if command == "interlink" else []
+        code, out, err = run(capsys, command, str(graph), "--base", "https://other.example/", *extra)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: graph holds {triples} triples but no statement"
+            " under base https://other.example/\n"
+        )
+        assert not links.exists()
+
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    def test_empty_graph_is_no_error(self, capsys, tmp_path, command):
+        graph = tmp_path / "events.nt"
+        graph.write_text("", encoding="utf-8")
+        links = tmp_path / "links.nt"
+        extra = ["--out", str(links)] if command == "interlink" else []
+        code, out, err = run(capsys, command, str(graph), "--base", "https://other.example/", *extra)
+        expected = "sameas=0 related=0\n" if command == "interlink" else ""
+        assert (code, out, err) == (0, expected, "")
+        if command == "interlink":
+            assert links.read_text(encoding="utf-8") == ""
+
+
+class TestCollectorPaused:
+    """``main`` runs the command with the cyclic collector off and leaves the
+    collector as it found it, however the command ends."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        collecting = gc.isenabled()
+        yield
+        (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("outcome", ["exit 0", "exit 1", "exception"])
+    def test_command_runs_paused_and_the_state_is_restored(
+        self, monkeypatch, capsys, tmp_path, outcome, collecting
+    ):
+        seen = []
+        parse = cli.parse_ntriples
+
+        def layer(text):
+            seen.append(gc.isenabled())
+            if outcome == "exception":
+                raise RuntimeError("layer failed")
+            return parse(text)
+
+        monkeypatch.setattr(cli, "parse_ntriples", layer)
+        graph = tmp_path / "events.nt"
+        graph.write_text("not ntriples\n" if outcome == "exit 1" else "", encoding="utf-8")
+        (gc.enable if collecting else gc.disable)()
+        if outcome == "exception":
+            with pytest.raises(RuntimeError, match="layer failed"):
+                main(["query", str(graph)])
+        else:
+            code, _, err = run(capsys, "query", str(graph))
+            assert code == (1 if outcome == "exit 1" else 0)
+            assert err.startswith("error:") is (outcome == "exit 1")
+        assert gc.isenabled() is collecting
+        assert seen == [False]
 
 
 class TestNotUtf8Graph:

@@ -23,7 +23,16 @@ from headex.interlink import (
     jaccard,
 )
 from headex.pipeline import extract_corpus
-from headex.rdf import OWL_SAME_AS, SKOS_RELATED, XSD_DATE, Literal, Triple, TripleSet
+from headex.rdf import (
+    OWL_SAME_AS,
+    SKOS_RELATED,
+    XSD_DATE,
+    Literal,
+    Triple,
+    TripleSet,
+    serialize_ntriples,
+)
+from headex.triplify import IriPolicy
 
 BASE = "http://example.org/news/"
 UTC = timezone.utc
@@ -365,6 +374,51 @@ class TestEndToEnd:
         links, same_count, related_count = interlink_graph(nine_result.graph, policy)
         assert (same_count, related_count) == (0, 0)
         assert len(links) == 0
+
+
+class TestPublishedGraphIsAFixedPoint:
+    """The published graph is the events plus their links; interlinking it
+    gives those same links, so a link never makes the statement it points
+    to a participant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # class
+                st.frozensets(st.integers(0, 5), max_size=4),  # participants
+                st.integers(0, 9),  # days after the first
+                st.integers(0, 2),  # publisher
+                st.booleans(),  # the first two participants form a main triple
+            ),
+            max_size=25,
+        ),
+        window_hours=st.sampled_from(WINDOWS_HOURS),
+        jaccard_min=st.sampled_from(JACCARD_MINS),
+        horizon_days=st.sampled_from(HORIZONS_DAYS),
+    )
+    def test_interlinking_the_graph_and_its_links_gives_the_links(
+        self, rows, window_hours, jaccard_min, horizon_days
+    ):
+        triples = []
+        for i, (cls, people, day, publisher, main) in enumerate(rows):
+            statement = f"{BASE}C{cls}_{i}"
+            triples += [
+                Triple(statement, f"{BASE}singletonPropertyOf", f"{BASE}C{cls}"),
+                Triple(statement, f"{BASE}hasSource", f"{BASE}source/p{publisher}"),
+                Triple(statement, f"{BASE}extractedOn", Literal(f"2016-03-{day + 1:02d}", XSD_DATE)),
+            ]
+            people = [f"{BASE}entity/e{k}" for k in sorted(people)]
+            if main and len(people) >= 2:
+                triples.append(Triple(people.pop(0), statement, people.pop(0)))
+            triples += [Triple(statement, f"{BASE}participant", person) for person in people]
+        graph = TripleSet(triples)
+        options = dict(window_hours=window_hours, jaccard_min=jaccard_min, horizon_days=horizon_days)
+        links, same, related = interlink_graph(graph, IriPolicy(), **options)
+        graph.update(links)
+        again, same_again, related_again = interlink_graph(graph, IriPolicy(), **options)
+        assert (same_again, related_again) == (same, related)
+        assert serialize_ntriples(again) == serialize_ntriples(links)
 
 
 class TestLayersCalledThroughModuleGlobals:

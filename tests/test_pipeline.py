@@ -1,7 +1,9 @@
-"""The extract boundary: every record read becomes exactly one event or one skip."""
+"""The extract boundary: every record read becomes exactly one event or one
+skip, and the whole pipeline builds no reference cycles."""
 
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
 from pathlib import Path
@@ -9,9 +11,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headex.catalog import load_catalog
+from headex.catalog import default_catalog_path, load_catalog
 from headex.ingest import read_records
+from headex.interlink import build_event_index, interlink_graph
+from headex.lexicon import default_lexicon_path, load_lexicon_file
 from headex.pipeline import extract_corpus
+from headex.rdf import parse_ntriples, serialize_ntriples
 from headex.triplify import IriPolicy
 
 BASE = IriPolicy().base_iri
@@ -78,3 +83,65 @@ def test_every_record_becomes_one_event_or_one_skip(lexicon, entities, lines):
     assert len(records) + len(malformed) == sum(1 for line in lines if line.strip())
     outcomes = [i.instance_id for i in result.instances] + [s.record_id for s in result.skipped]
     assert sorted(outcomes) == sorted(r.id for r in records)
+
+
+class TestNoReferenceCycles:
+    """``headex.cli.main`` runs each command with the cyclic collector
+    paused, which is sound only while the pipeline frees everything it makes
+    by reference counting.  A cycle built per record would grow a command's
+    memory with its input, so none may be built."""
+
+    ROWS = (
+        "c1\tBBC\t11/3/16\tPope Francis meets Patriarch Kirill in Havana",
+        "c2\tNYT\t11/3/16\tPope meets Patriarch Kirill in historic visit",
+        "c3\tCNN\t12/3/16\tPope Francis says meeting with Patriarch Kirill was a breakthrough",
+        "c4\tCNN\t26/2/16\tInstagram CEO meets with @Pontifex to discuss plans",
+        "c5\tNYT\t10/3/16\tObama and Justin Trudeau announce efforts to fight climate change",
+        "c6\tCNN\t12/3/16\t@zorkblat meets Patriarch Kirill",
+        "c7\tCNN\t12/3/16\tWeather in Havana",
+        "c8\tCNN\t12/3/16",
+        "c9\tCNN\t31/31/16\tPope meets Kirill",
+        "c1\tCNN\t12/3/16\tPope meets Kirill",
+        "c10\tCNN\t12/3/16\t ",
+    )
+
+    def run_pipeline(self, path: Path) -> None:
+        policy = IriPolicy()
+        lexicon = load_lexicon_file(default_lexicon_path())
+        catalog = load_catalog(default_catalog_path())
+        records, failures = read_records(path)
+        result = extract_corpus(records, lexicon, catalog, policy)
+        graph = parse_ntriples(serialize_ntriples(result.graph))
+        links, same, related = interlink_graph(graph, policy)
+        entries = build_event_index(graph, policy)
+
+        # The corpus reaches every skip reason, a minted handle, a
+        # disambiguation, a position reference and both kinds of link.
+        reasons = [reason for _, reason in failures] + [s.reason for s in result.skipped]
+        for expected in (
+            "expected 4 tab-separated fields",
+            "invalid calendar date",
+            "duplicate record id",
+            "text must be nonempty",
+            "no event verb recognized",
+        ):
+            assert sum(expected in reason for reason in reasons) == 1, (expected, reasons)
+        subjects = {subject for subject, _, _ in graph}
+        assert f"{BASE}entity/zorkblat" in subjects
+        assert "http://dbpedia.org/resource/Kevin_Systrom" in subjects
+        assert [audit.surface for audit in result.audits] == ["Obama"]
+        assert same > 0 and related > 0 and len(links) == same + related
+        assert len(entries) == len(result.instances) == 6
+
+    def test_pipeline_leaves_no_cyclic_garbage(self, tmp_path):
+        path = tmp_path / "records.tsv"
+        path.write_text("".join(row + "\n" for row in self.ROWS), encoding="utf-8")
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            self.run_pipeline(path)
+            assert gc.collect() == 0
+        finally:
+            if collecting:
+                gc.enable()
