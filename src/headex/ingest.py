@@ -58,9 +58,9 @@ class InputError(ValueError):
 
 
 def read_text(path: str | Path, error: type[ValueError] = InputError) -> str:
-    """The file's text: UTF-8, with universal newlines."""
+    """The file's text: UTF-8, a leading byte-order mark dropped, with universal newlines."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -150,30 +150,20 @@ def parse_date(text: str) -> date:
         raise ValueError(f"not a calendar date: {text!r}") from exc
 
 
+_TEXT_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+
+
 def _unescape_text(text: str, line_no: int) -> str:
     if "\\" not in text:
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(text):
+
+    def unescape(match: re.Match[str]) -> str:
+        if not match[1]:
             raise RecordError(line_no, "dangling backslash in text field")
-        nxt = text[i + 1]
-        if nxt == "t":
-            out.append("\t")
-        elif nxt == "\\":
-            out.append("\\")
-        else:
-            # Unknown escapes pass through untouched; headline text is noisy.
-            out.append(ch)
-            out.append(nxt)
-        i += 2
-    return "".join(out)
+        # Unknown escapes pass through untouched; headline text is noisy.
+        return {"t": "\t", "\\": "\\"}.get(match[1], match[0])
+
+    return _TEXT_ESCAPE.sub(unescape, text)
 
 
 def parse_record(line: str, line_no: int = 0) -> HeadlineRecord:

@@ -26,7 +26,6 @@ from .ingest import InputError, read_text
 from .model import COMMUNICATION, FRAMES, EventClass
 from .rdf import IRI_FORBIDDEN
 
-_KNOWN_FLAGS = ("noun_ok",)
 _KNOWN_SUBGROUPS = ("SayVerbs", "TellVerbs")
 
 
@@ -96,28 +95,21 @@ def load_lexicon(text: str) -> Lexicon:
         fields = line.split("\t")
         if len(fields) < 2 or len(fields) > 4:
             raise LexiconError(line_no, f"expected 2-4 tab-separated fields, got {len(fields)}")
-        lemma = fields[0].strip().lower()
+        lemma, class_text, subgroup, flags = [f.strip() for f in fields] + [""] * (4 - len(fields))
+        lemma = lemma.lower()
         if not lemma:
             raise LexiconError(line_no, "empty lemma")
-        class_name = _parse_class(fields[1].strip(), line_no)
-        subgroup = None
-        if len(fields) >= 3:
-            raw_subgroup = fields[2].strip()
-            if raw_subgroup and raw_subgroup != "-":
-                if raw_subgroup not in _KNOWN_SUBGROUPS:
-                    raise LexiconError(line_no, f"unknown subgroup {raw_subgroup!r}")
-                subgroup = raw_subgroup
-        if subgroup is not None and class_name != COMMUNICATION:
+        class_name = _parse_class(class_text, line_no)
+        if subgroup in ("", "-"):
+            subgroup = None
+        elif subgroup not in _KNOWN_SUBGROUPS:
+            raise LexiconError(line_no, f"unknown subgroup {subgroup!r}")
+        elif class_name != COMMUNICATION:
             raise LexiconError(line_no, f"subgroup given for non-{COMMUNICATION} class")
-        noun_ok = False
-        if len(fields) == 4 and fields[3].strip():
-            for flag in fields[3].strip().split(","):
-                flag = flag.strip()
-                if flag not in _KNOWN_FLAGS:
-                    raise LexiconError(line_no, f"unknown flag {flag!r}")
-                if flag == "noun_ok":
-                    noun_ok = True
-        entry = VerbEntry(lemma, EventClass(class_name, subgroup), noun_ok)
+        for flag in flags.split(",") if flags else ():
+            if flag.strip() != "noun_ok":
+                raise LexiconError(line_no, f"unknown flag {flag.strip()!r}")
+        entry = VerbEntry(lemma, EventClass(class_name, subgroup), noun_ok=bool(flags))
         if lemma in entries:
             previous, previous_line = entries[lemma]
             if previous.event_class != entry.event_class:

@@ -18,18 +18,19 @@ entity IRIs; interlinking links statement IRIs of a checked graph.
 
 The codec does each piece of work once.  ``parse_ntriples`` parses each
 distinct token once per call and shares its term between the triples that
-repeat it.  A line of the plain shape ``S P O .`` (single spaces, nothing
-around) takes the token path: it is split at its first two spaces and each
-token looked up in the call's term table; a new token is checked on its
-own (an IRI by ``is_absolute_iri``, a literal by one match of the literal
-pattern and ``Literal``) and entered only if it passes.  Any other line,
-and a line with a token that fails, takes the pattern path: one match of
-the whole-line pattern, then the checks in the order the public
-constructors make them.  Only the pattern path raises, so a message and its
-line number do not depend on the path.  ``serialize_ntriples`` renders each
-line once and sorts the lines, which gives the term order (see ``_line``).
-Escaping is one ``str.translate``; unescaping copies the text between
-backslashes in slices.
+repeat it.  A new token is checked by one function, ``_new_term``, on both
+paths: an IRI by ``_check_iri``, a literal by one match of the literal
+pattern, ``unescape_literal`` and ``Literal``; only a token that passes
+enters the call's term table.  A line of the plain shape ``S P O .``
+(single spaces, nothing around) takes the token path: it is split at its
+first two spaces and each token looked up in the term table.  Any other
+line, and a line with a token that fails, takes the pattern path: one match
+of the whole-line pattern, then the checks in the order the public
+constructors make them.  Only the pattern path lets a check's error out, so
+a message and its line number do not depend on the path.
+``serialize_ntriples`` renders each line once and sorts the lines, which
+gives the term order (see ``_line``).  Escaping is one ``str.translate``;
+unescaping is one ``re.sub``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def local_name(iri: str) -> str:
 
 
 def _check_iri(position: str, value: str) -> str:
-    if not (isinstance(value, str) and is_absolute_iri(value)):
+    if not (isinstance(value, str) and _ABSOLUTE_IRI.fullmatch(value)):
         raise RdfError(f"{position} is not an absolute IRI: {value!r}")
     return value
 
@@ -218,40 +219,36 @@ def escape_literal(text: str) -> str:
     return text.translate(_ESCAPES_OUT)
 
 
-_HEX = re.compile(r"[0-9A-Fa-f]+")
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+# A known escape, \u with four hex digits, \U with eight, or anything else
+# (nothing, at the end of the text).
+_ESCAPE = re.compile(r"""\\(?:([tbnrf"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))""", re.DOTALL)
 
 
 def unescape_literal(text: str, line_no: int = 0) -> str:
-    i = text.find("\\")
-    if i < 0:
+    if "\\" not in text:
         return text
-    out = []
-    start = 0
-    while i >= 0:
-        out.append(text[start:i])
-        if i + 1 >= len(text):
-            raise NTriplesParseError(line_no, "dangling escape at end of literal")
-        nxt = text[i + 1]
-        if nxt in _ESCAPES:
-            out.append(_ESCAPES[nxt])
-            start = i + 2
-        elif nxt in "uU":
-            end = i + (6 if nxt == "u" else 10)
-            if end > len(text) or not _HEX.fullmatch(text, i + 2, end):
-                raise NTriplesParseError(line_no, f"bad \\{nxt} escape {text[i:end]!r}")
-            code = int(text[i + 2 : end], 16)
+
+    def character(match: re.Match[str]) -> str:
+        known, short, long, other = match.groups()
+        if known:
+            return _ESCAPES[known]
+        if other is None:
+            code = int(short or long, 16)
             # Surrogates and values past U+10FFFF are no characters; they
             # could not be written back out as UTF-8.
             if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                raise NTriplesParseError(line_no, f"escape {text[i:end]!r} is not a character")
-            out.append(chr(code))
-            start = end
-        else:
-            raise NTriplesParseError(line_no, f"unknown escape \\{nxt}")
-        i = text.find("\\", start)
-    out.append(text[start:])
-    return "".join(out)
+                raise NTriplesParseError(line_no, f"escape {match[0]!r} is not a character")
+            return chr(code)
+        if not other:
+            raise NTriplesParseError(line_no, "dangling escape at end of literal")
+        if other in "uU":
+            start = match.start()
+            end = start + (6 if other == "u" else 10)
+            raise NTriplesParseError(line_no, f"bad \\{other} escape {text[start:end]!r}")
+        raise NTriplesParseError(line_no, f"unknown escape \\{other}")
+
+    return _ESCAPE.sub(character, text)
 
 
 def serialize_ntriples(graph: TripleSet) -> str:
@@ -260,12 +257,13 @@ def serialize_ntriples(graph: TripleSet) -> str:
 
 
 _LITERAL = rf'"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>|@({_LANGTAG.pattern}))?'
-_LINE_RE = re.compile(rf"(<[^>]*>)\s+(<[^>]*>)\s+(<[^>]*>|{_LITERAL})\s*\.\s*")
+_LINE_RE = re.compile(rf"(<[^>]*>)\s+(<[^>]*>)\s+(<[^>]*>|{_LITERAL})\s*\.\s*(?:#.*)?")
 _LITERAL_TOKEN = re.compile(_LITERAL)
 
 
 def parse_ntriples(text: str) -> TripleSet:
-    """Parse N-Triples; blank lines and '#' comment lines are skipped.
+    """Parse N-Triples; blank lines, '#' comment lines and a comment after a
+    triple's final '.' are skipped.
 
     Raises NTriplesParseError with the offending line number on malformed
     input.
@@ -284,15 +282,18 @@ def parse_ntriples(text: str) -> TripleSet:
         if len(parts) == 3 and parts[2][-2:] == " .":
             s, p, o = parts
             o = o[:-2]
-            subject = get(s) or _new_term(terms, s)
-            predicate = get(p) or _new_term(terms, p)
-            obj = get(o) or _new_term(terms, o)
-            # A failed token, or a literal as subject or predicate, sends the
-            # line on to the pattern path.
-            if subject.__class__ is str is predicate.__class__ and obj:
-                triples[new(Triple, (subject, predicate, obj))] = None
-                continue
-        # The pattern path: any other line, or a token that failed its check.
+            try:
+                subject = get(s) or _new_term(terms, s, "subject", line_no)
+                predicate = get(p) or _new_term(terms, p, "predicate", line_no)
+                obj = get(o) or _new_term(terms, o, "object", line_no)
+            except NTriplesParseError:
+                pass  # a token failed its check: the pattern path reports it
+            else:
+                # A literal as subject or predicate also goes on to the pattern path.
+                if subject.__class__ is str is predicate.__class__:
+                    triples[new(Triple, (subject, predicate, obj))] = None
+                    continue
+        # The pattern path: any other line, or a line the token path refused.
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -303,53 +304,36 @@ def parse_ntriples(text: str) -> TripleSet:
         # The literal object is checked first, then the IRIs in term order:
         # a line with several faults reports the one that building its terms
         # through the public constructors would.
-        obj = terms.get(o)
+        obj = get(o)
         if obj is None and o[0] == '"':
-            obj = terms[o] = _parse_literal(match, line_no)
-        subject = terms.get(s)
-        if subject is None:
-            subject = terms[s] = _parse_iri(s, "subject", line_no)
-        predicate = terms.get(p)
-        if predicate is None:
-            predicate = terms[p] = _parse_iri(p, "predicate", line_no)
+            obj = _new_term(terms, o, "object", line_no)
+        subject = get(s) or _new_term(terms, s, "subject", line_no)
+        predicate = get(p) or _new_term(terms, p, "predicate", line_no)
         if obj is None:
-            obj = terms[o] = _parse_iri(o, "object", line_no)
+            obj = _new_term(terms, o, "object", line_no)
         triples[_triple(subject, predicate, obj)] = None
     return graph
 
 
-def _new_term(terms: dict[str, str | Literal], token: str) -> str | Literal | None:
-    """The term of a token not seen before, entered in ``terms``; None if the
-    token fails its check."""
-    if token[:1] == "<":
-        term = token[1:-1]
-        if token[-1:] != ">" or not is_absolute_iri(term):
-            return None
+def _new_term(terms: dict[str, str | Literal], token: str, position: str, line_no: int) -> str | Literal:
+    """The term of a token not seen before, entered in ``terms`` once it passes
+    its check; raises NTriplesParseError if it fails."""
+    if token[:1] == "<" and token[-1:] == ">":
+        try:
+            term = _check_iri(position, token[1:-1])
+        except RdfError as exc:
+            raise NTriplesParseError(line_no, str(exc)) from exc
     else:
         match = _LITERAL_TOKEN.fullmatch(token)
         if match is None:
-            return None
+            raise NTriplesParseError(line_no, f"malformed term: {token!r}")
+        lexical = unescape_literal(match[1], line_no)
         try:
-            term = Literal(unescape_literal(match[1]), match[2], match[3])
-        except RdfError:
-            return None
+            term = Literal(lexical, match[2], match[3])
+        except RdfError as exc:
+            raise NTriplesParseError(line_no, str(exc)) from exc
     terms[token] = term
     return term
-
-
-def _parse_iri(token: str, position: str, line_no: int) -> str:
-    try:
-        return _check_iri(position, token[1:-1])
-    except RdfError as exc:
-        raise NTriplesParseError(line_no, str(exc)) from exc
-
-
-def _parse_literal(match: re.Match[str], line_no: int) -> Literal:
-    lexical = unescape_literal(match[4], line_no)
-    try:
-        return Literal(lexical, datatype=match[5], language=match[6])
-    except RdfError as exc:
-        raise NTriplesParseError(line_no, str(exc)) from exc
 
 
 _PREFIXABLE_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")

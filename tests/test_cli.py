@@ -823,6 +823,33 @@ class TestInputFiles:
         assert not out.exists()
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is dropped from every input file."""
+
+    @pytest.mark.parametrize("argument", list(_FILE_ARGUMENTS))
+    def test_leading_bom_changes_nothing(self, capsys, tmp_path, fixtures_dir, nine_tsv, argument):
+        good = {
+            "extract-input": fixtures_dir / "duplicates.tsv",
+            "extract-lexicon": default_lexicon_path(),
+            "extract-catalog": default_catalog_path(),
+            "interlink-graph": fixtures_dir / "golden" / "duplicates" / "events.nt",
+            "query-graph": fixtures_dir / "golden" / "duplicates" / "events.nt",
+            "validate-descriptor": fixtures_dir / "datamodels" / "headex.json",
+        }[argument]
+        template, _ = _FILE_ARGUMENTS[argument]
+        results = []
+        for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            path, out = tmp_path / name / "input", tmp_path / name / "out"
+            path.write_bytes(mark + Path(good).read_bytes())
+            argv = [arg.format(bad=path, nine=nine_tsv, out=out) for arg in template]
+            code, stdout, err = run(capsys, *argv)
+            outputs = sorted((p.name, p.read_bytes()) for p in out.iterdir()) if out.is_dir() else None
+            results.append((code, stdout, err, out.read_bytes() if out.is_file() else outputs))
+        assert results[0][0] in (0, 2)  # the file as shipped loads
+        assert results[1] == results[0]
+
+
 class TestQuery:
     @pytest.fixture()
     def graph_path(self, capsys, tmp_path, nine_tsv) -> str:

@@ -231,6 +231,16 @@ class TestRecords:
         assert labels == ["line2", "a1"]
         assert "duplicate" in failures[1][1] and "line 3" in failures[1][1]
 
+    def test_leading_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(
+            b"\xef\xbb\xbfno1\tCNN\t26/2/16\tPope Francis visits Cuba\n"
+            b"no1\tBBC\t27/2/16\tPope Francis visits Mexico\n"
+        )
+        records, failures = read_records(path)
+        assert [r.id for r in records] == ["no1"]
+        assert failures == [("no1", "line 2: duplicate record id")]
+
     @pytest.mark.parametrize("bad_id", ["a b", "a<b", 'a"b', "a{b}", "a|b", "a^b", "a`b", "a\\b"])
     def test_id_not_valid_in_an_iri_rejected(self, bad_id):
         with pytest.raises(RecordError, match="record id"):

@@ -91,6 +91,27 @@ class TestBundledLexicon:
         assert classify_verb("dance", lexicon) is None
 
 
+# Each malformed row and the message its error carries after the line number.
+MALFORMED_ROWS = {
+    "meet\tBanquet\n": "unknown event class 'Banquet'",
+    "meet\tMeet\tWrongGroup\n": "unknown subgroup 'WrongGroup'",
+    "meet\tMeet\t-\tbad_flag\n": "unknown flag 'bad_flag'",
+    "onlyfield\n": "expected 2-4 tab-separated fields, got 1",
+    "say\tCommunication\tSayVerbs\textra\ttoomany\n": "expected 2-4 tab-separated fields, got 5",
+    "pray\tOther:Big Deal\n": "class label 'Big Deal' holds ' ', which IRIs forbid",
+    "pray\tOther:Big<Deal>\n": "class label 'Big<Deal>' holds '<', which IRIs forbid",
+    "pray\tOther:Meet\n": "extension class 'Other:Meet' names the built-in class Meet",
+    "pray\tOther:Communication\n": (
+        "extension class 'Other:Communication' names the built-in class Communication"
+    ),
+    "meet\tMeet\t-\tnoun_ok,\n": "unknown flag ''",
+    "meet\tMeet\t-\tnoun_ok,bad\n": "unknown flag 'bad'",
+    "meet\tMeet\tSayVerbs\n": "subgroup given for non-Communication class",
+    "meet\tMeet\tSayVerbs\tnoun_ok\n": "subgroup given for non-Communication class",
+    "meet\t\tMeet\n": "unknown event class ''",
+}
+
+
 class TestFormat:
     def load(self, text: str):
         return load_lexicon(text)
@@ -107,24 +128,26 @@ class TestFormat:
         lex = self.load("elect\tOther:Election\n")
         assert lex.get("elect").event_class.name == "Election"
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "meet\tBanquet\n",
-            "meet\tMeet\tWrongGroup\n",
-            "meet\tMeet\t-\tbad_flag\n",
-            "onlyfield\n",
-            "say\tCommunication\tSayVerbs\textra\ttoomany\n",
-            "pray\tOther:Big Deal\n",
-            "pray\tOther:Big<Deal>\n",
-            "pray\tOther:Meet\n",
-            "pray\tOther:Communication\n",
-        ],
-    )
+    @pytest.mark.parametrize("line", list(MALFORMED_ROWS))
     def test_malformed_lines_raise_with_line_number(self, line):
         with pytest.raises(LexiconError) as err:
             self.load(line)
         assert err.value.line_no == 1
+        assert str(err.value) == f"line 1: {MALFORMED_ROWS[line]}"
+
+    @pytest.mark.parametrize(
+        "line, subgroup, noun_ok",
+        [
+            ("say\tCommunication\t\n", None, False),
+            ("say\tCommunication\t\tnoun_ok\n", None, True),
+            ("meet\tMeet\t-\tnoun_ok\n", None, True),
+            ("meet\tMeet\t\t noun_ok , noun_ok\n", None, True),
+            ("say\tCommunication\t TellVerbs \t\n", "TellVerbs", False),
+        ],
+    )
+    def test_optional_columns(self, line, subgroup, noun_ok):
+        entry = self.load(line).get(line.split("\t")[0])
+        assert (entry.event_class.subgroup, entry.noun_ok) == (subgroup, noun_ok)
 
     @pytest.mark.parametrize("separator", ["\f", "\u2028"])
     def test_only_newline_ends_a_line(self, tmp_path, separator):
