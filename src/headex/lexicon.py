@@ -92,7 +92,7 @@ def load_lexicon(text: str) -> Lexicon:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
+        fields = raw.rstrip().split("\t")  # a leading tab is an empty first column
         if len(fields) < 2 or len(fields) > 4:
             raise LexiconError(line_no, f"expected 2-4 tab-separated fields, got {len(fields)}")
         lemma, class_text, subgroup, flags = [f.strip() for f in fields] + [""] * (4 - len(fields))

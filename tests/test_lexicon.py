@@ -109,6 +109,8 @@ MALFORMED_ROWS = {
     "meet\tMeet\tSayVerbs\n": "subgroup given for non-Communication class",
     "meet\tMeet\tSayVerbs\tnoun_ok\n": "subgroup given for non-Communication class",
     "meet\t\tMeet\n": "unknown event class ''",
+    "\tmeet\tMeet\n": "empty lemma",
+    "\tMeet\t-\n": "empty lemma",
 }
 
 
@@ -143,6 +145,7 @@ class TestFormat:
             ("meet\tMeet\t-\tnoun_ok\n", None, True),
             ("meet\tMeet\t\t noun_ok , noun_ok\n", None, True),
             ("say\tCommunication\t TellVerbs \t\n", "TellVerbs", False),
+            ("meet\tMeet\t\t\t\n", None, False),
         ],
     )
     def test_optional_columns(self, line, subgroup, noun_ok):

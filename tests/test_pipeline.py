@@ -1,23 +1,51 @@
 """The extract boundary: every record read becomes exactly one event or one
-skip, and the whole pipeline builds no reference cycles."""
+skip, the whole pipeline builds no reference cycles, each stage is reached
+through its ``pipeline`` module global, and running the stages a block at a
+time gives what running them one record at a time gave."""
 
 from __future__ import annotations
 
 import gc
 import json
+import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headex import cli, pipeline
 from headex.catalog import default_catalog_path, load_catalog
-from headex.ingest import read_records
+from headex.entities import (
+    KIND_MENTION,
+    KIND_NAMED,
+    LINKED,
+    DisambiguationAudit,
+    LinkingError,
+    assign_roles,
+    chunk,
+    context_words,
+    link_entity,
+    recognize_entities,
+    resolve_implicit,
+)
+from headex.events import recognize_event
+from headex.ingest import normalize, parse_record, read_records, record_date
 from headex.interlink import build_event_index, interlink_graph
 from headex.lexicon import default_lexicon_path, load_lexicon_file
-from headex.pipeline import extract_corpus
+from headex.model import EventInstance, Provenance
+from headex.pipeline import (
+    BLOCK_SIZE,
+    ExtractResult,
+    SkippedRecord,
+    SkipRecord,
+    extract_corpus,
+    process_record,
+)
 from headex.rdf import parse_ntriples, serialize_ntriples
-from headex.triplify import IriPolicy
+from headex.triplify import EmissionError, IriPolicy, PolicyError, emit_event_triples
 
 BASE = IriPolicy().base_iri
 
@@ -145,3 +173,218 @@ class TestNoReferenceCycles:
         finally:
             if collecting:
                 gc.enable()
+
+
+class TestExtractLayersCalledThroughModuleGlobals:
+    """Tracing wraps the ``pipeline`` module globals of the eight stages it
+    times (``bench/spans.py``'s ``PIPELINE_NAMES``); a stage reached another
+    way would be timed and counted as zero."""
+
+    STAGES = (
+        "normalize",
+        "recognize_event",
+        "chunk",
+        "recognize_entities",
+        "link_entity",
+        "resolve_implicit",
+        "assign_roles",
+        "emit_event_triples",
+    )
+
+    def test_extract_reaches_each_stage_through_its_global(self, monkeypatch, tmp_path, capsys):
+        calls: Counter[str] = Counter()
+
+        def wrap(name):
+            function = getattr(pipeline, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        for name in self.STAGES:
+            wrap(name)
+        # Each repeat of the rows reads 8 records (3 rows fail to parse), so
+        # the corpus spans more than two blocks.
+        repeats = 2 * BLOCK_SIZE // 8 + 1
+        rows = [
+            f"r{k}-{j}\t{rest}"
+            for k in range(repeats)
+            for j, (_, rest) in enumerate(row.split("\t", 1) for row in TestNoReferenceCycles.ROWS)
+        ]
+        path = tmp_path / "records.tsv"
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        records, _ = read_records(path)
+        assert len(records) > 2 * BLOCK_SIZE
+
+        code = cli.main(["extract", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2  # rows that fail to parse
+        events = int(re.search(r"events=(\d+)", capsys.readouterr().out)[1])
+        assert set(calls) == set(self.STAGES)
+        assert calls["normalize"] == len(records)
+        assert calls["emit_event_triples"] == events
+        # Per repeat: 13 named or @handle mentions, one position reference.
+        assert (calls["link_entity"], calls["resolve_implicit"]) == (13 * repeats, repeats)
+
+
+def oracle_process_record(record, lexicon, catalog, policy):
+    """The one-record-at-a-time pipeline that block extraction replaced,
+    kept verbatim as the reference."""
+    try:
+        tokens = normalize(record.text)
+    except ValueError as exc:
+        raise SkipRecord(str(exc)) from exc
+
+    head = recognize_event(tokens, lexicon)
+    if head is None:
+        raise SkipRecord("no event verb recognized")
+
+    chunks = chunk(tokens, head)
+    mentions = recognize_entities(chunks, catalog)
+    at = record_date(record)
+    context = context_words(tokens)
+
+    audits: list[DisambiguationAudit] = []
+    warnings: list[str] = []
+    resolved = []
+    for mention in mentions:
+        if mention.implicit:
+            holder = resolve_implicit(mention, catalog, at)
+            if holder is None:
+                warnings.append(f"position reference {mention.text!r} resolved to nobody")
+                resolved.append(mention)
+            else:
+                resolved.append(
+                    mention._replace(status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
+                )
+            continue
+        if mention.kind in (KIND_NAMED, KIND_MENTION):
+            try:
+                linked, audit = link_entity(mention, catalog, context, policy.entity_iri, at=at)
+            except LinkingError as exc:
+                raise SkipRecord(str(exc)) from exc
+            resolved.append(linked)
+            if audit is not None:
+                audits.append(audit._replace(record_id=record.id))
+            continue
+        resolved.append(mention)
+
+    roles, role_warnings = assign_roles(resolved, head.event_class.frame, head=head)
+    warnings.extend(role_warnings)
+
+    instance = EventInstance(
+        instance_id=record.id,
+        event_class=head.event_class,
+        mention=head,
+        roles=tuple(roles),
+        provenance=Provenance(publisher=record.publisher, extracted_on=at),
+        warnings=tuple(warnings),
+    )
+    try:
+        triples = emit_event_triples(instance, policy)
+    except (EmissionError, PolicyError) as exc:
+        raise SkipRecord(str(exc)) from exc
+    return instance, triples, audits
+
+
+def oracle_extract_corpus(records, lexicon, catalog, policy):
+    result = ExtractResult()
+    for record in records:
+        try:
+            instance, triples, audits = oracle_process_record(record, lexicon, catalog, policy)
+        except SkipRecord as skip:
+            result.skipped.append(SkippedRecord(record_id=record.id, reason=skip.reason))
+            continue
+        result.instances.append(instance)
+        result.graph.update(triples)
+        result.audits.extend(audits)
+    return result
+
+
+class TestBlocksMatchOneRecordAtATime:
+    """A record's outcome depends on nothing but the record, so where the
+    block boundaries fall changes no output."""
+
+    # (publisher, text) of records that become events: a plain link, a
+    # disambiguation with an audit, a position reference that resolves, one
+    # that resolves to nobody, a minted handle.
+    EVENTS = (
+        ("BBC", "Pope Francis meets Patriarch Kirill in Havana"),
+        ("NYT", "Obama and Justin Trudeau announce efforts to fight climate change"),
+        ("CNN", "Instagram CEO meets with @Pontifex to discuss plans"),
+        ("CNN", "CEO of Zorkington meets Patriarch Kirill"),
+        ("CNN", "@zorkblat meets Patriarch Kirill"),
+    )
+    # One of each skip that a record can reach past ``normalize``.
+    SKIPS = {
+        ("CNN", "Weather in Havana"): "no event verb recognized",
+        ("CNN", "@zork meets Patriarch Kirill"): "minted IRI collides with catalog entity",
+        ("!!!", "Pope Francis meets Patriarch Kirill in Havana"): "cannot derive an IRI slug",
+    }
+
+    @pytest.fixture(scope="class")
+    def colliding_catalog(self, tmp_path_factory):
+        """The bundled catalog plus an entity that owns the IRI minted for
+        ``@zork`` under a label that surface does not match."""
+        payload = json.loads(default_catalog_path().read_text(encoding="utf-8"))
+        zork = {"iri": f"{BASE}entity/zork", "label": "Zorkington", "type": "Agent"}
+        payload["entities"].append(zork)
+        path = tmp_path_factory.mktemp("catalog") / "catalog.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return load_catalog(path)
+
+    @staticmethod
+    def records(kinds):
+        return [
+            parse_record(f"r{i}\t{publisher}\t{11 + i % 3}/3/16\t{text}")
+            for i, (publisher, text) in enumerate(kinds)
+        ]
+
+    def test_the_kinds_reach_every_outcome(self, lexicon, colliding_catalog):
+        records = self.records(self.EVENTS + tuple(self.SKIPS))
+        result = extract_corpus(records, lexicon, colliding_catalog, IriPolicy())
+        assert len(result.instances) == len(self.EVENTS)
+        reasons = [s.reason for s in result.skipped]
+        assert len(reasons) == len(self.SKIPS)
+        assert all(want in got for want, got in zip(self.SKIPS.values(), reasons)), reasons
+        assert result.audits and result.warnings
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_extract_corpus_and_process_record_match_the_oracle(
+        self, lexicon, colliding_catalog, data
+    ):
+        # From no records to more than two blocks; the size is drawn on its
+        # own so that long corpora are as likely as short ones.
+        size = data.draw(st.integers(0, 2 * BLOCK_SIZE + 8))
+        kind = st.sampled_from(self.EVENTS + tuple(self.SKIPS))
+        kinds = data.draw(st.lists(kind, min_size=size, max_size=size))
+        # A skip at the first and at the last record of every block.
+        skips = st.sampled_from(tuple(self.SKIPS))
+        for i in range(len(kinds)):
+            if i % BLOCK_SIZE in (0, BLOCK_SIZE - 1):
+                kinds[i] = data.draw(skips)
+        records = self.records(kinds)
+        policy = IriPolicy()
+
+        got = extract_corpus(records, lexicon, colliding_catalog, policy)
+        want = oracle_extract_corpus(records, lexicon, colliding_catalog, policy)
+        assert list(got.graph) == list(want.graph)
+        assert got.instances == want.instances
+        assert got.skipped == want.skipped
+        assert got.audits == want.audits
+        assert got.warnings == want.warnings
+
+        for record in records:
+            try:
+                expected = oracle_process_record(record, lexicon, colliding_catalog, policy)
+            except SkipRecord as skip:
+                with pytest.raises(SkipRecord) as raised:
+                    process_record(record, lexicon, colliding_catalog, policy)
+                assert raised.value.reason == skip.reason
+                continue
+            instance, triples, audits = process_record(record, lexicon, colliding_catalog, policy)
+            assert instance == expected[0]
+            assert list(triples) == list(expected[1])
+            assert audits == expected[2]
