@@ -14,11 +14,11 @@ people").  A chunk that yields nothing becomes a single unresolved mention,
 so no argument is silently lost.  Each mention points at its ``chunk``, whose
 position, intro and full text are what the role rules read.
 
-Linking is closed-world: one candidate links, zero mints a deterministic IRI
-from the surface form, several go through keyword/position scoring with a
-lexicographic IRI tie-break, which makes the whole stage insensitive to
-candidate order.  A surface with no letter or digit to mint from, as in
-"@_", stays unresolved and fills its role as text.
+Linking is closed-world: a named mention is a catalog alias; one candidate
+links, several go through keyword/position scoring with a lexicographic IRI
+tie-break, which makes the stage insensitive to candidate order.  Only an
+@handle of no catalog entity is minted, an ``Agent`` with a deterministic IRI;
+an unknown name, or a handle with nothing to mint from ("@_"), stays text.
 """
 
 from __future__ import annotations
@@ -100,9 +100,8 @@ def _looks_infinitive(token: Token | None) -> bool:
     # plural ending.
     if token is None or token.kind != WORD or token.quoted:
         return False
-    lowered = token.surface.lower()
     return token.surface[:1].islower() and (
-        not lowered.endswith("s") or lowered.endswith("ss")
+        not token.lower.endswith("s") or token.lower.endswith("ss")
     )
 
 
@@ -180,8 +179,7 @@ class EntityMention(
     )
 ):
     """A mention in ``chunk``: its surface, span and kind, and how linking
-    left it.  Linking rebuilds it with ``_replace``, which skips ``__new__``,
-    so the class must stay without checks."""
+    left it."""
 
     __slots__ = ()
 
@@ -301,7 +299,7 @@ _MATCHABLE = (WORD, NUMBER, HASHTAG)
 
 def _alias_match_length(words: tuple[Token, ...], start: int, catalog: EntityCatalog) -> int:
     """Longest n-gram at ``start`` (an index into ``words``) that is a catalog
-    alias; 0 when none is.
+    alias, of any length; 0 when none is.
 
     Only n-grams no longer than ``catalog.alias_words`` of the first surface
     are tried, and that loses no match: surfaces hold no whitespace and
@@ -310,7 +308,7 @@ def _alias_match_length(words: tuple[Token, ...], start: int, catalog: EntityCat
     is the casefolded first surface.  An alias equal to it starts with that
     word and has n words.
     """
-    limit = min(len(words) - start, 5, catalog.alias_words(words[start].surface))
+    limit = min(len(words) - start, catalog.alias_words(words[start].surface))
     for n in range(limit, 0, -1):
         span = words[start : start + n]
         if any(t.kind not in _MATCHABLE for t in span):
@@ -328,8 +326,7 @@ class DisambiguationAudit(
     )
 ):
     """Why one candidate won: full per-candidate scores, best first, each
-    ``(iri, exactness, overlap, recency)``.  The pipeline sets ``record_id``
-    with ``_replace``, which skips ``__new__``, so the class must stay without checks."""
+    ``(iri, exactness, overlap, recency)``; the pipeline sets ``record_id``."""
 
     __slots__ = ()
 
@@ -389,15 +386,6 @@ def disambiguate(
     return chosen, audit
 
 
-def _minted_type(mention: EntityMention) -> str:
-    if mention.kind == KIND_MENTION:
-        return AGENT
-    words = mention.text.split()
-    if words and all(w[:1].isupper() for w in words):
-        return PERSON
-    return "Thing"
-
-
 def link_entity(
     mention: EntityMention,
     catalog: EntityCatalog,
@@ -406,8 +394,9 @@ def link_entity(
     at: date | None = None,
 ) -> tuple[EntityMention, DisambiguationAudit | None]:
     """Resolve a named/@handle mention: link to the unique catalog candidate,
-    disambiguate among several, or mint a deterministic IRI for none; a
-    surface with nothing to mint from comes back unresolved.
+    disambiguate among several, or mint an ``Agent`` with a deterministic IRI
+    for none, which only an @handle can have; a surface with nothing to mint
+    from comes back unresolved.
 
     ``entity_iri_for`` maps a slug to a minted IRI (normally
     ``IriPolicy.entity_iri``).  Returns the resolved mention and the
@@ -423,10 +412,7 @@ def link_entity(
             return mention, None  # nothing alphanumeric to name it by, as in "@_"
         if iri in catalog:
             raise LinkingError(f"minted IRI collides with catalog entity: {iri}")
-        return (
-            mention._replace(status=MINTED, iri=iri, entity_type=_minted_type(mention)),
-            None,
-        )
+        return mention._replace(status=MINTED, iri=iri, entity_type=AGENT), None
     if len(candidates) == 1:
         chosen, audit = candidates[0], None
     else:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -220,8 +221,7 @@ class Token(Checked, namedtuple("_TokenFields", "surface kind start end quoted l
     lies inside a quoted span, and its lowercase form, computed once.
 
     An immutable tuple of those six fields, and equal to it; built as
-    ``Token(surface, kind, start, end, quoted=False)``.  Rebuild a token
-    through that constructor, not ``_replace``, which would keep ``lower``.
+    ``Token(surface, kind, start, end, quoted=False)``.
     """
 
     __slots__ = ()
@@ -231,6 +231,10 @@ class Token(Checked, namedtuple("_TokenFields", "surface kind start end quoted l
 
     def __getnewargs__(self) -> tuple[str, str, int, int, bool]:
         return self[:5]
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Token:
+        return cls(*tuple(iterable)[:5])  # ``lower`` is recomputed
 
     def __repr__(self) -> str:
         return (

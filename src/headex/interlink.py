@@ -25,7 +25,8 @@ from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
 from .ingest import parse_date
-from .rdf import OWL_SAME_AS, RDF_TYPE, SKOS_RELATED, Literal, TripleSet, _triple, local_name
+from .model import FRAMES
+from .rdf import OWL_SAME_AS, SKOS_RELATED, Literal, TripleSet, _triple, local_name
 from .triplify import BODY, EXTRACTED_ON, HAS_SOURCE, SINGLETON_PROPERTY_OF, IriPolicy
 
 
@@ -63,14 +64,14 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     """Collect one entry per statement IRI, sorted by (time, IRI).
 
     Participants are the IRI-valued arguments of the statement: objects of
-    its role properties plus both ends of its main triple, minus text-role
-    nodes (recognized by their body literal), provenance targets and the
-    statements it is linked to, so links added to a graph leave its index
-    unchanged.  A graph that holds triples but no statement under the
-    policy's base is an error naming the base.  So is a statement given two
-    classes, publishers or extraction days, one with no publisher or day, or
-    a day that is no ISO date; that error names the smallest statement IRI
-    of the first of these kinds that occurs: bad day, two values, none.
+    the role properties of ``FRAMES`` plus both ends of its main triple,
+    minus text-role nodes (recognized by their body literal).  No other
+    predicate names one, so links and foreign triples leave the index as it
+    was.  A graph that holds triples but no statement under the policy's
+    base is an error naming the base.  So is a statement given two classes,
+    publishers or extraction days, one with no publisher or day, or a day
+    that is no ISO date; that error names the smallest statement IRI of the
+    first of these kinds that occurs: bad day, two values, none.
     """
     sp_of = policy.term_iri(SINGLETON_PROPERTY_OF)
     has_source = policy.term_iri(HAS_SOURCE)
@@ -98,7 +99,7 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     midnights: dict[str, datetime | None] = {}
     bad_days: list[tuple[str, str]] = []
     participants: dict[str, set[str]] = {iri: set() for iri in classes}
-    skip_predicates = {sp_of, has_source, extracted_on, RDF_TYPE, OWL_SAME_AS, SKOS_RELATED}
+    roles = {policy.role_property_iri(r) for frame in FRAMES.values() for r in frame.role_names}
 
     source_prefix = f"{policy.base_iri}source/"
     for subject, predicate, obj in graph:
@@ -109,8 +110,7 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
                 )
                 if sources.setdefault(subject, publisher) != publisher:
                     clashes.setdefault((subject, "publishers"), {sources[subject]}).add(publisher)
-                continue
-            if predicate == extracted_on and isinstance(obj, Literal):
+            elif predicate == extracted_on and isinstance(obj, Literal):
                 lexical = obj.lexical
                 if lexical not in midnights:
                     midnights[lexical] = _midnight(lexical)
@@ -120,10 +120,8 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
                 elif times.setdefault(subject, at) != at:
                     days = clashes.setdefault((subject, "extraction days"), {times[subject].date()})
                     days.add(at.date())
-                continue
-            if predicate not in skip_predicates and isinstance(obj, str):
-                if obj not in text_nodes:
-                    participants[subject].add(obj)
+            elif predicate in roles and isinstance(obj, str) and obj not in text_nodes:
+                participants[subject].add(obj)
         if predicate in classes:
             bucket = participants[predicate]
             if subject not in text_nodes:

@@ -6,13 +6,13 @@ The lexicon file format is UTF-8 TSV, one row per lemma:
 
 Class is Communication, Meet, Murder, or ``Other:<Label>`` for an extension
 class, which fills only the generic roles (time, location, involved) and gets
-no main triple; the label may not name a built-in class.  Subgroup is only
-meaningful for Communication (SayVerbs or TellVerbs); leave it empty or write
-``-`` for none.  Flags is a comma-separated list; the only recognized flag is
-``noun_ok``, which lets the event recognizer accept -ing/noun surface forms of
-that lemma when a headline has no finite verb hit.  Lines starting with ``#``
-and blank lines are ignored.  The shipped default lexicon is
-``data/cevo_min.tsv``.
+no main triple; the label may not name a built-in class or hold ``_``.
+Subgroup is only meaningful for Communication (SayVerbs or TellVerbs); leave
+it empty or write ``-`` for none.  Flags is a comma-separated list; the only
+recognized flag is ``noun_ok``, which lets the event recognizer accept
+-ing/noun surface forms of that lemma when a headline has no finite verb hit.
+Lines starting with ``#`` and blank lines are ignored.  The shipped default
+lexicon is ``data/cevo_min.tsv``.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ def _parse_class(text: str, line_no: int) -> str:
         if bad:
             raise LexiconError(
                 line_no, f"class label {label!r} holds {bad.group()!r}, which IRIs forbid"
+            )
+        if "_" in label:
+            raise LexiconError(
+                line_no, f"class label {label!r} holds '_', which ends the class in a statement IRI"
             )
         return label
     raise LexiconError(line_no, f"unknown event class {text!r}")

@@ -11,7 +11,8 @@ generic roles only and no main triple.
 Each value class in the package is an immutable tuple on a ``namedtuple``
 base, equal to the tuple of its fields (a role filler only to fillers of its
 class).  A class whose ``__new__`` checks its fields derives from ``rdf.Checked``,
-so ``copy`` and ``pickle``, at every protocol, rebuild a value through those checks.
+so ``copy``, ``pickle`` at every protocol, ``_make`` and ``_replace`` rebuild a
+value through those checks.
 """
 
 from __future__ import annotations

@@ -84,12 +84,17 @@ def _check_iri(position: str, value: str) -> str:
 
 class Checked(tuple):
     """Base of the value classes whose ``__new__`` checks their fields: ``pickle``,
-    at every protocol, and ``copy`` rebuild a value through that ``__new__``."""
+    at every protocol, ``copy``, ``_make`` and ``_replace`` rebuild a value
+    through that ``__new__``."""
 
     __slots__ = ()
 
     def __reduce__(self) -> tuple[type, tuple]:
         return self.__class__, self.__getnewargs__()
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Checked:
+        return cls(*iterable)
 
 
 class Literal(Checked, namedtuple("_LiteralFields", "lexical datatype language")):

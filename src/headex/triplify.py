@@ -87,7 +87,9 @@ class IriPolicy(Checked, namedtuple("_IriPolicyFields", "base_iri")):
         return f"{self.base_iri}source/{slugify(publisher)}"
 
     def role_node_iri(self, role: str, record_id: str, ordinal: int) -> str:
-        suffix = "" if ordinal == 1 else f"_{ordinal}"
+        # Node 1 is unnumbered unless the id ends like a suffix (x_2): names decode from the right.
+        _, sep, tail = record_id.rpartition("_")
+        suffix = "" if ordinal == 1 and not (sep and tail.isdigit()) else f"_{ordinal}"
         return f"{self.base_iri}{role.lower()}/{record_id}{suffix}"
 
     def role_type_iri(self, role: str) -> str:

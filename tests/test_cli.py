@@ -14,7 +14,7 @@ from headex import cli
 from headex.cli import main
 from headex.catalog import default_catalog_path
 from headex.lexicon import default_lexicon_path
-from headex.rdf import XSD_DATE, Triple, parse_ntriples
+from headex.rdf import XSD_DATE, Literal, Triple, parse_ntriples
 
 BASE = "http://example.org/news/"
 
@@ -169,6 +169,95 @@ class TestExtract:
         assert not any(t.predicate == f"{BASE}Meet_h1" for t in graph)  # no main triple
         bodies = {t.object.lexical for t in graph if t.predicate == f"{BASE}body"}
         assert bodies == {"@_", "@__"}
+
+    def test_unknown_name_stays_text_and_unknown_handle_is_minted_as_an_agent(
+        self, capsys, tmp_path
+    ):
+        source = tmp_path / "unknown.tsv"
+        source.write_text(
+            "d1\tCNN\t16/3/16\tPope meets John Dalton\n"
+            "d2\tCNN\t16/3/16\tPope says to @jdalton: peace is near\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "extract", str(source), "--out", str(out_dir))
+        assert (code, out.strip()) == (0, "records=2 events=2 skipped=0")
+        graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
+        minted = {term for t in graph for term in t if f"{BASE}entity/" in str(term)}
+        assert minted == {f"{BASE}entity/jdalton"}
+        assert Triple(f"{BASE}Meet_d1", f"{BASE}involved", f"{BASE}involved/d1") in graph
+        assert Triple(f"{BASE}involved/d1", f"{BASE}body", Literal("John Dalton")) in graph
+        # Only an Agent or a Person is taken as the Recipient, here the
+        # object of the main triple.
+        pope = "http://dbpedia.org/resource/Pope_Francis"
+        assert Triple(pope, f"{BASE}Communication_d2", f"{BASE}entity/jdalton") in graph
+
+    def test_catalog_alias_of_any_length_links(self, capsys, tmp_path):
+        # The 7-word label wins over the 5-word alias inside it.
+        label = "International Union of Pure and Applied Chemistry"
+        entities = [
+            {"iri": "http://kb.example/iupac", "label": label},
+            {"iri": "http://kb.example/upa", "label": "Union of Pure and Applied"},
+        ]
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps({"entities": entities}), encoding="utf-8")
+        source = tmp_path / "records.tsv"
+        source.write_text(f"u1\tCNN\t16/3/16\tUnited Nations meets {label}\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["extract", str(source), "--catalog", str(catalog_path), "--out", str(out_dir)]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.strip()) == (0, "records=1 events=1 skipped=0")
+        graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
+        linked = {t.object for t in graph if str(t.object).startswith("http://kb.example/")}
+        assert linked == {"http://kb.example/iupac"}
+
+    def test_role_nodes_of_ids_that_end_in_a_number_stay_apart(self, capsys, tmp_path):
+        # Record x's second topic node and record x_2's first would both be
+        # topic/x_2 if the first node never carried its ordinal.
+        source = tmp_path / "records.tsv"
+        source.write_text(
+            'x\tCNN\t2016-03-01\tPope meets "trade" and "peace" in Rome\n'
+            'x_2\tBBC\t2016-03-01\tPope meets "climate" in Rome\n',
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "extract", str(source), "--out", str(out_dir))
+        assert (code, out.strip()) == (0, "records=2 events=2 skipped=0")
+        graph = parse_ntriples((out_dir / "events.nt").read_text(encoding="utf-8"))
+        bodies = {t.subject: t.object.lexical for t in graph if t.predicate == f"{BASE}body"}
+        assert len(bodies) == sum(t.predicate == f"{BASE}body" for t in graph)
+        topics = {
+            record: sorted(
+                bodies[t.object]
+                for t in graph
+                if t.subject == f"{BASE}Meet_{record}" and t.predicate == f"{BASE}about"
+            )
+            for record in ("x", "x_2")
+        }
+        assert topics == {"x": ["peace", "trade"], "x_2": ["climate"]}
+
+    def test_extension_label_with_an_underscore_is_fatal(self, capsys, tmp_path):
+        # Meet_x_1 would name both the Meet of record x_1 and the Meet_x of
+        # record 1.
+        lexicon = tmp_path / "lexicon.tsv"
+        bundled = default_lexicon_path().read_text(encoding="utf-8")
+        lexicon.write_text(bundled.rstrip("\n") + "\nconvene\tOther:Meet_x\n", encoding="utf-8")
+        line_no = len(bundled.rstrip("\n").split("\n")) + 1
+        source = tmp_path / "records.tsv"
+        source.write_text(
+            "x_1\tCNN\t1/3/16\tObama meets Putin\n1\tBBC\t1/3/16\tObama convenes Putin\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "extract", str(source), "--lexicon", str(lexicon), "--out", str(out_dir)
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {lexicon}: line {line_no}: class label 'Meet_x' holds '_', "
+            "which ends the class in a statement IRI\n"
+        )
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("option", ["input", "--lexicon", "--catalog"])
     def test_file_not_utf8_is_fatal(self, capsys, tmp_path, nine_tsv, option):

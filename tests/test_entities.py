@@ -228,13 +228,13 @@ class TestLinking:
         assert handle.iri == policy.entity_iri("jqd")
         assert handle.entity_type == AGENT
 
-    def test_title_case_surface_is_minted_as_person(self, lexicon, catalog, policy):
+    def test_title_case_surface_is_minted_as_an_agent(self, lexicon, catalog, policy):
         _, _, chunks = chunks_for("Pope meets John Dalton", lexicon)
         mention = [m for m in recognize_entities(chunks, catalog) if m.text == "John Dalton"][0]
         minted, _ = link_entity(mention, catalog, frozenset(), policy.entity_iri)
         assert minted.status == MINTED
         assert minted.iri == policy.entity_iri("john_dalton")
-        assert minted.entity_type == PERSON
+        assert minted.entity_type == AGENT
 
     def test_minted_collision_rejected(self, lexicon, policy):
         # An entity already owns the IRI the mint would produce, but under a
@@ -439,9 +439,8 @@ def old_parse_position_reference(words: tuple[str, ...], catalog):
 
 
 def old_alias_match_length(words: tuple[Token, ...], start: int, catalog) -> int:
-    """``_alias_match_length`` trying every n-gram up to 5, kept as the oracle."""
-    limit = min(len(words) - start, 5)
-    for n in range(limit, 0, -1):
+    """``_alias_match_length`` trying every n-gram, kept as the oracle."""
+    for n in range(len(words) - start, 0, -1):
         span = words[start : start + n]
         if any(t.kind not in (WORD, NUMBER, HASHTAG) for t in span):
             continue
@@ -964,6 +963,9 @@ def _catalog_words(catalog: EntityCatalog):
     return st.lists(piece, max_size=4).map(lambda pieces: [w for p in pieces for w in p][:10])
 
 
+IUPAC = "International Union of Pure and Applied Chemistry"
+
+
 def test_casefold_never_turns_a_character_into_whitespace():
     # What the alias cap's exactness rests on, besides surfaces holding no
     # whitespace (see ``_alias_match_length``).
@@ -977,6 +979,20 @@ def test_casefold_never_turns_a_character_into_whitespace():
 @given(st.text(st.one_of(st.sampled_from("ΑΣσςẞßİIi "), st.characters()), max_size=20))
 def test_casefold_maps_each_code_point_on_its_own(text):
     assert "".join(c.casefold() for c in text) == text.casefold()
+
+
+def test_alias_match_length_takes_an_alias_of_any_length():
+    # The longest alias wins even past five words, where a shorter alias
+    # lies inside it.
+    catalog = EntityCatalog(
+        [
+            CatalogEntity("http://kb.example/iupac", IUPAC, AGENT, ()),
+            CatalogEntity("http://kb.example/upa", "Union of Pure and Applied", AGENT, ()),
+        ]
+    )
+    words = tuple(Token(w, WORD, 0, len(w)) for w in f"meets {IUPAC}".split())
+    lengths = [_alias_match_length(words, start, catalog) for start in range(len(words))]
+    assert lengths == [0, 7, 5, 0, 0, 0, 0, 0]
 
 
 @settings(max_examples=500, deadline=None)

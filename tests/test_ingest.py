@@ -349,8 +349,10 @@ class TestTokenValue:
         stale = tuple.__new__(Token, ("Meets", WORD, 4, 9, False, "stale"))
         protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         copies = [pickle.loads(pickle.dumps(stale, protocol)) for protocol in protocols]
-        for twin in [*copies, copy.deepcopy(stale), copy.copy(stale)]:
+        rebuilt = [copy.deepcopy(stale), copy.copy(stale), stale._replace(), Token._make(stale)]
+        for twin in [*copies, *rebuilt]:
             assert twin.lower == "meets"
+        assert Token("Meets", WORD, 0, 5)._replace(surface="Met").lower == "met"
 
 
 # The tokenizer and unescaper as they were before each token was built once:

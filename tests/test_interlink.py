@@ -25,6 +25,7 @@ from headex.interlink import (
 from headex.pipeline import extract_corpus
 from headex.rdf import (
     OWL_SAME_AS,
+    RDF_TYPE,
     SKOS_RELATED,
     XSD_DATE,
     Literal,
@@ -376,10 +377,14 @@ class TestEndToEnd:
         assert len(links) == 0
 
 
+FOREIGN_PREDICATES = (RDF_TYPE, OWL_SAME_AS, "http://x/knows")
+
+
 class TestPublishedGraphIsAFixedPoint:
     """The published graph is the events plus their links; interlinking it
     gives those same links, so a link never makes the statement it points
-    to a participant."""
+    to a participant.  Nor does any other predicate that is no role:
+    foreign triples on the statements leave the links as they were."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -390,6 +395,9 @@ class TestPublishedGraphIsAFixedPoint:
                 st.integers(0, 9),  # days after the first
                 st.integers(0, 2),  # publisher
                 st.booleans(),  # the first two participants form a main triple
+                st.lists(  # foreign triples: (predicate, entity)
+                    st.tuples(st.sampled_from(FOREIGN_PREDICATES), st.integers(0, 5)), max_size=2
+                ),
             ),
             max_size=25,
         ),
@@ -400,8 +408,8 @@ class TestPublishedGraphIsAFixedPoint:
     def test_interlinking_the_graph_and_its_links_gives_the_links(
         self, rows, window_hours, jaccard_min, horizon_days
     ):
-        triples = []
-        for i, (cls, people, day, publisher, main) in enumerate(rows):
+        triples, foreign = [], []
+        for i, (cls, people, day, publisher, main, others) in enumerate(rows):
             statement = f"{BASE}C{cls}_{i}"
             triples += [
                 Triple(statement, f"{BASE}singletonPropertyOf", f"{BASE}C{cls}"),
@@ -412,10 +420,12 @@ class TestPublishedGraphIsAFixedPoint:
             if main and len(people) >= 2:
                 triples.append(Triple(people.pop(0), statement, people.pop(0)))
             triples += [Triple(statement, f"{BASE}participant", person) for person in people]
+            foreign += [Triple(statement, p, f"{BASE}entity/e{k}") for p, k in others]
         graph = TripleSet(triples)
         options = dict(window_hours=window_hours, jaccard_min=jaccard_min, horizon_days=horizon_days)
         links, same, related = interlink_graph(graph, IriPolicy(), **options)
         graph.update(links)
+        graph.update(foreign)
         again, same_again, related_again = interlink_graph(graph, IriPolicy(), **options)
         assert (same_again, related_again) == (same, related)
         assert serialize_ntriples(again) == serialize_ntriples(links)
@@ -440,7 +450,7 @@ class TestLayersCalledThroughModuleGlobals:
                 f'{statement} <{BASE}extractedOn> "{day}"^^<{XSD_DATE}> .',
             ]
             for participant in rng.sample(range(6), rng.randint(1, 3)):
-                lines.append(f"{statement} <{BASE}hasAgent> <{BASE}entity/e{participant}> .")
+                lines.append(f"{statement} <{BASE}participant> <{BASE}entity/e{participant}> .")
         return "".join(line + "\n" for line in lines)
 
     @pytest.mark.parametrize("seed", range(3))

@@ -101,6 +101,9 @@ MALFORMED_ROWS = {
     "pray\tOther:Big Deal\n": "class label 'Big Deal' holds ' ', which IRIs forbid",
     "pray\tOther:Big<Deal>\n": "class label 'Big<Deal>' holds '<', which IRIs forbid",
     "pray\tOther:Meet\n": "extension class 'Other:Meet' names the built-in class Meet",
+    "convene\tOther:Meet_x\n": (
+        "class label 'Meet_x' holds '_', which ends the class in a statement IRI"
+    ),
     "pray\tOther:Communication\n": (
         "extension class 'Other:Communication' names the built-in class Communication"
     ),

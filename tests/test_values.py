@@ -211,7 +211,8 @@ class TestValueClass:
 @pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
 def test_rebuilding_runs_the_checks(cls):
     """A value that skipped its checks, as ``tuple.__new__`` lets one, fails
-    them when it is rebuilt, by ``pickle`` at every protocol and by ``copy``."""
+    them when it is rebuilt, by ``pickle`` at every protocol, by ``copy``, by
+    ``_replace`` and by ``_make``."""
     _, _, (fields, error) = VALUES[cls]
     with pytest.raises(error):
         cls(*fields)
@@ -220,7 +221,7 @@ def test_rebuilding_runs_the_checks(cls):
         data = pickle.dumps(bad, protocol)
         with pytest.raises(error):
             pickle.loads(data)
-    for rebuild in (copy.copy, copy.deepcopy):
+    for rebuild in (copy.copy, copy.deepcopy, lambda value: value._replace(), cls._make):
         with pytest.raises(error):
             rebuild(bad)
 
