@@ -265,15 +265,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse ties each action to its parser and each help formatter to its
+# sections, so a parser is a web of reference cycles; ``main`` builds one on
+# its first call and reuses it, rather than leaving one behind per call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
     # The pipeline builds no reference cycles (TestNoReferenceCycles pins
     # this), so reference counting frees all it makes, and a cyclic
     # collection during a command would only walk live objects.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if _parser is None:
+            _parser = build_parser()
+            # Each ``add_argument`` drops a cyclic help formatter; with the
+            # collector off they are all still in the youngest generation.
+            gc.collect(0)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (_Fatal, InputError, InterlinkError, PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,9 @@ an unknown name, or a handle with nothing to mint from ("@_"), stays text.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from datetime import date
+from operator import itemgetter
 
 from .catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog
 from .events import EventMention
@@ -225,17 +226,22 @@ def _parse_position_reference(
     return None
 
 
-def recognize_entities(chunks: list[Chunk], catalog: EntityCatalog) -> list[EntityMention]:
+_SURFACE, _KIND = itemgetter(0), itemgetter(1)  # of a Token
+
+
+def recognize_entities(
+    chunks: list[Chunk], catalog: EntityCatalog, plans: dict[tuple, tuple] | None = None
+) -> list[EntityMention]:
     """Extract entity mentions from every chunk; each chunk yields at least one
-    mention unless it contains nothing but punctuation."""
+    mention unless it contains nothing but punctuation.
+
+    ``plans`` is the run's table of ``_plan`` by the surfaces and kinds of a
+    chunk's free words (see ``headex.pipeline``); a call given none starts
+    an empty one.  Quoted runs and the fallback mention are per chunk.
+    """
+    if plans is None:
+        plans = {}
     mentions: list[EntityMention] = []
-
-    def add(ch: Chunk, kind: str, span: Sequence[Token], text: str | None = None, **extra) -> None:
-        """Append a mention of ``span``, worded as its tokens unless ``text`` is given."""
-        if text is None:
-            text = " ".join(t.surface for t in span)
-        mentions.append(EntityMention(text, (span[0].start, span[-1].end), kind, ch, **extra))
-
     for ch in chunks:
         first = len(mentions)
 
@@ -244,40 +250,66 @@ def recognize_entities(chunks: list[Chunk], catalog: EntityCatalog) -> list[Enti
             inner = [t for t in run if t.kind != PUNCT or t.surface not in QUOTE_CHARS]
             if inner:
                 text = ch.text[inner[0].start - chunk_start : inner[-1].end - chunk_start]
-                add(ch, KIND_QUOTED, inner, text)
+                span = (inner[0].start, inner[-1].end)
+                mentions.append(EntityMention(text, span, KIND_QUOTED, ch))
 
         words = ch.free_words
-        i = 0  # words before i belong to a position reference
-
-        reference = _parse_position_reference(tuple(t.surface for t in words), catalog)
-        if reference is not None:
-            used = reference[2]
-            if used == len(words):
-                add(ch, KIND_OTHER, words, implicit=True)
-                i = used
-            # Apposition: the trailing words must name the same referent.
-            elif _alias_match_length(words[used:], 0, catalog) == len(words) - used:
-                i = used
-
-        while i < len(words):
-            token = words[i]
-            end = i + 1
-            if token.kind == MENTION:
-                add(ch, KIND_MENTION, words[i:end])
-            elif matched := _alias_match_length(words, i, catalog):
-                end = i + matched
-                add(ch, KIND_NAMED, words[i:end])
-            elif token.kind == NUMBER:
-                for j in range(i + 1, min(i + 4, len(words))):
-                    if words[j].lower in PERSON_WORDS:
-                        end = j + 1
-                        break
-                add(ch, KIND_NUMBER, words[i:end], count_value=token.surface)
-            i = end
+        # Surfaces hold no whitespace, so the joined text tells runs apart.
+        key = (" ".join(map(_SURFACE, words)), *map(_KIND, words))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _plan(words, catalog)
+        for kind, start, end, text, implicit, count_value in plan:
+            span = (words[start].start, words[end - 1].end)
+            mentions.append(
+                EntityMention(text, span, kind, ch, UNRESOLVED, None, None, implicit, count_value)
+            )
 
         if len(mentions) == first and words:
-            add(ch, KIND_OTHER, words, ch.text)
+            span = (words[0].start, words[-1].end)
+            mentions.append(EntityMention(ch.text, span, KIND_OTHER, ch))
     return mentions
+
+
+def _plan(words: tuple[Token, ...], catalog: EntityCatalog) -> tuple[tuple, ...]:
+    """The mentions among a chunk's free ``words``, read from their surfaces
+    and kinds alone: a position reference, @handles, longest alias matches
+    and cardinal counts.  Each is ``(kind, start, end, text, implicit,
+    count_value)`` with ``start`` and ``end`` indexing ``words``; the chunk
+    a plan is rebuilt in gives the mentions their spans."""
+    surfaces = tuple(t.surface for t in words)
+    plan = []
+
+    def add(kind: str, start: int, end: int, implicit: bool = False, count_value=None) -> None:
+        plan.append((kind, start, end, " ".join(surfaces[start:end]), implicit, count_value))
+
+    i = 0  # words before i belong to a position reference
+    reference = _parse_position_reference(surfaces, catalog)
+    if reference is not None:
+        used = reference[2]
+        if used == len(words):
+            add(KIND_OTHER, 0, used, implicit=True)
+            i = used
+        # Apposition: the trailing words must name the same referent.
+        elif _alias_match_length(words[used:], 0, catalog) == len(words) - used:
+            i = used
+
+    while i < len(words):
+        token = words[i]
+        end = i + 1
+        if token.kind == MENTION:
+            add(KIND_MENTION, i, end)
+        elif matched := _alias_match_length(words, i, catalog):
+            end = i + matched
+            add(KIND_NAMED, i, end)
+        elif token.kind == NUMBER:
+            for j in range(i + 1, min(i + 4, len(words))):
+                if words[j].lower in PERSON_WORDS:
+                    end = j + 1
+                    break
+            add(KIND_NUMBER, i, end, count_value=token.surface)
+        i = end
+    return tuple(plan)
 
 
 def _quoted_runs(tokens: tuple[Token, ...]) -> list[list[Token]]:

@@ -50,33 +50,54 @@ class EventMention(
     __slots__ = ()
 
 
-def recognize_event(tokens: TokenSequence, lexicon: Lexicon) -> EventMention | None:
+def _reading(surface: str, lexicon: Lexicon) -> tuple:
+    """What ``recognize_event`` reads of an unquoted word from its surface
+    alone: ``(lemma, event class, -ing form, base form)`` when the word can
+    be a candidate, else ``()``."""
+    lemma = lemmatize(surface)  # the module global, which tracing counts
+    entry = lexicon.get(lemma)
+    if entry is None:
+        return ()
+    lower = surface.lower()
+    ing_form = lower.endswith("ing") and lower != lemma
+    if ing_form and not entry.noun_ok:
+        return ()
+    return lemma, entry.event_class, ing_form, lower == lemma
+
+
+def recognize_event(
+    tokens: TokenSequence, lexicon: Lexicon, readings: dict[str, tuple] | None = None
+) -> EventMention | None:
     """Pick the head verb of a headline, or None when no lexicon verb occurs.
 
     The head is the leftmost candidate that is neither infinitive-marked nor
     headline-initial; when only demoted candidates exist, the leftmost of
     those is used, so "Pope to meet ..." still yields an event.
+
+    ``readings`` is the run's table of ``_reading`` by surface (see
+    ``headex.pipeline``); a call given none starts an empty one.
     """
+    if readings is None:
+        readings = {}
     words = tokens.tokens
     finite: list[VerbCandidate] = []
     ing: list[VerbCandidate] = []
     for i, token in enumerate(words):
         if token.kind != WORD or token.quoted:
             continue
-        lemma = lemmatize(token.surface)
-        entry = lexicon.get(lemma)
-        if entry is None:
+        reading = readings.get(token.surface)
+        if reading is None:
+            reading = readings[token.surface] = _reading(token.surface, lexicon)
+        if not reading:
             continue
-        ing_form = token.lower.endswith("ing") and token.lower != lemma
-        if ing_form and not entry.noun_ok:
-            continue
+        lemma, event_class, ing_form, base_form = reading
         # The word just before, unless the candidate opens the headline or
         # punctuation intervenes.
         prev = words[i - 1] if i and words[i - 1].kind != PUNCT else None
         if prev is not None and (
             (prev.kind == WORD and prev.lower in _DETERMINERS)
             or (
-                token.lower == lemma
+                base_form
                 and i > 1
                 and prev.kind in (WORD, NUMBER)
                 and prev.surface[:1].isupper()
@@ -89,7 +110,7 @@ def recognize_event(tokens: TokenSequence, lexicon: Lexicon) -> EventMention | N
                 token_index=i,
                 surface=token.surface,
                 lemma=lemma,
-                event_class=entry.event_class,
+                event_class=event_class,
                 infinitive=prev is not None and prev.lower == "to",
                 leading=(i == 0),
             )

@@ -20,6 +20,25 @@ corpus kept every record's tokens, chunks and mentions alive until its last
 stage and raised peak memory by a quarter to a third, while blocks of 64
 keep nearly all of the speed-up.  ``process_record`` is the same code run on
 a block of one.
+
+A feed repeats its actors, verbs and publishers from headline to headline, so
+``extract_corpus`` also gives its stages three per-run tables, each of which
+derives a fact once per distinct input it depends on:
+
+* ``readings`` (``recognize_event``): word surface -> its lemma and verb
+  reading under the lexicon;
+* ``plans`` (``recognize_entities``): the surfaces and kinds of a chunk's
+  free words -> their position reference, alias matches and counts under
+  the catalog, as word indexes;
+* ``terms`` (``emit_event_triples``): the policy's term IRIs by name, role
+  IRIs by role, source IRIs by publisher and date literals by day.
+
+The tables are created by each ``extract_corpus`` call and dropped when it
+returns, so no run reads what another run's lexicon, catalog or policy gave.
+Every check still runs, once per distinct input; only a result is stored,
+never a failure.  What depends on the record itself (its date, context words
+and neighbours) is still derived per record.  ``process_record``, and a
+stage called directly, builds fresh tables for the one call.
 """
 
 from __future__ import annotations
@@ -45,7 +64,7 @@ from .ingest import HeadlineRecord, normalize, record_date
 from .lexicon import Lexicon
 from .model import EventInstance, Provenance
 from .rdf import TripleSet
-from .triplify import EmissionError, IriPolicy, PolicyError, emit_event_triples
+from .triplify import EmissionError, EmissionTerms, IriPolicy, PolicyError, emit_event_triples
 
 BLOCK_SIZE = 64
 
@@ -83,6 +102,9 @@ def _extract_block(
     lexicon: Lexicon,
     catalog: EntityCatalog,
     policy: IriPolicy,
+    readings: dict | None = None,
+    plans: dict | None = None,
+    terms: EmissionTerms | None = None,
 ) -> list[tuple[EventInstance, TripleSet, list[DisambiguationAudit]] | str]:
     """Run each stage over every live record of ``block`` before the next.
 
@@ -97,13 +119,13 @@ def _extract_block(
         except ValueError as exc:
             outcomes[i] = str(exc)
 
-    heads = [recognize_event(tokens, lexicon) for _, _, tokens in live]
+    heads = [recognize_event(tokens, lexicon, readings) for _, _, tokens in live]
     for (i, _, _), head in zip(live, heads):
         if head is None:
             outcomes[i] = "no event verb recognized"
     live = [(*state, head) for state, head in zip(live, heads) if head is not None]
     chunked = [chunk(tokens, head) for _, _, tokens, head in live]
-    recognized = [recognize_entities(chunks, catalog) for chunks in chunked]
+    recognized = [recognize_entities(chunks, catalog, plans) for chunks in chunked]
     dates = [record_date(record) for _, record, _, _ in live]
     contexts = [context_words(tokens) for _, _, tokens, _ in live]
 
@@ -149,7 +171,7 @@ def _extract_block(
             warnings=(*warnings, *role_warnings),
         )
         try:
-            outcomes[i] = (instance, emit_event_triples(instance, policy), audits)
+            outcomes[i] = (instance, emit_event_triples(instance, policy, terms), audits)
         except (EmissionError, PolicyError) as exc:
             outcomes[i] = str(exc)
     return outcomes
@@ -179,9 +201,11 @@ def extract_corpus(
     Raises nothing for what a record holds: each becomes an event or a skip.
     """
     result = ExtractResult()
+    readings, plans, terms = {}, {}, EmissionTerms(policy)  # the run's tables
     for start in range(0, len(records), BLOCK_SIZE):
         block = records[start : start + BLOCK_SIZE]
-        for record, outcome in zip(block, _extract_block(block, lexicon, catalog, policy)):
+        outcomes = _extract_block(block, lexicon, catalog, policy, readings, plans, terms)
+        for record, outcome in zip(block, outcomes):
             if isinstance(outcome, str):
                 result.skipped.append(SkippedRecord(record_id=record.id, reason=outcome))
                 continue

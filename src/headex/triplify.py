@@ -102,18 +102,58 @@ def _count_literal(text: str) -> Literal:
     return Literal(text)
 
 
-def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
+class _Memo(dict):
+    """A table that fills a missing key with ``make(key)``; a key whose
+    ``make`` raises stays missing, so it raises again on its next look-up."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _date_literal(day) -> Literal:
+    return Literal(day.isoformat(), datatype=XSD_DATE)
+
+
+class EmissionTerms:
+    """The terms one run's statements repeat, each spelled once per run: the
+    policy's term IRIs by name (vocabulary and classes), role property and
+    role type IRIs by role, source IRIs by publisher and ``xsd:date``
+    literals by day.  A publisher with no slug raises ``PolicyError`` on
+    every look-up, since only what was built is stored."""
+
+    __slots__ = ("term", "role_property", "role_type", "source", "date")
+
+    def __init__(self, policy: IriPolicy) -> None:
+        self.term = _Memo(policy.term_iri)
+        self.role_property = _Memo(policy.role_property_iri)
+        self.role_type = _Memo(policy.role_type_iri)
+        self.source = _Memo(policy.source_iri)
+        self.date = _Memo(_date_literal)
+
+
+def emit_event_triples(
+    instance: EventInstance, policy: IriPolicy, terms: EmissionTerms | None = None
+) -> TripleSet:
     """Emit the full triple bundle for one event instance.
 
     Every IRI here comes from pieces checked where they entered (see
-    ``headex.rdf``), so the triples are built unchecked.
+    ``headex.rdf``), so the triples are built unchecked.  ``terms`` are the
+    run's ``EmissionTerms`` of ``policy``; a call given none builds its own.
     """
     if not instance.roles:
         raise EmissionError(f"event {instance.instance_id} has no role fillers")
+    if terms is None:
+        terms = EmissionTerms(policy)
+    term = terms.term
 
     class_name = instance.event_class.name
     sp = policy.instance_iri(class_name, instance.instance_id)
-    triples = [_triple(sp, policy.term_iri(SINGLETON_PROPERTY_OF), policy.term_iri(class_name))]
+    triples = [_triple(sp, term[SINGLETON_PROPERTY_OF], term[class_name])]
 
     # Materialize text fillers as typed nodes up front, in role order.
     ordinals: dict[str, int] = {}
@@ -125,8 +165,8 @@ def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
         ordinals[role] = ordinals.get(role, 0) + 1
         node = policy.role_node_iri(role, instance.instance_id, ordinals[role])
         body = _count_literal(filler.text) if role == ROLE_COUNT else Literal(filler.text)
-        triples.append(_triple(node, RDF_TYPE, policy.role_type_iri(role)))
-        triples.append(_triple(node, policy.term_iri(BODY), body))
+        triples.append(_triple(node, RDF_TYPE, terms.role_type[role]))
+        triples.append(_triple(node, term[BODY], body))
         objects.append((role, node))
 
     # Each end of the main triple is the first filler matching the earliest
@@ -154,10 +194,9 @@ def emit_event_triples(instance: EventInstance, policy: IriPolicy) -> TripleSet:
 
     for i, (role, obj) in enumerate(objects):
         if i not in ends:
-            triples.append(_triple(sp, policy.role_property_iri(role), obj))
+            triples.append(_triple(sp, terms.role_property[role], obj))
 
     provenance = instance.provenance
-    triples.append(_triple(sp, policy.term_iri(HAS_SOURCE), policy.source_iri(provenance.publisher)))
-    extracted_on = Literal(provenance.extracted_on.isoformat(), datatype=XSD_DATE)
-    triples.append(_triple(sp, policy.term_iri(EXTRACTED_ON), extracted_on))
+    triples.append(_triple(sp, term[HAS_SOURCE], terms.source[provenance.publisher]))
+    triples.append(_triple(sp, term[EXTRACTED_ON], terms.date[provenance.extracted_on]))
     return TripleSet(triples)

@@ -562,6 +562,32 @@ class TestCollectorPaused:
         assert seen == [False]
 
 
+class TestNoCyclicGarbage:
+    """A successful command leaves nothing for the cyclic collector, the call
+    that builds the argument parser included: a library caller that runs
+    ``main`` in a loop with the collector off grows by nothing per call."""
+
+    def test_each_command_leaves_no_cyclic_garbage(self, monkeypatch, tmp_path, fixtures_dir):
+        out = tmp_path / "out"
+        commands = (
+            ["extract", str(fixtures_dir / "headlines9.tsv"), "--out", str(out)],
+            ["interlink", str(out / "events.nt"), "--out", str(out / "links.nt")],
+            ["query", str(out / "events.nt"), "--class", "Meet"],
+            ["validate", str(fixtures_dir / "datamodels" / "headex.json")],
+        )
+        monkeypatch.setattr(cli, "_parser", None)  # the first call builds it
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in commands:
+                assert main(argv) == 0, argv
+                assert gc.collect() == 0, argv
+        finally:
+            if collecting:
+                gc.enable()
+
+
 class TestNotUtf8Graph:
     @pytest.mark.parametrize("command", ["interlink", "query"])
     def test_graph_not_utf8_is_fatal(self, capsys, tmp_path, command):

@@ -203,6 +203,18 @@ class TestRecognition:
         implicit = [m for m in recognize_entities(chunks, catalog) if m.implicit]
         assert [m.text for m in implicit] == ["leader of Russian Orthodox Church"]
 
+    def test_word_runs_are_planned_by_surface_and_kind(self, catalog):
+        # ``normalize`` gives each surface one kind, but tokens built by hand
+        # need not: two chunks of one call that differ only in a word's kind
+        # must not share a plan.
+        chunks = [
+            Chunk(i, SUBJECT, None, None, (Token("Pope", kind, 0, 4),), "Pope", "Pope")
+            for i, kind in enumerate((MENTION, WORD, MENTION))
+        ]
+        mentions = recognize_entities(chunks, catalog)
+        assert [m.kind for m in mentions] == [KIND_MENTION, KIND_NAMED, KIND_MENTION]
+        assert mentions == [m for ch in chunks for m in recognize_entities([ch], catalog)]
+
 
 class TestLinking:
     def test_unique_candidate_links(self, lexicon, catalog, policy):

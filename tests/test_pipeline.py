@@ -10,6 +10,7 @@ import json
 import re
 import tempfile
 from collections import Counter
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headex import cli, pipeline
-from headex.catalog import default_catalog_path, load_catalog
+from headex.catalog import (
+    CatalogEntity,
+    EntityCatalog,
+    PositionRecord,
+    default_catalog_path,
+    load_catalog,
+)
 from headex.entities import (
     KIND_MENTION,
     KIND_NAMED,
@@ -34,7 +41,7 @@ from headex.entities import (
 from headex.events import recognize_event
 from headex.ingest import normalize, parse_record, read_records, record_date
 from headex.interlink import build_event_index, interlink_graph
-from headex.lexicon import default_lexicon_path, load_lexicon_file
+from headex.lexicon import default_lexicon_path, load_lexicon, load_lexicon_file
 from headex.model import EventInstance, Provenance
 from headex.pipeline import (
     BLOCK_SIZE,
@@ -388,3 +395,114 @@ class TestBlocksMatchOneRecordAtATime:
             assert instance == expected[0]
             assert list(triples) == list(expected[1])
             assert audits == expected[2]
+
+
+def _catalog(*extra):
+    """Two people called Kim, told apart by context; Kim Tori is CEO of Vela
+    from 12 March 2016; an entity owns the IRI minted for ``@zork``."""
+    kim_tori = CatalogEntity(
+        "http://kb.example/kim_tori", "Kim Tori", "Person", ("Kim",), ("football",),
+        (PositionRecord("CEO", "Vela", date(2016, 3, 12)),),
+    )
+    kim_vale = CatalogEntity(
+        "http://kb.example/kim_vale", "Kim Vale", "Person", ("Kim",), ("havana",)
+    )
+    return EntityCatalog(
+        (
+            kim_tori,
+            kim_vale,
+            CatalogEntity("http://kb.example/vela", "Vela", "Organisation", ()),
+            CatalogEntity("http://kb.example/havana", "Havana", "Place", ()),
+            CatalogEntity(f"{BASE}entity/zork", "Zorkington", "Agent", ()),
+            *extra,
+        )
+    )
+
+
+class TestRunTablesMatchTheOracle:
+    """A run reads each repeated word surface, free-word run and emission term
+    once and reuses it (``pipeline``'s per-run tables).  Headlines built from
+    a few pieces repeat across records and blocks, in copies that differ in
+    what a table must not hide: quote balance, a publisher with no IRI slug,
+    the day (Vela's CEO takes office on the 12th) and the context words that
+    tell the two Kims apart.  Each example also draws the catalog, lexicon
+    and policy, so a table kept from an earlier run gives wrong answers."""
+
+    CATALOGS = (_catalog(), _catalog(CatalogEntity("http://kb.example/tori", "Tori", "Agent", ())))
+    LEXICONS = (
+        "meet\tMeet\nvisit\tMeet\nsay\tCommunication\nkill\tMurder\n",
+        "meet\tMeet\nsay\tCommunication\nkill\tMurder\nreport\tCommunication\n",
+    )
+    POLICIES = (IriPolicy(), IriPolicy("http://example.org/other/"))
+    SUBJECTS = ("Kim", "Kim Tori", "Tori", "@zork", "@Kim", "Vela CEO", "CEO of Vela", "3 people")
+    VERBS = ("meets", "visits", "says", "kills", "report", "reports")
+    OBJECTS = ('"Kim Tori"', "Kim Tori", '"Kim Tori', "Tori", "Vela", "in Havana", "with @zork")
+    TAILS = ("", "about football", "in Havana", '"', "to discuss Kim")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_repeated_inputs_match_the_oracle(self, data):
+        catalog = data.draw(st.sampled_from(self.CATALOGS))
+        lexicon = load_lexicon(data.draw(st.sampled_from(self.LEXICONS)))
+        policy = data.draw(st.sampled_from(self.POLICIES))
+        pieces = (self.SUBJECTS, self.VERBS, self.OBJECTS, self.TAILS)
+        text = st.tuples(*map(st.sampled_from, pieces))
+        row = st.tuples(
+            st.sampled_from(("BBC", "CNN", "!!!")),
+            st.sampled_from(("11/3/16", "12/3/16")),
+            text.map(" ".join).map(str.strip),
+        )
+        size = data.draw(st.integers(0, 2 * BLOCK_SIZE + 8))
+        rows = data.draw(st.lists(row, min_size=size, max_size=size))
+        records = [parse_record(f"r{i}\t{p}\t{day}\t{t}") for i, (p, day, t) in enumerate(rows)]
+
+        got = extract_corpus(records, lexicon, catalog, policy)
+        want = oracle_extract_corpus(records, lexicon, catalog, policy)
+        assert list(got.graph) == list(want.graph)
+        assert got.instances == want.instances
+        assert got.skipped == want.skipped
+        assert got.audits == want.audits
+        assert got.warnings == want.warnings
+
+
+class TestRunIsolation:
+    """Each ``extract_corpus`` call reads into tables of its own, so what one
+    run read under its catalog and lexicon never answers for another."""
+
+    TEXTS = ("Tori visits Havana", "Kim Tori reports Tori", "Vela CEO meets Tori about football")
+    RECORDS = [parse_record(f"r{i}\tCNN\t12/3/16\t{text}") for i, text in enumerate(TEXTS)]
+
+    @staticmethod
+    def outcome(result):
+        return list(result.graph), result.instances, result.skipped, result.audits
+
+    @pytest.mark.parametrize("vary", ["catalog", "lexicon"])
+    def test_two_runs_in_one_process_each_give_their_own_answer(self, vary):
+        catalogs = TestRunTablesMatchTheOracle.CATALOGS
+        lexicons = [load_lexicon(text) for text in TestRunTablesMatchTheOracle.LEXICONS]
+        if vary == "catalog":
+            runs = zip(catalogs, lexicons[:1] * 2)
+        else:
+            runs = zip(catalogs[:1] * 2, lexicons)
+        policy = IriPolicy()
+        answers = []
+        for catalog, lexicon in runs:
+            got = extract_corpus(self.RECORDS, lexicon, catalog, policy)
+            want = oracle_extract_corpus(self.RECORDS, lexicon, catalog, policy)
+            assert self.outcome(got) == self.outcome(want)
+            answers.append(self.outcome(got))
+        assert answers[0] != answers[1]
+
+    def test_process_record_after_a_large_run_equals_it_alone(self):
+        catalogs = TestRunTablesMatchTheOracle.CATALOGS
+        lexicons = [load_lexicon(text) for text in TestRunTablesMatchTheOracle.LEXICONS]
+        policy = IriPolicy()
+        large = [
+            parse_record(f"x{i}\tBBC\t{11 + i % 2}/3/16\t{self.TEXTS[i % 3]}")
+            for i in range(3 * BLOCK_SIZE)
+        ]
+        extract_corpus(large, lexicons[0], catalogs[1], policy)
+        for record in self.RECORDS[1:]:
+            instance, triples, audits = process_record(record, lexicons[1], catalogs[0], policy)
+            alone = oracle_process_record(record, lexicons[1], catalogs[0], policy)
+            assert (instance, list(triples), audits) == (alone[0], list(alone[1]), alone[2])
