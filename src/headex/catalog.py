@@ -85,6 +85,8 @@ class CatalogEntity(
     ) -> CatalogEntity:
         if not iri or not label:
             raise CatalogError("entity needs an iri and a label")
+        if not is_absolute_iri(iri):  # linking builds EntityRef from it unchecked
+            raise CatalogError(f"entity IRI is not absolute: {iri!r}")
         return tuple.__new__(cls, (iri, label, entity_type, aliases, keywords, positions))
 
 

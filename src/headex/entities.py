@@ -24,7 +24,7 @@ an unknown name, or a handle with nothing to mint from ("@_"), stays text.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from datetime import date
 from operator import itemgetter
 
@@ -156,19 +156,13 @@ def chunk(tokens: TokenSequence, mention: EventMention) -> list[Chunk]:
 
     raw = tokens.raw
     chunks: list[Chunk] = []
-    for position, (intro, intro_kind, content) in placed:
+    for index, (position, (intro, intro_kind, content)) in enumerate(placed):
         start, end = content[0].start, content[-1].end
-        chunks.append(
-            Chunk(
-                index=len(chunks),
-                position=position,
-                intro=intro.lower if intro is not None else None,
-                intro_kind=intro_kind,
-                tokens=tuple(content),
-                text=raw[start:end],
-                full_text=raw[intro.start if intro is not None else start : end],
-            )
-        )
+        text = raw[start:end]
+        full_text = text if intro is None else raw[intro.start : end]
+        intro_word = None if intro is None else intro.lower
+        fields = (index, position, intro_word, intro_kind, tuple(content), text, full_text)
+        chunks.append(tuple.__new__(Chunk, fields))  # a Chunk has no checks
     return chunks
 
 
@@ -261,9 +255,8 @@ def recognize_entities(
             plan = plans[key] = _plan(words, catalog)
         for kind, start, end, text, implicit, count_value in plan:
             span = (words[start].start, words[end - 1].end)
-            mentions.append(
-                EntityMention(text, span, kind, ch, UNRESOLVED, None, None, implicit, count_value)
-            )
+            fields = (text, span, kind, ch, UNRESOLVED, None, None, implicit, count_value)
+            mentions.append(tuple.__new__(EntityMention, fields))
 
         if len(mentions) == first and words:
             span = (words[0].start, words[-1].end)
@@ -384,10 +377,8 @@ def _score(
 
 
 def context_words(tokens: TokenSequence) -> frozenset[str]:
-    out = set()
-    for token in tokens.words():
-        out.add(token.surface.lstrip("@#").casefold())
-    return frozenset(out)
+    """The casefolded surfaces of the content tokens, without a leading @ or #."""
+    return frozenset({t.surface.lstrip("@#").casefold() for t in tokens.tokens if t.kind != PUNCT})
 
 
 def disambiguate(
@@ -422,7 +413,7 @@ def link_entity(
     mention: EntityMention,
     catalog: EntityCatalog,
     context: frozenset[str],
-    entity_iri_for: "callable",
+    entity_iri_for: Callable[[str], str],
     at: date | None = None,
 ) -> tuple[EntityMention, DisambiguationAudit | None]:
     """Resolve a named/@handle mention: link to the unique catalog candidate,
@@ -476,8 +467,8 @@ def resolve_implicit(
 
 
 def _filler(mention: EntityMention) -> RoleFiller:
-    if mention.is_entity:
-        return EntityRef(mention.iri or "")
+    if mention.is_entity:  # a catalog IRI, or an entity_iri slug under the policy's base
+        return tuple.__new__(EntityRef, (mention.iri,))
     if mention.kind == KIND_NUMBER:
         return TextFiller(mention.count_value or mention.text)
     if mention.kind == KIND_QUOTED:

@@ -79,6 +79,7 @@ def recognize_event(
     """
     if readings is None:
         readings = {}
+    new = tuple.__new__  # neither class has checks; the fields go in by position
     words = tokens.tokens
     finite: list[VerbCandidate] = []
     ing: list[VerbCandidate] = []
@@ -105,27 +106,13 @@ def recognize_event(
             )
         ):
             continue  # a noun: "the report", "White House report"
-        (ing if ing_form else finite).append(
-            VerbCandidate(
-                token_index=i,
-                surface=token.surface,
-                lemma=lemma,
-                event_class=event_class,
-                infinitive=prev is not None and prev.lower == "to",
-                leading=(i == 0),
-            )
-        )
+        infinitive = prev is not None and prev.lower == "to"
+        fields = (i, token.surface, lemma, event_class, infinitive, i == 0)
+        (ing if ing_form else finite).append(new(VerbCandidate, fields))
     candidates = finite or ing
     if not candidates:
         return None
     head = next((c for c in candidates if not c.infinitive and not c.leading), candidates[0])
-    token = words[head.token_index]
-    return EventMention(
-        head_index=head.token_index,
-        surface=head.surface,
-        lemma=head.lemma,
-        event_class=head.event_class,
-        span=(token.start, token.end),
-        candidates=tuple(candidates),
-        infinitive_head=head.infinitive,
-    )
+    index, surface, lemma, event_class, infinitive, _ = head
+    span = (words[index].start, words[index].end)
+    return new(EventMention, (index, surface, lemma, event_class, span, tuple(candidates), infinitive))

@@ -179,13 +179,9 @@ def parse_record(line: str, line_no: int = 0) -> HeadlineRecord:
         raise RecordError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
     record_id, publisher, date_text, text = fields
     timestamp = parse_timestamp(date_text, line_no)
-    try:
-        return HeadlineRecord(
-            id=record_id.strip(),
-            publisher=publisher.strip(),
-            timestamp=timestamp,
-            text=_unescape_text(text, line_no).strip(),
-        )
+    text = _unescape_text(text, line_no).strip()
+    try:  # the input boundary: every check of HeadlineRecord runs
+        return HeadlineRecord(record_id.strip(), publisher.strip(), timestamp, text)
     except ModelError as exc:
         raise RecordError(line_no, str(exc)) from exc
 
@@ -255,10 +251,6 @@ class TokenSequence(
 
     __slots__ = ()
 
-    def words(self) -> tuple[Token, ...]:
-        """Tokens that can carry content: words, @mentions, hashtags, numbers."""
-        return tuple(t for t in self.tokens if t.kind != PUNCT)
-
 
 _TOKEN_RE = re.compile(
     r"""(?P<url>https?://[^\s]+)
@@ -299,17 +291,12 @@ def normalize(text: str) -> TokenSequence:
     quoted: set[int] = set()  # indexes of the tokens inside quoted spans
     if len(quotes) % 2 == 0:
         for open_idx, close_idx in zip(quotes[::2], quotes[1::2]):
-            spans.append(
-                QuotedSpan(
-                    start=matches[open_idx].start(),
-                    end=matches[close_idx].end(),
-                    first_token=open_idx + 1,
-                    last_token=close_idx - 1,
-                )
-            )
+            start, end = matches[open_idx].start(), matches[close_idx].end()
+            spans.append(QuotedSpan(start, end, open_idx + 1, close_idx - 1))
             quoted.update(range(open_idx, close_idx + 1))
 
-    # Each token is built once, with its final kind and quoted flag.
+    # Each token is built once, with its final kind, quoted flag and lowercase
+    # form, as Token.__new__ would; a TokenSequence has no checks.
     new = tuple.__new__
     tokens = []
     for i, match in enumerate(matches):
@@ -320,9 +307,7 @@ def normalize(text: str) -> TokenSequence:
             kind = NUMBER
         start, end = match.span()
         tokens.append(new(Token, (surface, kind, start, end, i in quoted, lower)))
-    return TokenSequence(
-        raw=text, tokens=tuple(tokens), quoted_spans=tuple(spans), urls=tuple(urls)
-    )
+    return new(TokenSequence, (text, tuple(tokens), tuple(spans), tuple(urls)))
 
 
 def record_date(record: HeadlineRecord) -> date:

@@ -13,6 +13,16 @@ base, equal to the tuple of its fields (a role filler only to fillers of its
 class).  A class whose ``__new__`` checks its fields derives from ``rdf.Checked``,
 so ``copy``, ``pickle`` at every protocol, ``_make`` and ``_replace`` rebuild a
 value through those checks.
+
+Each value is checked once, where its parts enter the program.  The public
+constructors keep every check; extraction builds its per-record values by
+position with ``tuple.__new__`` from parts already checked.  An
+``EventInstance`` and its ``Provenance`` take the id, publisher and date of a
+checked ``HeadlineRecord`` and role names that ``assign_roles`` took from the
+class's frame; an ``EntityRef`` takes a catalog IRI, checked by
+``CatalogEntity``, or an ``IriPolicy.entity_iri`` slug under a checked base; a
+text node's body ``Literal`` takes a ``TextFiller``'s string.  The tokens,
+chunks, verb candidates and mentions between the stages have no checks.
 """
 
 from __future__ import annotations
@@ -143,6 +153,8 @@ class HeadlineRecord(Checked, namedtuple("_HeadlineRecordFields", "id publisher 
             raise ModelError("record id must be nonempty")
         if not publisher.strip():
             raise ModelError("record publisher must be nonempty")
+        if not isinstance(timestamp, datetime):
+            raise ModelError(f"record timestamp is not a datetime: {timestamp!r}")
         # Publishers pass through TSV unescaped, so no separators; ids also
         # name IRIs, so none of the characters IRIs forbid (separators included).
         if any(ch in publisher for ch in "\t\n\r"):
@@ -199,8 +211,8 @@ class TextFiller(_Filler, namedtuple("_TextFillerFields", "text")):
     __slots__ = ()
 
     def __new__(cls, text: str) -> TextFiller:
-        if not text.strip():
-            raise ModelError("text filler must be nonempty")
+        if not isinstance(text, str) or not text.strip():
+            raise ModelError(f"text filler must be a nonempty string, got {text!r}")
         return tuple.__new__(cls, (text,))
 
 

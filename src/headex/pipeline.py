@@ -51,6 +51,7 @@ from .entities import (
     KIND_NAMED,
     LINKED,
     DisambiguationAudit,
+    EntityMention,
     LinkingError,
     assign_roles,
     chunk,
@@ -111,6 +112,7 @@ def _extract_block(
     Returns, for each record in order, ``(instance, triples, audits)`` or the
     reason it was skipped; a skipped record reaches no later stage.
     """
+    new = tuple.__new__
     outcomes: list = [None] * len(block)
     live = []
     for i, record in enumerate(block):
@@ -139,10 +141,10 @@ def _extract_block(
                 holder = resolve_implicit(mention, catalog, at)
                 if holder is None:
                     warnings.append(f"position reference {mention.text!r} resolved to nobody")
-                else:
-                    mention = mention._replace(
-                        status=LINKED, iri=holder.iri, entity_type=holder.entity_type
-                    )
+                else:  # linked in one build; the catalog checked the holder's IRI
+                    text, span, kind, ch, _, _, _, implicit, count = mention
+                    fields = (text, span, kind, ch, LINKED, holder.iri, holder.entity_type)
+                    mention = new(EntityMention, (*fields, implicit, count))
             elif mention.kind in (KIND_NAMED, KIND_MENTION):
                 try:
                     mention, audit = link_entity(
@@ -162,14 +164,11 @@ def _extract_block(
         for _, _, head, _, resolved, _, _ in linked
     ]
     for (i, record, head, at, _, audits, warnings), (roles, role_warnings) in zip(linked, framed):
-        instance = EventInstance(
-            instance_id=record.id,
-            event_class=head.event_class,
-            mention=head,
-            roles=tuple(roles),
-            provenance=Provenance(publisher=record.publisher, extracted_on=at),
-            warnings=(*warnings, *role_warnings),
-        )
+        # HeadlineRecord checked the id and publisher, a datetime's date is a
+        # date, and assign_roles takes its role names from the class's frame.
+        provenance = new(Provenance, (record.publisher, at))
+        fields = (record.id, head.event_class, head, tuple(roles), provenance)
+        instance = new(EventInstance, (*fields, (*warnings, *role_warnings)))
         try:
             outcomes[i] = (instance, emit_event_triples(instance, policy, terms), audits)
         except (EmissionError, PolicyError) as exc:

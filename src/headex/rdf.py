@@ -13,8 +13,8 @@ every term.  The package builds triples with the unchecking ``_triple``
 from IRIs checked where they entered: ``parse_ntriples`` checks each
 distinct IRI token once; ``IriPolicy`` checks its base; ingest, lexicon load
 and the model keep record ids and class names free of ``IRI_FORBIDDEN``;
-slugs are letters, digits and ``_``; catalog load and ``EntityRef`` check
-entity IRIs; interlinking links statement IRIs of a checked graph.
+slugs are letters, digits and ``_``; catalog load and ``CatalogEntity``
+check entity IRIs; interlinking links statement IRIs of a checked graph.
 
 The codec does each piece of work once.  ``parse_ntriples`` parses each
 distinct token once per call and shares its term between the triples that

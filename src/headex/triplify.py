@@ -96,10 +96,11 @@ class IriPolicy(Checked, namedtuple("_IriPolicyFields", "base_iri")):
         return self.term_iri(role[:1].upper() + role[1:])
 
 
-def _count_literal(text: str) -> Literal:
-    if text.isdigit():
-        return Literal(text, datatype=XSD_INTEGER)
-    return Literal(text)
+def _body(text: str, role: str) -> Literal:
+    """A text node's body: a TextFiller's text, always a string; a Count of
+    digits is an ``xsd:integer``."""
+    datatype = XSD_INTEGER if role == ROLE_COUNT and text.isdigit() else None
+    return tuple.__new__(Literal, (text, datatype, None))
 
 
 class _Memo(dict):
@@ -164,9 +165,8 @@ def emit_event_triples(
             continue
         ordinals[role] = ordinals.get(role, 0) + 1
         node = policy.role_node_iri(role, instance.instance_id, ordinals[role])
-        body = _count_literal(filler.text) if role == ROLE_COUNT else Literal(filler.text)
         triples.append(_triple(node, RDF_TYPE, terms.role_type[role]))
-        triples.append(_triple(node, term[BODY], body))
+        triples.append(_triple(node, term[BODY], _body(filler.text, role)))
         objects.append((role, node))
 
     # Each end of the main triple is the first filler matching the earliest

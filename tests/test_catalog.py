@@ -46,7 +46,7 @@ def reference_holders(catalog: EntityCatalog, title: str, org_iris: set[str], on
 
 
 def org(name: str, *aliases: str) -> CatalogEntity:
-    return CatalogEntity(KB + name, name, "Organisation", aliases)
+    return CatalogEntity(KB + name.replace(" ", "_"), name, "Organisation", aliases)
 
 
 def person(name: str, *positions: tuple[str, str, date, date | None]) -> CatalogEntity:
@@ -272,6 +272,12 @@ def role(**changes):
 
 
 class TestLoadChecks:
+    @pytest.mark.parametrize("iri", ["Kevin_Systrom", KB + "a b", KB + "a<b"])
+    def test_an_entity_built_in_code_needs_an_absolute_iri(self, iri):
+        # Linking builds an EntityRef from a catalog IRI, unchecked.
+        with pytest.raises(CatalogError, match="not absolute"):
+            CatalogEntity(iri, "Acme", AGENT, ())
+
     def test_good_entity_loads(self, tmp_path):
         path = write_catalog(tmp_path, GOOD, {"iri": KB + "o1", "label": "Acme"})
         catalog = load_catalog(path)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import errno
 import gc
+import hashlib
 import json
 import os
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -1060,6 +1063,49 @@ class TestGoldenOutputs:
         got.update((path.name, path.read_bytes()) for path in tmp_path.iterdir())
         golden = fixtures_dir / "golden" / corpus
         assert got == {path.name: path.read_bytes() for path in golden.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    """``bench/gen.py``, run from its source so that nothing is written under
+    ``bench/``; ``dataclasses`` needs the module in ``sys.modules``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    module = types.ModuleType("_headex_bench_gen")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+        yield module
+    finally:
+        del sys.modules[module.__name__]
+
+
+class TestBenchGoldenOutputs:
+    """``extract`` then ``interlink``, as the benchmark runs them, on each
+    benchmark workload's corpus at seeds 1 and 2 give the exit codes and the
+    sha256 of each output pinned in ``fixtures/golden/bench.json``.  A change
+    meant to alter an output updates the digests with it."""
+
+    OUTPUTS = ("events.nt", "links.nt", "skipped.tsv", "audits.tsv")
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("workload", ["archive", "breaking", "noisy-feed"])
+    def test_outputs_match_the_golden_digests(
+        self, capsys, tmp_path, fixtures_dir, bench_gen, workload, seed
+    ):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        bench_gen.generate(bench_gen.WORKLOADS[workload], seed, corpus)
+        records, catalog = str(corpus / "records.tsv"), str(corpus / "catalog.json")
+        got = {}
+        for command, argv in (
+            ("extract", [records, "--out", str(out), "--catalog", catalog]),
+            ("interlink", [str(out / "events.nt"), "--out", str(out / "links.nt")]),
+        ):
+            got[f"{command}.exit"] = run(capsys, command, *argv)[0]
+        for name in self.OUTPUTS:
+            got[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        golden = json.loads((fixtures_dir / "golden" / "bench.json").read_text(encoding="utf-8"))
+        assert got == golden[f"{workload}-{seed}"]
 
 
 class _FullDisk:

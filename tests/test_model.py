@@ -100,6 +100,12 @@ class TestRecords:
         with pytest.raises(ModelError):
             HeadlineRecord(timestamp=datetime(2016, 1, 1, tzinfo=timezone.utc), **kwargs)
 
+    @pytest.mark.parametrize("timestamp", [date(2016, 1, 1), "2016-01-01", None])
+    def test_timestamp_must_be_a_datetime(self, timestamp):
+        # Extraction takes the record's day as a date, unchecked.
+        with pytest.raises(ModelError, match="not a datetime"):
+            HeadlineRecord("a", "CNN", timestamp, "x")
+
 
 class TestInstances:
     def make(self, roles):
@@ -132,6 +138,12 @@ class TestInstances:
     def test_entity_reference_iri_must_be_absolute(self, iri):
         with pytest.raises(ModelError, match="not absolute"):
             EntityRef(iri)
+
+    @pytest.mark.parametrize("text", ["", "  ", b"bytes", 7])
+    def test_text_filler_must_be_a_nonempty_string(self, text):
+        # Emission builds a body literal from it, unchecked.
+        with pytest.raises(ModelError, match="nonempty string"):
+            TextFiller(text)
 
     def test_generic_roles_always_allowed(self):
         inst = self.make((("involved", TextFiller("bystanders")),))

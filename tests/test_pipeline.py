@@ -51,7 +51,7 @@ from headex.pipeline import (
     extract_corpus,
     process_record,
 )
-from headex.rdf import parse_ntriples, serialize_ntriples
+from headex.rdf import Literal, Triple, parse_ntriples, serialize_ntriples
 from headex.triplify import EmissionError, IriPolicy, PolicyError, emit_event_triples
 
 BASE = IriPolicy().base_iri
@@ -395,6 +395,45 @@ class TestBlocksMatchOneRecordAtATime:
             assert instance == expected[0]
             assert list(triples) == list(expected[1])
             assert audits == expected[2]
+
+
+class TestUncheckedBuildsPassTheChecks:
+    """Extraction builds its values by position from parts checked where they
+    entered, skipping the public constructors' checks; every value it returns
+    equals its rebuild through the public constructor, which raises on a bad
+    part."""
+
+    # The kinds of TestBlocksMatchOneRecordAtATime, plus count literals, a
+    # colon message and several text nodes of one role.
+    KINDS = (
+        *TestBlocksMatchOneRecordAtATime.EVENTS,
+        *TestBlocksMatchOneRecordAtATime.SKIPS,
+        ("BBC", "Storm kills 20 people in Havana"),
+        ("AP", 'Gunman kills eight people at "Pulse" club'),
+        ("Reuters", 'Pope Francis says: "we must act"'),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_value_equals_its_checked_rebuild(self, lexicon, catalog, data):
+        size = data.draw(st.integers(0, 2 * BLOCK_SIZE + 8))
+        kinds = data.draw(st.lists(st.sampled_from(self.KINDS), min_size=size, max_size=size))
+        # Ids that end like a role-node suffix (r_0) or hold non-ASCII letters.
+        sep = data.draw(st.sampled_from(("", "_", "é-", ".~")))
+        records = [
+            record._replace(id=f"r{sep}{i}")
+            for i, record in enumerate(TestBlocksMatchOneRecordAtATime.records(kinds))
+        ]
+        result = extract_corpus(records, lexicon, catalog, IriPolicy())
+        for instance in result.instances:
+            assert EventInstance(*instance) == instance
+            assert Provenance(*instance.provenance) == instance.provenance
+            for _, filler in instance.roles:
+                assert type(filler)(*filler) == filler
+        for triple in result.graph:
+            assert Triple(*triple) == triple
+            if isinstance(triple.object, Literal):
+                assert Literal(*triple.object) == triple.object
 
 
 def _catalog(*extra):
