@@ -20,7 +20,7 @@ from headex.interlink import interlink_graph
 from headex.lexicon import default_lexicon_path, load_lexicon_file
 from headex.model import EntityRef
 from headex.pipeline import extract_corpus, process_record
-from headex.rdf import local_name, serialize_turtle
+from headex.rdf import local_name, serialize_ntriples, serialize_turtle
 from headex.triplify import IriPolicy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -58,7 +58,8 @@ def main() -> None:
     linked = extract_corpus(duplicates, lexicon, catalog, policy)
     links, same, related = interlink_graph(linked.graph, policy)
     print(f"sameas={same} related={related}")
-    for triple in links.sorted():
+    # The links are a list; each sorts by its N-Triples line, as links.nt orders them.
+    for triple in sorted(links, key=lambda t: serialize_ntriples([t])):
         print(f"  {local_name(triple.subject)}  --{local_name(triple.predicate)}-->  "
               f"{local_name(str(triple.object))}")
 

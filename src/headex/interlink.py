@@ -10,11 +10,11 @@ same-event pair.
 Both rules need a shared participant (a positive Jaccard threshold implies a
 non-empty intersection), so candidates come from participant postings, the
 inverted-index candidate generation of Bayardo, Ma and Srikant, "Scaling Up
-All Pairs Similarity Search" (WWW 2007): entries are visited in time order,
-and each one is paired only with the earlier entries in reach that already
-posted one of its participants.  Comparisons grow with the pairs that share
-a participant, not with how many events fall in the window, and the result
-is exactly the set of pairs a quadratic scan would produce.
+All Pairs Similarity Search" (WWW 2007): entries are visited once each, in
+time order, with the set of earlier entries in reach that already posted one
+of its participants.  Comparisons grow with the pairs that share a
+participant, not with how many events fall in the window, and the result is
+exactly the set of pairs a quadratic scan would produce, each link once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from .ingest import parse_date
 from .model import FRAMES
-from .rdf import OWL_SAME_AS, SKOS_RELATED, Literal, TripleSet, _triple, local_name
+from .rdf import OWL_SAME_AS, SKOS_RELATED, Literal, Triple, TripleSet, local_name
 from .triplify import BODY, EXTRACTED_ON, HAS_SOURCE, SINGLETON_PROPERTY_OF, IriPolicy
 
 
@@ -161,11 +161,10 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 
 def _sharing_pairs(
-    entries: Iterable[EventIndexEntry], reach: timedelta
-) -> Iterator[tuple[EventIndexEntry, EventIndexEntry]]:
-    """Yield once each (earlier, later) pair of entries, in (time, IRI) order,
-    that shares a participant and lies at most ``reach`` apart."""
-    ordered = sorted(entries, key=_time_order)
+    ordered: list[EventIndexEntry], reach: timedelta
+) -> Iterator[tuple[int, EventIndexEntry, set[int]]]:
+    """Yield (position, entry, candidates) for each entry of ``ordered``, sorted by (time, IRI),
+    that has candidates: the positions at most ``reach`` earlier that share a participant."""
     if not ordered:
         return
     # Integer microseconds: exact inclusive bounds, and no datetime
@@ -186,8 +185,8 @@ def _sharing_pairs(
             candidates.update(positions[bisect_left(times, at - reach_us) :])
             times.append(at)
             positions.append(j)
-        for i in candidates:
-            yield ordered[i], later
+        if candidates:
+            yield j, later, candidates
 
 
 def find_same_events(
@@ -202,16 +201,17 @@ def find_same_events(
     """
     if not 0 < jaccard_min <= 1:
         raise ValueError(f"jaccard_min must lie in (0, 1], got {jaccard_min!r}")
+    ordered = sorted(entries, key=_time_order)
     pairs: set[tuple[str, str]] = set()
-    for earlier, later in _sharing_pairs(entries, timedelta(hours=window_hours)):
-        if earlier.class_iri != later.class_iri:
-            continue
-        if earlier.publisher == later.publisher:
-            continue
-        if jaccard(earlier.participants, later.participants) < jaccard_min:
-            continue
-        a, b = earlier.instance_iri, later.instance_iri
-        pairs.add((a, b) if a < b else (b, a))
+    for _, later, candidates in _sharing_pairs(ordered, timedelta(hours=window_hours)):
+        b, class_iri, participants, _, publisher = later
+        for i in candidates:
+            a, other_class, others, _, other_publisher = ordered[i]
+            if other_class != class_iri or other_publisher == publisher:
+                continue
+            if jaccard(others, participants) < jaccard_min:
+                continue
+            pairs.add((a, b) if a < b else (b, a))
     return sorted(pairs)
 
 
@@ -227,14 +227,21 @@ def find_related_events(
     skipped.
     """
     excluded = {pair for a, b in exclude for pair in ((a, b), (b, a))}
+    ordered = sorted(entries, key=_time_order)
     pairs: list[tuple[str, str]] = []
-    for earlier, later in _sharing_pairs(entries, timedelta(days=horizon_days)):
-        if not earlier.timestamp < later.timestamp:
-            continue
-        pair = (earlier.instance_iri, later.instance_iri)
-        if pair in excluded:
-            continue
-        pairs.append(pair)
+    # Equal times sit together: candidates from ``first`` on are simultaneous.
+    moment, first = None, 0
+    for j, later, candidates in _sharing_pairs(ordered, timedelta(days=horizon_days)):
+        if later.timestamp != moment:
+            moment, first = later.timestamp, j
+            while first and ordered[first - 1].timestamp == moment:
+                first -= 1
+        b = later.instance_iri
+        for i in candidates:
+            if i < first:
+                pair = (ordered[i].instance_iri, b)
+                if pair not in excluded:
+                    pairs.append(pair)
     return sorted(pairs)
 
 
@@ -244,13 +251,15 @@ def interlink_graph(
     window_hours: float = 48.0,
     jaccard_min: float = 0.5,
     horizon_days: float = 7.0,
-) -> tuple[TripleSet, int, int]:
-    """Run both passes over a graph; returns (link triples, same count, related count)."""
+) -> tuple[list[Triple], int, int]:
+    """Run both passes over a graph; returns (list of links, same count, related count)."""
     entries = build_event_index(graph, policy)
     same = find_same_events(entries, window_hours=window_hours, jaccard_min=jaccard_min)
     related = find_related_events(entries, horizon_days=horizon_days, exclude=same)
     # Every IRI here is a statement IRI of the input graph, checked on its
-    # way in, so the link triples are built unchecked.
-    links = TripleSet(_triple(a, OWL_SAME_AS, b) for a, b in same)
-    links.update(_triple(earlier, SKOS_RELATED, later) for earlier, later in related)
+    # way in, so the link triples are built unchecked, as ``_triple`` does;
+    # no pair repeats and no related pair is a same pair, so they are distinct.
+    new = tuple.__new__
+    links = [new(Triple, (a, OWL_SAME_AS, b)) for a, b in same]
+    links += [new(Triple, (earlier, SKOS_RELATED, later)) for earlier, later in related]
     return links, len(same), len(related)

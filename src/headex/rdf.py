@@ -23,7 +23,8 @@ paths: an IRI by ``_check_iri``, a literal by one match of the literal
 pattern, ``unescape_literal`` and ``Literal``; only a token that passes
 enters the call's term table.  A line of the plain shape ``S P O .``
 (single spaces, nothing around) takes the token path: it is split at its
-first two spaces and each token looked up in the term table.  Any other
+first two spaces, subject and predicate are looked up in the term table,
+and the object in a table keyed by the line's tail ``O .``.  Any other
 line, and a line with a token that fails, takes the pattern path: one match
 of the whole-line pattern, then the checks in the order the public
 constructors make them.  Only the pattern path lets a check's error out, so
@@ -256,8 +257,8 @@ def unescape_literal(text: str, line_no: int = 0) -> str:
     return _ESCAPE.sub(character, text)
 
 
-def serialize_ntriples(graph: TripleSet) -> str:
-    """Canonical N-Triples: one line per triple, codepoint-sorted, LF endings."""
+def serialize_ntriples(graph: Iterable[Triple]) -> str:
+    """Canonical N-Triples of distinct triples: one line each, codepoint-sorted, LF endings."""
     return "".join(sorted(map(_line, graph)))
 
 
@@ -278,24 +279,29 @@ def parse_ntriples(text: str) -> TripleSet:
     # token -> its term, parsed and checked once per call, when first seen
     terms: dict[str, str | Literal] = {}
     get = terms.get
+    # line tail `O .` -> the term of O: a repeated object costs one look-up, no slice
+    tails: dict[str, str | Literal] = {}
+    tail_term = tails.get
     new = tuple.__new__
     # Split on LF only: splitlines() would also break on NEL and friends,
     # which are legal raw inside literals.
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         # The token path: a line `S P O .` with single spaces, nothing around.
         parts = raw_line.split(" ", 2)
-        if len(parts) == 3 and parts[2][-2:] == " .":
-            s, p, o = parts
-            o = o[:-2]
+        if len(parts) == 3:
+            s, p, tail = parts
             try:
                 subject = get(s) or _new_term(terms, s, "subject", line_no)
                 predicate = get(p) or _new_term(terms, p, "predicate", line_no)
-                obj = get(o) or _new_term(terms, o, "object", line_no)
+                obj = tail_term(tail)
+                if obj is None and tail[-2:] == " .":
+                    o = tail[:-2]
+                    obj = tails[tail] = get(o) or _new_term(terms, o, "object", line_no)
             except NTriplesParseError:
                 pass  # a token failed its check: the pattern path reports it
             else:
-                # A literal as subject or predicate also goes on to the pattern path.
-                if subject.__class__ is str is predicate.__class__:
+                # No final ' .', or a literal as subject or predicate: the pattern path.
+                if obj is not None and subject.__class__ is str is predicate.__class__:
                     triples[new(Triple, (subject, predicate, obj))] = None
                     continue
         # The pattern path: any other line, or a line the token path refused.

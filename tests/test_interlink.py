@@ -260,6 +260,21 @@ class TestWindowedEqualsBruteForce:
             entries, exclude=same
         )
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_links_are_distinct_triples_one_per_pair(self, monkeypatch, seed):
+        # interlink_graph returns its links as a list, with no set to drop a
+        # duplicate: they must be distinct as built.
+        rng = random.Random(seed)
+        entries = random_entries(rng, rng.randint(0, 60))
+        monkeypatch.setattr(interlink, "build_event_index", lambda graph, policy: entries)
+        links, same, related = interlink_graph(TripleSet(), IriPolicy())
+        assert all(type(link) is Triple for link in links)
+        assert len(set(links)) == len(links) == same + related
+        pairs = brute_same(entries)
+        expected = [Triple(a, OWL_SAME_AS, b) for a, b in pairs]
+        expected += [Triple(a, SKOS_RELATED, b) for a, b in brute_related(entries, exclude=pairs)]
+        assert set(links) == set(expected)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_growing_a_corpus_never_drops_links(self, seed):
         # Both link predicates are pairwise, so new events only ever add.
@@ -433,7 +448,8 @@ class TestPublishedGraphIsAFixedPoint:
 
 class TestLayersCalledThroughModuleGlobals:
     """Tracing wraps the module globals ``cli.parse_ntriples``,
-    ``interlink.build_event_index``, ``find_same_events``,
+    ``cli.serialize_ntriples`` (``rdf.serialize_links_s`` when ``interlink``
+    calls it), ``interlink.build_event_index``, ``find_same_events``,
     ``find_related_events`` and ``jaccard``; a layer reached another way
     would be timed and counted as zero."""
 
@@ -473,6 +489,7 @@ class TestLayersCalledThroughModuleGlobals:
             monkeypatch.setattr(module, name, counted)
 
         wrap(cli, "parse_ntriples")
+        wrap(cli, "serialize_ntriples")
         wrap(interlink, "build_event_index", indexes.append)
         for name in ("find_same_events", "find_related_events", "jaccard"):
             wrap(interlink, name)
@@ -498,6 +515,7 @@ class TestLayersCalledThroughModuleGlobals:
         assert compared > len(same) > 0
         assert calls == {
             "parse_ntriples": 1,
+            "serialize_ntriples": 1,
             "build_event_index": 1,
             "find_same_events": 1,
             "find_related_events": 1,

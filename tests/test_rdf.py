@@ -678,6 +678,7 @@ def literal_token(pieces, suffixes):
 
 
 good_iri = st.sampled_from(GOOD_IRIS)
+good_literal = literal_token(GOOD_PIECES, GOOD_SUFFIXES)
 other_token = st.sampled_from(BAD_IRIS) | literal_token(
     GOOD_PIECES + BAD_PIECES, GOOD_SUFFIXES + BAD_SUFFIXES
 )
@@ -690,7 +691,7 @@ good_parts = st.tuples(
     st.just(" "),
     good_iri,
     st.just(" "),
-    good_iri | literal_token(GOOD_PIECES, GOOD_SUFFIXES),
+    good_iri | good_literal,
     st.just(" ."),
 )
 other_separator = st.sampled_from(OTHER_SEPARATORS)
@@ -732,15 +733,34 @@ ntriples_lines = st.lists(
     st.one_of(good_line, good_line, good_line, changed_line, changed_line, any_line, other_line),
     max_size=8,
 )
+# Lines that end in one of a few tails `O .` and differ before it: a good
+# subject and predicate, a bad subject, a literal predicate, or a doubled
+# space.  A tail seen before lets no line skip a check of what precedes it.
+tail_lead = st.one_of(
+    st.builds("{} {} ".format, good_iri, good_iri),
+    st.builds("{} {} ".format, other_token, good_iri),
+    st.builds("{} {} ".format, good_iri, good_literal),
+    st.builds("{}  ".format, good_iri),
+    st.builds(" {} ".format, good_iri),
+)
+tail_sharing_lines = st.builds(
+    lambda tails, leads: [lead + tails[k % len(tails)] + " ." for lead, k in leads],
+    st.lists(good_iri | good_literal, min_size=1, max_size=2),
+    st.lists(st.tuples(tail_lead, st.integers(0, 1)), max_size=8),
+)
 
 
 @settings(max_examples=1000)
-@given(ntriples_lines)
+@given(ntriples_lines | tail_sharing_lines)
 # A tag that runs into the dot, an IRI token with no '>', and a literal seen
 # as an object and then as a subject.
 @example(['<urn:x> <urn:x> "x"@en-gb.'])
 @example(["<http://e/a <urn:x> <urn:x> ."])
 @example(['<urn:x> <urn:x> "x" .', '"x" <urn:x> <urn:x> .'])
+# A tail seen before, after a bad subject, a literal predicate and a doubled space.
+@example(['<urn:x> <urn:x> "x" .', '<rel> <urn:x> "x" .'])
+@example(['<urn:x> <urn:x> <urn:x> .', '<urn:x> "p" <urn:x> .'])
+@example(['<urn:x> <urn:x> <urn:x> .', '<urn:x>  <urn:x> .', ' <urn:x> <urn:x> .'])
 def test_property_token_path_agrees_with_pattern_path(lines):
     text = "\n".join(lines)
     assert parse_outcome(parse_ntriples, text) == parse_outcome(pattern_parse_ntriples, text)
