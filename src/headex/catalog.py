@@ -37,11 +37,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .ingest import InputError, bad_field, list_field, parse_date, read_json
+from .model import AGENT
 from .rdf import Checked, is_absolute_iri
-
-PERSON = "Person"
-PLACE = "Place"
-AGENT = "Agent"
 
 
 class CatalogError(InputError):

@@ -12,7 +12,7 @@ references ("Instagram CEO", "leader of Russian Orthodox Church"), longest
 alias matches against the catalog, and cardinal-count patterns ("eight
 people").  A chunk that yields nothing becomes a single unresolved mention,
 so no argument is silently lost.  Each mention points at its ``chunk``, whose
-position, intro and full text are what the role rules read.
+position, intro and full text are what each frame's role rules (in ``model``) read.
 
 Linking is closed-world: a named mention is a catalog alias; one candidate
 links, several go through keyword/position scoring with a lexicographic IRI
@@ -28,22 +28,20 @@ from collections.abc import Callable, Iterator
 from datetime import date
 from operator import itemgetter
 
-from .catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog
+from .catalog import CatalogEntity, EntityCatalog
 from .events import EventMention
 from .ingest import HASHTAG, MENTION, NUMBER, PUNCT, QUOTE_CHARS, WORD, Token, TokenSequence
 from .model import (
-    COMMUNICATION,
-    MEET,
-    MURDER,
-    ROLE_CAUSE,
-    ROLE_COUNT,
-    ROLE_GIVER,
-    ROLE_MESSAGE,
-    ROLE_PARTICIPANT,
-    ROLE_PERPETRATOR,
-    ROLE_RECIPIENT,
-    ROLE_TOPIC,
-    ROLE_VICTIM,
+    AGENT,
+    KIND_MENTION,
+    KIND_NAMED,
+    KIND_NUMBER,
+    KIND_OTHER,
+    KIND_QUOTED,
+    PLACE,
+    POST,
+    PRE,
+    SUBJECT,
     EntityRef,
     RoleFiller,
     RoleFrame,
@@ -54,7 +52,6 @@ from .triplify import PolicyError, slugify
 SPLIT_PREPOSITIONS = frozenset(("with", "in", "at", "on", "over", "for"))
 LOCATIVE_PREPOSITIONS = frozenset(("in", "at", "on", "over"))
 _MULTIWORD_GUARD = frozenset(("least", "most"))  # "at least three" stays together
-_SUBORDINATORS = frozenset(("when", "after", "as", "by", "amid", "while", "during"))
 
 PERSON_WORDS = frozenset(
     """people person persons pilots soldiers troops officers civilians victims
@@ -62,19 +59,9 @@ PERSON_WORDS = frozenset(
     wounded""".split()
 )
 
-KIND_NAMED = "named"
-KIND_MENTION = "mention"
-KIND_QUOTED = "quoted-topic"
-KIND_NUMBER = "number"
-KIND_OTHER = "other"
-
 UNRESOLVED = "unresolved"
 LINKED = "linked"
 MINTED = "minted"
-
-SUBJECT = "subject"
-PRE = "pre"
-POST = "post"
 
 
 class LinkingError(ValueError):
@@ -476,17 +463,34 @@ def _filler(mention: EntityMention) -> RoleFiller:
     return TextFiller(mention.text)
 
 
-def _is_passive(head: EventMention | None, mentions: list[EntityMention]) -> bool:
-    if head is None or not head.surface.lower().endswith(("ed", "en", "ain")):
-        return False
-    post = [m.chunk for m in mentions if m.chunk.position == POST]
-    if not post:
-        return True
-    first = min(post, key=lambda ch: ch.index)
-    if first.intro_kind == "prep":
-        return True
-    leading = first.full_text.split()
-    return bool(leading) and leading[0].lower() in _SUBORDINATORS
+class Claims:
+    """What a frame's role rules read and write: one ``assign_roles`` call's
+    mentions, the roles filled so far and the indexes of the claimed mentions."""
+
+    __slots__ = ("mentions", "roles", "done")  # attribute loads specialize on slots
+
+    def __init__(self, mentions: list[EntityMention]) -> None:
+        self.mentions = mentions
+        self.roles: list[tuple[str, RoleFiller]] = []
+        self.done: set[int] = set()
+
+    def pending(self, position: str | None = None) -> Iterator[tuple[int, EntityMention]]:
+        """Unclaimed mentions in order, only those from chunks at ``position`` if given."""
+        done = self.done
+        for i, m in enumerate(self.mentions):
+            if i not in done and (position is None or m.chunk.position == position):
+                yield i, m
+
+    def take(self, i: int, role: str) -> None:
+        self.roles.append((role, _filler(self.mentions[i])))
+        self.done.add(i)
+
+    def say(self, role: str, text: str) -> None:
+        """Fill ``role`` with ``text``, its quote marks removed."""
+        self.roles.append((role, TextFiller(strip_quotes(text))))
+
+    def filled(self, role: str) -> bool:
+        return any(r == role for r, _ in self.roles)
 
 
 def assign_roles(
@@ -494,123 +498,35 @@ def assign_roles(
     frame: RoleFrame,
     head: EventMention | None = None,
 ) -> tuple[list[tuple[str, RoleFiller]], list[str]]:
-    """Map mentions to frame roles.
+    """Map mentions to frame roles: the generic location rule, then the
+    frame's ``rules`` in order (an extension class has none), then generic
+    ``involved`` for each mention left.
 
-    Every mention lands in exactly one role (generic ``involved`` as the
-    fallback) unless its text is already covered by a Topic or Message
-    filler.  The class-specific rules are picked by the frame's class; an
-    extension class has none, so its mentions take only generic roles.
-    Returns the roles plus warnings for unfilled required roles.
+    Every mention lands in exactly one role unless its text is already
+    covered by a Topic or Message filler.  Returns the roles plus warnings
+    for unfilled required roles.
     """
-    roles: list[tuple[str, RoleFiller]] = []
-    done: set[int] = set()
-
-    def pending(position: str | None = None) -> Iterator[tuple[int, EntityMention]]:
-        """Unclaimed mentions in order, only those from chunks at ``position`` if given."""
-        for i, m in enumerate(mentions):
-            if i not in done and (position is None or m.chunk.position == position):
-                yield i, m
-
-    def take(i: int, role: str) -> None:
-        roles.append((role, _filler(mentions[i])))
-        done.add(i)
+    claims = Claims(mentions)
 
     # Generic rule first: place entities inside locative prepositional chunks.
-    for i, m in pending():
+    for i, m in claims.pending():
         if (
             m.is_entity
             and m.entity_type == PLACE
             and m.chunk.intro_kind == "prep"
             and m.chunk.intro in LOCATIVE_PREPOSITIONS
         ):
-            take(i, "location")
+            claims.take(i, "location")
 
-    if frame.event_class_name == MEET:
-        for i, _ in pending(SUBJECT):
-            take(i, ROLE_PARTICIPANT)
-        topic_chunks: set[int] = set()
-        for i, m in pending():
-            if m.chunk.intro_kind == "to_infinitive":
-                if m.chunk.index not in topic_chunks:
-                    topic_chunks.add(m.chunk.index)
-                    roles.append((ROLE_TOPIC, TextFiller(strip_quotes(m.chunk.full_text))))
-                if m.is_entity:
-                    take(i, ROLE_PARTICIPANT)
-                else:
-                    done.add(i)  # covered by the Topic text
-        for i, m in pending():
-            if m.kind == KIND_QUOTED:
-                take(i, ROLE_TOPIC)
-            elif m.is_entity or m.kind == KIND_MENTION:
-                take(i, ROLE_PARTICIPANT)
+    for rule in frame.rules:
+        rule(claims, head)
 
-    elif frame.event_class_name == COMMUNICATION:
-        for i, _ in pending(SUBJECT):
-            take(i, ROLE_GIVER)
-        message_found = False
-        for i, m in pending():
-            if not (m.is_entity or m.kind == KIND_MENTION):
-                continue
-            recipient_intro = m.chunk.intro_kind == "to_plain" or m.chunk.intro == "with"
-            if recipient_intro and m.entity_type in (PERSON, AGENT):
-                take(i, ROLE_RECIPIENT)
-                break
-        for i, m in pending():
-            if m.chunk.intro_kind == "colon":
-                if not message_found:
-                    text = strip_quotes(m.chunk.full_text.lstrip(": "))
-                    roles.append((ROLE_MESSAGE, TextFiller(text)))
-                    message_found = True
-                done.add(i)
-        if not message_found:
-            for i, m in pending():
-                if m.kind == KIND_QUOTED:
-                    take(i, ROLE_MESSAGE)
-                    message_found = True
-                    break
-        if not message_found:
-            post_chunks: dict[int, str] = {}
-            for m in mentions:
-                if m.chunk.position == POST:
-                    post_chunks.setdefault(m.chunk.index, m.chunk.full_text)
-            if post_chunks:
-                text = strip_quotes(" ".join(post_chunks[k] for k in sorted(post_chunks)))
-                roles.append((ROLE_MESSAGE, TextFiller(text)))
-                for i, m in pending(POST):
-                    if not m.is_entity:
-                        done.add(i)  # covered by the Message text
-
-    elif frame.event_class_name == MURDER:
-        if _is_passive(head, mentions):
-            for i, m in pending(SUBJECT):
-                if m.kind == KIND_NUMBER:
-                    take(i, ROLE_COUNT)
-                elif m.is_entity and m.entity_type == PERSON:
-                    take(i, ROLE_VICTIM)
-                elif not m.is_entity and m.kind == KIND_OTHER:
-                    take(i, ROLE_VICTIM)
-        else:
-            for i, m in pending(SUBJECT):
-                if m.is_entity and m.entity_type == PERSON:
-                    take(i, ROLE_PERPETRATOR)
-                else:
-                    take(i, ROLE_CAUSE)
-                break
-            for i, m in pending(POST):
-                if m.kind == KIND_NUMBER:
-                    take(i, ROLE_COUNT)
-                elif m.is_entity and m.entity_type == PERSON:
-                    take(i, ROLE_VICTIM)
-        for i, m in pending():
-            if m.kind == KIND_NUMBER:
-                take(i, ROLE_COUNT)
-
-    for i, _ in pending():
-        take(i, "involved")
+    for i, _ in claims.pending():
+        claims.take(i, "involved")
 
     warnings = [
         f"required role {required} is unfilled"
         for required in frame.required_roles
-        if not any(r == required for r, _ in roles)
+        if not claims.filled(required)
     ]
-    return roles, warnings
+    return claims.roles, warnings

@@ -47,8 +47,6 @@ from collections import namedtuple
 
 from .catalog import EntityCatalog
 from .entities import (
-    KIND_MENTION,
-    KIND_NAMED,
     LINKED,
     DisambiguationAudit,
     EntityMention,
@@ -63,7 +61,7 @@ from .entities import (
 from .events import recognize_event
 from .ingest import HeadlineRecord, normalize, record_date
 from .lexicon import Lexicon
-from .model import EventInstance, Provenance
+from .model import KIND_MENTION, KIND_NAMED, EventInstance, Provenance
 from .rdf import TripleSet
 from .triplify import EmissionError, EmissionTerms, IriPolicy, PolicyError, emit_event_triples
 
@@ -165,7 +163,7 @@ def _extract_block(
     ]
     for (i, record, head, at, _, audits, warnings), (roles, role_warnings) in zip(linked, framed):
         # HeadlineRecord checked the id and publisher, a datetime's date is a
-        # date, and assign_roles takes its role names from the class's frame.
+        # date, and assign_roles fills only the roles of the class's frame.
         provenance = new(Provenance, (record.publisher, at))
         fields = (record.id, head.event_class, head, tuple(roles), provenance)
         instance = new(EventInstance, (*fields, (*warnings, *role_warnings)))

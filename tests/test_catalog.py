@@ -11,8 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headex.catalog import (
-    AGENT,
-    PERSON,
     CatalogEntity,
     CatalogError,
     EntityCatalog,
@@ -22,6 +20,7 @@ from headex.catalog import (
     load_catalog,
 )
 from headex.ingest import InputError, bad_field, list_field, read_json
+from headex.model import AGENT, PERSON
 from headex.rdf import is_absolute_iri
 
 KB = "http://kb.example/"

@@ -11,23 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headex.catalog import AGENT, PERSON, PLACE, CatalogEntity, EntityCatalog, PositionRecord
+from headex.catalog import CatalogEntity, EntityCatalog, PositionRecord
 from headex.entities import (
     _MULTIWORD_GUARD,
-    _SUBORDINATORS,
-    KIND_MENTION,
-    KIND_NAMED,
-    KIND_NUMBER,
-    KIND_OTHER,
-    KIND_QUOTED,
     LINKED,
     LOCATIVE_PREPOSITIONS,
     MINTED,
     PERSON_WORDS,
-    POST,
-    PRE,
     SPLIT_PREPOSITIONS,
-    SUBJECT,
     UNRESOLVED,
     Chunk,
     EntityMention,
@@ -49,9 +40,21 @@ from headex.entities import (
 from headex.events import recognize_event
 from headex.ingest import HASHTAG, MENTION, NUMBER, PUNCT, QUOTE_CHARS, WORD, Token, normalize
 from headex.model import (
+    _SUBORDINATORS,
+    AGENT,
     COMMUNICATION,
+    GENERIC_ROLES,
+    KIND_MENTION,
+    KIND_NAMED,
+    KIND_NUMBER,
+    KIND_OTHER,
+    KIND_QUOTED,
     MEET,
     MURDER,
+    PERSON,
+    PLACE,
+    POST,
+    PRE,
     ROLE_CAUSE,
     ROLE_COUNT,
     ROLE_GIVER,
@@ -61,6 +64,8 @@ from headex.model import (
     ROLE_RECIPIENT,
     ROLE_TOPIC,
     ROLE_VICTIM,
+    SUBJECT,
+    EventClass,
     RoleFiller,
     TextFiller,
 )
@@ -920,9 +925,15 @@ def test_entity_stage_matches_the_old_one(data, lexicon, catalog, policy):
         return m
 
     frame = head.event_class.frame
-    assert assign_roles([link(m) for m in new], frame, head=head) == old_assign_roles(
-        [link(m) for m in old], frame, head=head
-    )
+    linked = [link(m) for m in new]
+    roles, warnings = assign_roles(linked, frame, head=head)
+    assert (roles, warnings) == old_assign_roles([link(m) for m in old], frame, head=head)
+    # ``pipeline._extract_block`` builds each EventInstance without its checks,
+    # so the roles must be the frame's: a class without rules fills only the
+    # generic ones.
+    assert {role for role, _ in roles} <= set(frame.role_names)
+    extension_roles, _ = assign_roles(linked, EventClass("Banquet").frame, head=head)
+    assert {role for role, _ in extension_roles} <= set(GENERIC_ROLES)
 
 
 # Single surfaces (no whitespace, as every token surface) whose case folds

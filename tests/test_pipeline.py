@@ -26,8 +26,6 @@ from headex.catalog import (
     load_catalog,
 )
 from headex.entities import (
-    KIND_MENTION,
-    KIND_NAMED,
     LINKED,
     DisambiguationAudit,
     LinkingError,
@@ -42,7 +40,7 @@ from headex.events import recognize_event
 from headex.ingest import normalize, parse_record, read_records, record_date
 from headex.interlink import build_event_index, interlink_graph
 from headex.lexicon import default_lexicon_path, load_lexicon, load_lexicon_file
-from headex.model import EventInstance, Provenance
+from headex.model import KIND_MENTION, KIND_NAMED, EventInstance, Provenance
 from headex.pipeline import (
     BLOCK_SIZE,
     ExtractResult,
