@@ -20,7 +20,6 @@ from datetime import timedelta
 from pathlib import Path
 
 from .catalog import default_catalog_path, load_catalog
-from .datamodel import Verdict, load_descriptor, validate_data_model
 from .ingest import InputError, parse_date, read_text
 from .interlink import InterlinkError, build_event_index, interlink_graph
 from .lexicon import default_lexicon_path, load_lexicon_file
@@ -156,6 +155,8 @@ def _cmd_interlink(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .datamodel import Verdict, load_descriptor, validate_data_model  # only `validate` needs it
+
     reports = [validate_data_model(load_descriptor(path)) for path in args.models]
 
     width = max(len("model"), *(len(r.model_name) for r in reports))

@@ -15,6 +15,12 @@ time order, with the set of earlier entries in reach that already posted one
 of its participants.  Comparisons grow with the pairs that share a
 participant, not with how many events fall in the window, and the result is
 exactly the set of pairs a quadratic scan would produce, each link once.
+
+Both passes work on integers.  Postings hold positions in time order, and
+the entries in reach of one start at a bound that only moves forward.  A
+pair is the key ``rank_a * n + rank_b`` over the ``n`` distinct IRIs ranked
+in codepoint order: the keys sort as the IRI pairs do, and turn back into
+pairs once, at the end.
 """
 
 from __future__ import annotations
@@ -171,22 +177,39 @@ def _sharing_pairs(
     # arithmetic that could leave the representable range for a huge reach.
     origin = ordered[0].timestamp
     reach_us = reach // _MICROSECOND
-    # participant -> (times, positions) of the entries visited so far, ascending.
-    postings: dict[str, tuple[list[int], list[int]]] = {}
+    times = [(entry.timestamp - origin) // _MICROSECOND for entry in ordered]
+    # participant -> ascending positions of the entries visited so far, less those shed behind lo.
+    postings: dict[str, list[int]] = {}
+    # Times ascend, so the entries in reach of position j are those from lo
+    # on; lo only moves forward, and never past j, whatever the reach.
+    lo = 0
     for j, later in enumerate(ordered):
-        at = (later.timestamp - origin) // _MICROSECOND
+        earliest = times[j] - reach_us
+        while lo < j and times[lo] < earliest:
+            lo += 1
         candidates: set[int] = set()
         for participant in later.participants:
-            posting = postings.get(participant)
-            if posting is None:  # first seen: no earlier entry to pair with
-                postings[participant] = ([at], [j])
+            positions = postings.get(participant)
+            if positions is None:  # first seen: no earlier entry to pair with
+                postings[participant] = [j]
                 continue
-            times, positions = posting
-            candidates.update(positions[bisect_left(times, at - reach_us) :])
-            times.append(at)
+            if positions[-1] < lo:  # all out of reach, now and for every later entry
+                positions.clear()
+            else:
+                if positions[0] < lo:
+                    del positions[: bisect_left(positions, lo)]
+                candidates.update(positions)
             positions.append(j)
         if candidates:
             yield j, later, candidates
+
+
+def _ranks(ordered: list[EventIndexEntry]) -> tuple[list[str], dict[str, int], list[int]]:
+    """The distinct IRIs of ``ordered`` in codepoint order, each one's rank, each position's."""
+    iris = [entry.instance_iri for entry in ordered]
+    distinct = sorted(dict.fromkeys(iris))  # time order is near IRI order: long runs
+    rank_of = dict(zip(distinct, range(len(distinct))))
+    return distinct, rank_of, [rank_of[iri] for iri in iris]
 
 
 def find_same_events(
@@ -202,17 +225,23 @@ def find_same_events(
     if not 0 < jaccard_min <= 1:
         raise ValueError(f"jaccard_min must lie in (0, 1], got {jaccard_min!r}")
     ordered = sorted(entries, key=_time_order)
-    pairs: set[tuple[str, str]] = set()
-    for _, later, candidates in _sharing_pairs(ordered, timedelta(hours=window_hours)):
-        b, class_iri, participants, _, publisher = later
+    iris, _, ranks = _ranks(ordered)
+    n = len(iris)
+    classes = [entry.class_iri for entry in ordered]
+    publishers = [entry.publisher for entry in ordered]
+    # (smaller rank) * n + (larger rank): sorting the keys sorts the pairs.
+    keys: set[int] = set()
+    for j, later, candidates in _sharing_pairs(ordered, timedelta(hours=window_hours)):
+        _, class_iri, participants, _, publisher = later
+        b = ranks[j]
         for i in candidates:
-            a, other_class, others, _, other_publisher = ordered[i]
-            if other_class != class_iri or other_publisher == publisher:
+            if classes[i] != class_iri or publishers[i] == publisher:
                 continue
-            if jaccard(others, participants) < jaccard_min:
+            if jaccard(ordered[i].participants, participants) < jaccard_min:
                 continue
-            pairs.add((a, b) if a < b else (b, a))
-    return sorted(pairs)
+            a = ranks[i]
+            keys.add(a * n + b if a < b else b * n + a)
+    return [(iris[key // n], iris[key % n]) for key in sorted(keys)]
 
 
 def find_related_events(
@@ -226,9 +255,15 @@ def find_related_events(
     and pairs listed in ``exclude`` (same-event links, in any order) are
     skipped.
     """
-    excluded = {pair for a, b in exclude for pair in ((a, b), (b, a))}
+    excluded = [(a, b) for a, b in exclude]  # unpacked here: a malformed item fails at once
     ordered = sorted(entries, key=_time_order)
-    pairs: list[tuple[str, str]] = []
+    iris, rank_of, ranks = _ranks(ordered)
+    n = len(iris)
+    # A pair naming an IRI outside the entries cannot turn up: it is dropped.
+    known = [(rank_of[a], rank_of[b]) for a, b in excluded if a in rank_of and b in rank_of]
+    skip = {x * n + y for a, b in known for x, y in ((a, b), (b, a))}
+    # (earlier rank) * n + (later rank): sorting the keys sorts the pairs.
+    keys: list[int] = []
     # Equal times sit together: candidates from ``first`` on are simultaneous.
     moment, first = None, 0
     for j, later, candidates in _sharing_pairs(ordered, timedelta(days=horizon_days)):
@@ -236,13 +271,14 @@ def find_related_events(
             moment, first = later.timestamp, j
             while first and ordered[first - 1].timestamp == moment:
                 first -= 1
-        b = later.instance_iri
+        b = ranks[j]
         for i in candidates:
             if i < first:
-                pair = (ordered[i].instance_iri, b)
-                if pair not in excluded:
-                    pairs.append(pair)
-    return sorted(pairs)
+                key = ranks[i] * n + b
+                if key not in skip:
+                    keys.append(key)
+    keys.sort()
+    return [(iris[key // n], iris[key % n]) for key in keys]
 
 
 def interlink_graph(

@@ -19,19 +19,19 @@ check entity IRIs; interlinking links statement IRIs of a checked graph.
 The codec does each piece of work once.  ``parse_ntriples`` parses each
 distinct token once per call and shares its term between the triples that
 repeat it.  A new token is checked by one function, ``_new_term``, on both
-paths: an IRI by ``_check_iri``, a literal by one match of the literal
-pattern, ``unescape_literal`` and ``Literal``; only a token that passes
-enters the call's term table.  A line of the plain shape ``S P O .``
-(single spaces, nothing around) takes the token path: it is split at its
-first two spaces, subject and predicate are looked up in the term table,
-and the object in a table keyed by the line's tail ``O .``.  Any other
-line, and a line with a token that fails, takes the pattern path: one match
-of the whole-line pattern, then the checks in the order the public
-constructors make them.  Only the pattern path lets a check's error out, so
-a message and its line number do not depend on the path.
-``serialize_ntriples`` renders each line once and sorts the lines, which
-gives the term order (see ``_line``).  Escaping is one ``str.translate``;
-unescaping is one ``re.sub``.
+paths: an IRI by ``_check_iri``; a plain literal with no quote or backslash
+inside by a slice; any other literal by one match of the literal pattern,
+``unescape_literal`` and ``Literal``.  Only a token that passes enters the
+call's term table.  A line of the plain shape ``S P O .`` (single spaces,
+nothing around) takes the token path: it is split at its first two spaces,
+subject and predicate are looked up in the term table, and the object in a
+table keyed by the line's tail ``O .``.  Any other line, and a line with a
+token that fails, takes the pattern path: one match of the whole-line
+pattern, then the checks in the order the public constructors make them.
+Only the pattern path lets a check's error out, so a message and its line
+number do not depend on the path.  ``serialize_ntriples`` renders each line
+once and sorts the lines, which gives the term order (see ``_line``).
+Escaping is one ``str.translate``; unescaping is one ``re.sub``.
 """
 
 from __future__ import annotations
@@ -334,6 +334,9 @@ def _new_term(terms: dict[str, str | Literal], token: str, position: str, line_n
             term = _check_iri(position, token[1:-1])
         except RdfError as exc:
             raise NTriplesParseError(line_no, str(exc)) from exc
+    elif token.count('"') == 2 and token[0] == '"' == token[-1] and "\\" not in token:
+        # A plain literal with no quote or backslash inside: what the pattern would read.
+        term = tuple.__new__(Literal, (token[1:-1], None, None))
     else:
         match = _LITERAL_TOKEN.fullmatch(token)
         if match is None:

@@ -362,6 +362,66 @@ class TestParametersEqualBruteForce:
             ("http://x/b", "http://x/c"),
         ]
 
+    @pytest.mark.parametrize("simultaneous", [False, True], ids=["spread", "one-moment"])
+    @pytest.mark.parametrize("reach", [-1.0, -1e-9, 0.0, 1e6])
+    def test_reach_edges(self, reach, simultaneous):
+        # Entries in reach sit from a moving lower bound on; a negative reach
+        # must leave it at the entry itself, so nothing pairs.
+        rng = random.Random(f"edges-{reach}-{simultaneous}")
+        for _ in range(8):
+            entries = random_entries(rng, rng.randint(0, 60))
+            if simultaneous:
+                entries = [e._replace(timestamp=entries[0].timestamp) for e in entries]
+            same = find_same_events(entries, window_hours=reach, jaccard_min=1e-9)
+            assert same == brute_same(entries, window_hours=reach, jaccard_min=1e-9)
+            related = find_related_events(entries, horizon_days=reach, exclude=same)
+            assert related == brute_related(entries, horizon_days=reach, exclude=same)
+            if reach < 0:
+                assert same == related == []
+
+    # Prefixes of each other, a capital, a non-ASCII and an astral letter:
+    # pairs sort by the codepoints of their IRIs, not by a rank or a time.
+    RANK_POOL = (
+        "http://x/a",
+        "http://x/a/b",
+        "http://x/ab",
+        "http://x/A",
+        "http://x/\u00e9",
+        "http://x/\U0001d49c",
+    )
+    OUTSIDE = ("http://x/", "http://x/a/c")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, len(RANK_POOL) - 1),  # IRI: the pool repeats
+                st.integers(0, 1),  # class
+                st.frozensets(st.integers(0, 3), max_size=3),  # participants
+                st.integers(0, 72),  # hours after the first day
+                st.integers(0, 2),  # publisher
+            ),
+            max_size=12,
+        ),
+        exclude=st.lists(st.tuples(*[st.sampled_from(RANK_POOL + OUTSIDE)] * 2), max_size=6),
+    )
+    def test_pair_order_and_multiplicity_under_ranks(self, rows, exclude):
+        entries = [
+            entry(
+                self.RANK_POOL[iri],
+                class_iri=f"http://x/C{cls}",
+                participants=frozenset(f"http://x/e{k}" for k in people),
+                hours=hours,
+                publisher=f"p{publisher}",
+            )
+            for iri, cls, people, hours, publisher in rows
+        ]
+        same = find_same_events(entries, window_hours=24)
+        assert same == brute_same(entries, window_hours=24)
+        for pairs in (exclude, same):
+            related = find_related_events(entries, horizon_days=2, exclude=pairs)
+            assert related == brute_related(entries, horizon_days=2, exclude=pairs)
+
     @pytest.mark.parametrize("jaccard_min", [0.0, -0.5, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, jaccard_min):
         people = frozenset({"http://x/p"})

@@ -765,3 +765,17 @@ def test_property_token_path_agrees_with_pattern_path(lines):
     text = "\n".join(lines)
     assert parse_outcome(parse_ntriples, text) == parse_outcome(pattern_parse_ntriples, text)
 
+
+
+# Objects at the edges of the plain-literal reading that skips the pattern:
+# too short, a quote or backslash inside, no opening quote (with one or two
+# quotes in all), a tag or a datatype (absolute or relative) after the
+# closing quote, a raw CR inside.
+@pytest.mark.parametrize(
+    "token",
+    ['"', '""', '"a"b"', '"a\\"', '"a\\\\"', 'a"', 'a"b"', '"x"@en', '"x"^^<http://x/t>', '"x"^^<t>']
+    + ['"a\rb"', '"é"'],
+)
+def test_plain_literal_reading_agrees_with_pattern_path(token):
+    text = f"<urn:x> <urn:x> {token} .\n<urn:x> <urn:y> {token} ."
+    assert parse_outcome(parse_ntriples, text) == parse_outcome(pattern_parse_ntriples, text)

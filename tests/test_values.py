@@ -263,6 +263,12 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_importing_the_cli_leaves_the_data_model_checker_unloaded():
+    # Only `validate` needs it; every other command would compile it for nothing.
+    done = _fresh_python("import sys, headex.cli; print('headex.datamodel' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(headex.__path__)))
 def test_each_module_imports_first(module):
     """An import cycle can break only one import order, so each module is
