@@ -160,7 +160,7 @@ class EntityCatalog:
     def is_position_title(self, surface: str) -> bool:
         return surface.casefold() in self._titles
 
-    def holders(self, title: str, org_iris: set[str], on: date) -> tuple[CatalogEntity, ...]:
+    def holders(self, title: str, org_iris: Iterable[str], on: date) -> tuple[CatalogEntity, ...]:
         """Entities holding ``title`` at any of ``org_iris`` on the given day."""
         title = title.casefold()
         # Entity IRI -> its first active matching position, by rank.

@@ -157,11 +157,11 @@ class EntityMention(
     namedtuple(
         "_EntityMentionFields",
         "text span kind chunk status iri entity_type implicit count_value",
-        defaults=(UNRESOLVED, None, None, False, None),
+        defaults=(UNRESOLVED, None, None, None, None),
     )
 ):
-    """A mention in ``chunk``: its surface, span and kind, and how linking
-    left it."""
+    """A mention in ``chunk``: its surface, span and kind, how linking left
+    it, and for a position reference only, its ``implicit`` (title, org IRIs)."""
 
     __slots__ = ()
 
@@ -260,15 +260,16 @@ def _plan(words: tuple[Token, ...], catalog: EntityCatalog) -> tuple[tuple, ...]
     surfaces = tuple(t.surface for t in words)
     plan = []
 
-    def add(kind: str, start: int, end: int, implicit: bool = False, count_value=None) -> None:
+    def add(kind: str, start: int, end: int, implicit=None, count_value=None) -> None:
         plan.append((kind, start, end, " ".join(surfaces[start:end]), implicit, count_value))
 
     i = 0  # words before i belong to a position reference
     reference = _parse_position_reference(surfaces, catalog)
     if reference is not None:
-        used = reference[2]
+        title, org, used = reference
         if used == len(words):
-            add(KIND_OTHER, 0, used, implicit=True)
+            org_iris = frozenset(e.iri for e in catalog.candidates(" ".join(org)))
+            add(KIND_OTHER, 0, used, implicit=(title, org_iris))
             i = used
         # Apposition: the trailing words must name the same referent.
         elif _alias_match_length(words[used:], 0, catalog) == len(words) - used:
@@ -435,22 +436,16 @@ def link_entity(
 
 def resolve_implicit(
     mention: EntityMention, catalog: EntityCatalog, at: date
-) -> CatalogEntity | None:
-    """Resolve a position-based reference to whoever held the position on ``at``.
+) -> EntityMention | None:
+    """Link a position reference to whoever held the position on ``at``.
 
-    Returns None when the pattern does not parse, the organisation is unknown,
-    or nobody held the position on that date.
+    Reads the title and org IRIs that ``_plan`` put in ``mention.implicit``;
+    returns None when nobody held the position on that date.
     """
-    words = tuple(mention.text.split())
-    parsed = _parse_position_reference(words, catalog)
-    if parsed is None:
+    holders = catalog.holders(*mention.implicit, at)
+    if not holders:
         return None
-    title, org_words, _ = parsed
-    org_iris = {e.iri for e in catalog.candidates(" ".join(org_words))}
-    if not org_iris:
-        return None
-    holders = catalog.holders(title, org_iris, at)
-    return holders[0] if holders else None
+    return mention._replace(status=LINKED, iri=holders[0].iri, entity_type=holders[0].entity_type)
 
 
 def _filler(mention: EntityMention) -> RoleFiller:

@@ -204,12 +204,12 @@ def _sharing_pairs(
             yield j, later, candidates
 
 
-def _ranks(ordered: list[EventIndexEntry]) -> tuple[list[str], dict[str, int], list[int]]:
-    """The distinct IRIs of ``ordered`` in codepoint order, each one's rank, each position's."""
+def _ranks(ordered: list[EventIndexEntry]) -> tuple[list[str], list[int]]:
+    """The distinct IRIs of ``ordered`` in codepoint order, and each position's rank among them."""
     iris = [entry.instance_iri for entry in ordered]
     distinct = sorted(dict.fromkeys(iris))  # time order is near IRI order: long runs
     rank_of = dict(zip(distinct, range(len(distinct))))
-    return distinct, rank_of, [rank_of[iri] for iri in iris]
+    return distinct, [rank_of[iri] for iri in iris]
 
 
 def find_same_events(
@@ -225,7 +225,7 @@ def find_same_events(
     if not 0 < jaccard_min <= 1:
         raise ValueError(f"jaccard_min must lie in (0, 1], got {jaccard_min!r}")
     ordered = sorted(entries, key=_time_order)
-    iris, _, ranks = _ranks(ordered)
+    iris, ranks = _ranks(ordered)
     n = len(iris)
     classes = [entry.class_iri for entry in ordered]
     publishers = [entry.publisher for entry in ordered]
@@ -255,12 +255,12 @@ def find_related_events(
     and pairs listed in ``exclude`` (same-event links, in any order) are
     skipped.
     """
-    excluded = [(a, b) for a, b in exclude]  # unpacked here: a malformed item fails at once
     ordered = sorted(entries, key=_time_order)
-    iris, rank_of, ranks = _ranks(ordered)
+    iris, ranks = _ranks(ordered)
     n = len(iris)
+    rank_of = dict(zip(iris, range(n)))
     # A pair naming an IRI outside the entries cannot turn up: it is dropped.
-    known = [(rank_of[a], rank_of[b]) for a, b in excluded if a in rank_of and b in rank_of]
+    known = [(rank_of[a], rank_of[b]) for a, b in exclude if a in rank_of and b in rank_of]
     skip = {x * n + y for a, b in known for x, y in ((a, b), (b, a))}
     # (earlier rank) * n + (later rank): sorting the keys sorts the pairs.
     keys: list[int] = []

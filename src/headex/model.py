@@ -87,14 +87,12 @@ class EventClass(Checked, namedtuple("_EventClassFields", "name subgroup")):
     @property
     def frame(self) -> RoleFrame:
         """This class's frame; a class without one gets generic roles only."""
-        return FRAMES.get(self.name) or RoleFrame(self.name)
+        return FRAMES.get(self.name) or RoleFrame()
 
 
 class RoleFrame(
     Checked,
-    namedtuple(
-        "_RoleFrameFields", "event_class_name roles required_roles main_subject main_object rules"
-    ),
+    namedtuple("_RoleFrameFields", "roles required_roles main_subject main_object rules"),
 ):
     """What an event class decides: its roles, its role rules and its main triple.
 
@@ -107,23 +105,24 @@ class RoleFrame(
     earliest link's role (an entity filler, when ``entity_only``), and the
     object never reuses the subject's filler or its IRI, so the main triple
     is never a self-loop.  With either end unmatched, and always for a frame
-    with empty chains, no main triple is emitted.
+    with empty chains, no main triple is emitted.  A frame holds no name: its
+    ``FRAMES`` key names the class.
     """
 
     __slots__ = ()
 
     def __new__(
         cls,
-        event_class_name: str,
         roles: tuple[str, ...] = (),
         required_roles: tuple[str, ...] = (),
         main_subject: tuple[tuple[str, bool], ...] = (),
         main_object: tuple[tuple[str, bool], ...] = (),
         rules: tuple[Callable[[Claims, EventMention | None], None], ...] = (),
     ) -> RoleFrame:
-        if len(roles) != len(set(roles)):
-            raise ModelError(f"duplicate role names in frame for {event_class_name}")
-        fields = (event_class_name, roles, required_roles, main_subject, main_object, rules)
+        for role in roles:
+            if roles.count(role) > 1:
+                raise ModelError(f"role {role!r} appears more than once in the frame")
+        fields = (roles, required_roles, main_subject, main_object, rules)
         return tuple.__new__(cls, fields)
 
     @property
@@ -259,7 +258,6 @@ def murder_counts(claims: Claims, head: EventMention | None) -> None:
 FRAMES: Mapping[str, RoleFrame] = MappingProxyType(
     {
         MEET: RoleFrame(
-            MEET,
             roles=(ROLE_PARTICIPANT, ROLE_TOPIC),
             required_roles=(ROLE_PARTICIPANT,),
             main_subject=((ROLE_PARTICIPANT, True),),
@@ -267,7 +265,6 @@ FRAMES: Mapping[str, RoleFrame] = MappingProxyType(
             rules=(meet_subject, meet_infinitive_topic, meet_rest),
         ),
         COMMUNICATION: RoleFrame(
-            COMMUNICATION,
             roles=(ROLE_GIVER, ROLE_RECIPIENT, ROLE_MESSAGE),
             required_roles=(ROLE_GIVER, ROLE_MESSAGE),
             main_subject=((ROLE_GIVER, True),),
@@ -275,7 +272,6 @@ FRAMES: Mapping[str, RoleFrame] = MappingProxyType(
             rules=(communication_giver, communication_recipient, communication_message),
         ),
         MURDER: RoleFrame(
-            MURDER,
             roles=(ROLE_VICTIM, ROLE_PERPETRATOR, ROLE_CAUSE, ROLE_COUNT),
             main_subject=((ROLE_PERPETRATOR, True), (ROLE_CAUSE, False)),
             main_object=((ROLE_VICTIM, False), (ROLE_COUNT, False)),

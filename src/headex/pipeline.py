@@ -28,8 +28,8 @@ derives a fact once per distinct input it depends on:
 * ``readings`` (``recognize_event``): word surface -> its lemma and verb
   reading under the lexicon;
 * ``plans`` (``recognize_entities``): the surfaces and kinds of a chunk's
-  free words -> their position reference, alias matches and counts under
-  the catalog, as word indexes;
+  free words -> their position reference's title and org IRIs, alias
+  matches and counts under the catalog, as word indexes;
 * ``terms`` (``emit_event_triples``): the policy's term IRIs by name, role
   IRIs by role, source IRIs by publisher and date literals by day.
 
@@ -47,9 +47,7 @@ from collections import namedtuple
 
 from .catalog import EntityCatalog
 from .entities import (
-    LINKED,
     DisambiguationAudit,
-    EntityMention,
     LinkingError,
     assign_roles,
     chunk,
@@ -136,13 +134,9 @@ def _extract_block(
         resolved = []
         for mention in mentions:
             if mention.implicit:
-                holder = resolve_implicit(mention, catalog, at)
-                if holder is None:
+                mention = resolve_implicit(mention, catalog, at) or mention
+                if not mention.is_entity:
                     warnings.append(f"position reference {mention.text!r} resolved to nobody")
-                else:  # linked in one build; the catalog checked the holder's IRI
-                    text, span, kind, ch, _, _, _, implicit, count = mention
-                    fields = (text, span, kind, ch, LINKED, holder.iri, holder.entity_type)
-                    mention = new(EntityMention, (*fields, implicit, count))
             elif mention.kind in (KIND_NAMED, KIND_MENTION):
                 try:
                     mention, audit = link_entity(

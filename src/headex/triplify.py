@@ -68,8 +68,8 @@ class IriPolicy(Checked, namedtuple("_IriPolicyFields", "base_iri")):
             raise PolicyError(f"base IRI must be absolute and end with / or #: {base_iri!r}")
         return tuple.__new__(cls, (base_iri,))
 
-    def instance_iri(self, event_class_name: str, record_id: str) -> str:
-        return f"{self.base_iri}{event_class_name}_{record_id}"
+    def instance_iri(self, class_name: str, record_id: str) -> str:
+        return f"{self.base_iri}{class_name}_{record_id}"
 
     def term_iri(self, name: str) -> str:
         """A class or property of the policy's vocabulary."""

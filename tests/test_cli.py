@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import gc
 import hashlib
 import json
 import os
+import random
+import re
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from headex import cli
+from headex import cli, pipeline
 from headex.cli import main
 from headex.catalog import default_catalog_path
 from headex.lexicon import default_lexicon_path
@@ -1106,6 +1109,68 @@ class TestBenchGoldenOutputs:
             got[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
         golden = json.loads((fixtures_dir / "golden" / "bench.json").read_text(encoding="utf-8"))
         assert got == golden[f"{workload}-{seed}"]
+
+
+class TestOutputsIgnoreBlocksAndRecordOrder:
+    """A record's outcome does not depend on its neighbours: ``extract`` then
+    ``interlink`` write the same bytes whatever ``pipeline.BLOCK_SIZE`` is,
+    and the same graph and links for any order of records with distinct ids.
+    The per-run tables outlive each block (``plans`` holds the org IRIs of
+    each position reference), so no block boundary and no order of filling
+    them may reach the output.  The inputs are the fixtures and small
+    corpora of each benchmark workload."""
+
+    BLOCK_SIZES = (1, 2, 63, 64, 65, 10_000)
+    # A small corpus still spans three blocks of 64 and plants every skip.
+    SMALL = {"records": 160, "catalog_size": 300, "pool": 200}
+
+    @pytest.fixture(
+        scope="class", params=["headlines9", "duplicates", "archive", "breaking", "noisy-feed"]
+    )
+    def corpus(self, request, fixtures_dir, bench_gen, tmp_path_factory):
+        """The records file and the ``extract`` options that go with it."""
+        name = request.param
+        if (fixtures_dir / f"{name}.tsv").exists():
+            return fixtures_dir / f"{name}.tsv", []
+        settings = dataclasses.replace(bench_gen.WORKLOADS[name], **self.SMALL)
+        out = tmp_path_factory.mktemp(name)
+        bench_gen.generate(settings, 1, out)
+        return out / "records.tsv", ["--catalog", str(out / "catalog.json")]
+
+    @staticmethod
+    def outputs(capsys, records: Path, options: list[str], out: Path) -> dict[str, bytes]:
+        main(["extract", str(records), "--out", str(out), *options])
+        main(["interlink", str(out / "events.nt"), "--out", str(out / "links.nt")])
+        capsys.readouterr()
+        names = ("events.nt", "links.nt", "audits.tsv", "skipped.tsv")
+        return {name: (out / name).read_bytes() for name in names}
+
+    def test_block_size_changes_no_byte(self, monkeypatch, capsys, tmp_path, corpus):
+        records, options = corpus
+        got = {}
+        for size in self.BLOCK_SIZES:
+            monkeypatch.setattr(pipeline, "BLOCK_SIZE", size)
+            got[size] = self.outputs(capsys, records, options, tmp_path / str(size))
+        assert all(outputs == got[64] for outputs in got.values())
+
+    def test_record_order_changes_no_statement_or_link(self, capsys, tmp_path, corpus):
+        records, options = corpus
+        first: dict[str, str] = {}  # the first line of each id: a repeat would be skipped
+        for line in records.read_text(encoding="utf-8").splitlines(keepends=True):
+            first.setdefault(line.split("\t", 1)[0], line)
+        lines = list(first.values())
+        shuffled = random.Random(1).sample(lines, len(lines))
+        got = []
+        for name, order in (("given", lines), ("shuffled", shuffled)):
+            (tmp_path / f"{name}.tsv").write_text("".join(order), encoding="utf-8")
+            outputs = self.outputs(capsys, tmp_path / f"{name}.tsv", options, tmp_path / name)
+            # Audit and skip rows follow the records, and a skip names its line.
+            outputs["skipped.tsv"] = re.sub(rb"line ?\d+", b"line", outputs["skipped.tsv"])
+            for table in ("audits.tsv", "skipped.tsv"):
+                outputs[table] = sorted(outputs[table].splitlines())
+            got.append(outputs)
+        assert got[0] == got[1]
+        assert got[0]["events.nt"]
 
 
 class _FullDisk:

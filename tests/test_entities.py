@@ -43,6 +43,7 @@ from headex.model import (
     _SUBORDINATORS,
     AGENT,
     COMMUNICATION,
+    FRAMES,
     GENERIC_ROLES,
     KIND_MENTION,
     KIND_NAMED,
@@ -101,14 +102,11 @@ def _role_map(roles):
     return out
 
 
-def _implicit_mention(text: str) -> EntityMention:
-    return EntityMention(
-        text=text,
-        span=(0, len(text)),
-        kind=KIND_OTHER,
-        chunk=Chunk(0, "subject", None, None, (), text, text),
-        implicit=True,
-    )
+def _implicit_mention(text: str, catalog) -> EntityMention | None:
+    """The position reference that ``text``, read as one subject chunk, yields, if any."""
+    tokens = normalize(text).tokens
+    chunks = [Chunk(0, SUBJECT, None, None, tokens, text, text)]
+    return next((m for m in recognize_entities(chunks, catalog) if m.implicit), None)
 
 
 class TestChunking:
@@ -169,7 +167,8 @@ class TestRecognition:
             (KIND_MENTION, "@Pontifex"),
             (KIND_QUOTED, "the power of images to unite people"),
         ]
-        assert [m.implicit for m in mentions] == [True, False, False]
+        assert [bool(m.implicit) for m in mentions] == [True, False, False]
+        assert mentions[0].implicit == ("CEO", {"http://dbpedia.org/resource/Instagram"})
 
     def test_count_pattern_with_person_word(self, record_by_id, lexicon, catalog):
         _, _, chunks = chunks_for(record_by_id["no9"].text, lexicon)
@@ -316,24 +315,25 @@ class TestDisambiguation:
 
 class TestImplicitResolution:
     def test_title_of_org_pattern(self, catalog):
-        holder = resolve_implicit(
-            _implicit_mention("leader of Russian Orthodox Church"), catalog, date(2016, 3, 10)
-        )
+        mention = _implicit_mention("leader of Russian Orthodox Church", catalog)
+        holder = resolve_implicit(mention, catalog, date(2016, 3, 10))
         assert holder is not None
         assert holder.iri.endswith("Patriarch_Kirill_of_Moscow")
+        assert holder == mention._replace(status=LINKED, iri=holder.iri, entity_type=PERSON)
 
     def test_org_prefix_pattern_is_time_scoped(self, catalog):
-        mention = _implicit_mention("Instagram CEO")
+        mention = _implicit_mention("Instagram CEO", catalog)
         early = resolve_implicit(mention, catalog, date(2016, 2, 26))
         assert early is not None and early.iri.endswith("Kevin_Systrom")
         assert resolve_implicit(mention, catalog, date(2009, 6, 1)) is None
 
     def test_descriptor_without_name(self, catalog):
-        holder = resolve_implicit(_implicit_mention("German Chancellor"), catalog, date(2016, 3, 14))
+        mention = _implicit_mention("German Chancellor", catalog)
+        holder = resolve_implicit(mention, catalog, date(2016, 3, 14))
         assert holder is not None and holder.iri.endswith("Angela_Merkel")
 
     def test_unknown_pattern_is_none(self, catalog):
-        assert resolve_implicit(_implicit_mention("brave new world"), catalog, date(2016, 1, 1)) is None
+        assert _implicit_mention("brave new world", catalog) is None
 
 
 class TestRoles:
@@ -453,6 +453,19 @@ def old_parse_position_reference(words: tuple[str, ...], catalog):
             if catalog.is_position_title(title):
                 return title, tuple(org), org_len + title_len
     return None
+
+
+def old_resolve_implicit(mention, catalog, at: date):
+    """``resolve_implicit`` parsing the mention's text again, kept as the oracle."""
+    parsed = old_parse_position_reference(tuple(mention.text.split()), catalog)
+    if parsed is None:
+        return None
+    title, org_words, _ = parsed
+    org_iris = {e.iri for e in catalog.candidates(" ".join(org_words))}
+    if not org_iris:
+        return None
+    holders = catalog.holders(title, org_iris, at)
+    return holders[0] if holders else None
 
 
 def old_alias_match_length(words: tuple[Token, ...], start: int, catalog) -> int:
@@ -733,7 +746,7 @@ def old_assign_roles(mentions: list[OldMention], frame, head=None):
 
     subject_ids = [i for i, m in enumerate(mentions) if m.chunk_position == SUBJECT]
 
-    if frame.event_class_name == MEET:
+    if frame is FRAMES[MEET]:
         for i in subject_ids:
             if i not in done:
                 take(i, ROLE_PARTICIPANT)
@@ -757,7 +770,7 @@ def old_assign_roles(mentions: list[OldMention], frame, head=None):
             elif m.is_entity or m.kind == KIND_MENTION:
                 take(i, ROLE_PARTICIPANT)
 
-    elif frame.event_class_name == COMMUNICATION:
+    elif frame is FRAMES[COMMUNICATION]:
         for i in subject_ids:
             if i not in done:
                 take(i, ROLE_GIVER)
@@ -799,7 +812,7 @@ def old_assign_roles(mentions: list[OldMention], frame, head=None):
                     if not m.is_entity:
                         drop(i)  # covered by the Message text
 
-    elif frame.event_class_name == MURDER:
+    elif frame is FRAMES[MURDER]:
         passive = _old_is_passive(head, mentions)
         if passive:
             for i in subject_ids:
@@ -886,7 +899,7 @@ def _headlines(catalog: EntityCatalog):
 
 def _new_shape(m: EntityMention) -> tuple:
     ch = m.chunk
-    return (m.text, m.span, m.kind, m.implicit, m.count_value) + (
+    return (m.text, m.span, m.kind, bool(m.implicit), m.count_value) + (
         ch.index, ch.position, ch.intro, ch.intro_kind, ch.full_text
     )
 
@@ -914,9 +927,9 @@ def test_entity_stage_matches_the_old_one(data, lexicon, catalog, policy):
 
     context = context_words(toks)
 
-    def link(m):
+    def link(m, resolve):
         if m.implicit:
-            holder = resolve_implicit(m, catalog, at)
+            holder = resolve(m, catalog, at)
             if holder is None:
                 return m
             return m._replace(status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
@@ -925,9 +938,10 @@ def test_entity_stage_matches_the_old_one(data, lexicon, catalog, policy):
         return m
 
     frame = head.event_class.frame
-    linked = [link(m) for m in new]
+    linked = [link(m, resolve_implicit) for m in new]
     roles, warnings = assign_roles(linked, frame, head=head)
-    assert (roles, warnings) == old_assign_roles([link(m) for m in old], frame, head=head)
+    old_linked = [link(m, old_resolve_implicit) for m in old]
+    assert (roles, warnings) == old_assign_roles(old_linked, frame, head=head)
     # ``pipeline._extract_block`` builds each EventInstance without its checks,
     # so the roles must be the frame's: a class without rules fills only the
     # generic ones.

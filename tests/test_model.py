@@ -56,7 +56,7 @@ class TestFrames:
 
     def test_unknown_class_gets_generic_frame(self):
         frame = EventClass("Banquet").frame
-        assert frame == RoleFrame("Banquet")
+        assert frame == RoleFrame()
         assert frame.role_names == GENERIC_ROLES
         assert frame.required_roles == ()
         assert frame.main_subject == frame.main_object == ()
@@ -75,9 +75,13 @@ class TestFrames:
         with pytest.raises(ModelError):
             make("Winner")
 
+    def test_duplicate_role_error_names_the_role(self):
+        with pytest.raises(ModelError, match="role 'Topic' appears more than once"):
+            RoleFrame(roles=("Topic", "Participant", "Topic"))
+
     def test_builtin_frames_cannot_be_replaced(self):
         with pytest.raises(TypeError):
-            FRAMES[MEET] = RoleFrame(MEET)  # type: ignore[index]
+            FRAMES[MEET] = RoleFrame()  # type: ignore[index]
         with pytest.raises(AttributeError):
             FRAMES[MEET].roles = ()  # type: ignore[misc]
 

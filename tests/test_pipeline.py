@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headex import cli, pipeline
+from headex import cli, entities, pipeline
 from headex.catalog import (
     CatalogEntity,
     EntityCatalog,
@@ -543,3 +543,34 @@ class TestRunIsolation:
             instance, triples, audits = process_record(record, lexicons[1], catalogs[0], policy)
             alone = oracle_process_record(record, lexicons[1], catalogs[0], policy)
             assert (instance, list(triples), audits) == (alone[0], list(alone[1]), alone[2])
+
+
+class TestPositionReferenceParsedOnce:
+    """``_plan`` parses a chunk's position reference once per run, and the
+    parse travels with the mention to ``resolve_implicit``, which reads it
+    instead of parsing the mention's text again."""
+
+    OBJECTS = ("Pope Francis", "@Pontifex", "Patriarch Kirill")
+
+    def test_one_parse_per_distinct_chunk(self, monkeypatch, lexicon, catalog, policy):
+        calls: Counter[str] = Counter()
+        for name in ("_plan", "_parse_position_reference"):
+            function = getattr(entities, name)
+
+            def counted(*args, _name=name, _function=function):
+                calls[_name] += 1
+                return _function(*args)
+
+            monkeypatch.setattr(entities, name, counted)
+        # One implicit chunk in every record, across more than two blocks.
+        records = [
+            parse_record(f"r{i}\tCNN\t26/2/16\tInstagram CEO meets {self.OBJECTS[i % 3]}")
+            for i in range(2 * BLOCK_SIZE + 1)
+        ]
+        result = extract_corpus(records, lexicon, catalog, policy)
+        systrom = "http://dbpedia.org/resource/Kevin_Systrom"
+        assert len(result.instances) == len(records)
+        assert all(i.fillers("Participant")[0].iri == systrom for i in result.instances)
+        # The chunk keys: "Instagram CEO" and each object.
+        assert calls["_plan"] == 1 + len(self.OBJECTS)
+        assert calls["_parse_position_reference"] == calls["_plan"]

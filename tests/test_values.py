@@ -76,9 +76,9 @@ VALUES = {
     ),
     # A built-in frame, so that its rules must pickle, copy and deepcopy too.
     RoleFrame: (
-        "event_class_name roles=() required_roles=() main_subject=() main_object=() rules=()",
+        "roles=() required_roles=() main_subject=() main_object=() rules=()",
         FRAMES["Meet"],
-        (("Meet", ("Topic", "Topic"), (), (), (), ()), ModelError),
+        ((("Topic", "Topic"), (), (), (), ()), ModelError),
     ),
     HeadlineRecord: (
         "id publisher timestamp text",
@@ -144,7 +144,7 @@ VALUES = {
     ),
     Chunk: ("index position intro intro_kind tokens text full_text", CHUNK, None),
     EntityMention: (
-        "text span kind chunk status='unresolved' iri=None entity_type=None implicit=False"
+        "text span kind chunk status='unresolved' iri=None entity_type=None implicit=None"
         " count_value=None",
         EntityMention("Obama", (0, 5), "named", CHUNK),
         None,
