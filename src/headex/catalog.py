@@ -132,14 +132,8 @@ class EntityCatalog:
                 for org_iri in by_alias.get(position.org.casefold(), ()):
                     self._positions.setdefault((title, org_iri), []).append((rank, entity, position))
 
-    def __len__(self) -> int:
-        return len(self._by_iri)
-
     def __contains__(self, iri: str) -> bool:
         return iri in self._by_iri
-
-    def get(self, iri: str) -> CatalogEntity | None:
-        return self._by_iri.get(iri)
 
     def entities(self) -> tuple[CatalogEntity, ...]:
         return tuple(self._by_iri.values())

@@ -102,12 +102,6 @@ class RequirementReport(Checked, namedtuple("_RequirementReportFields", "model_n
             raise DescriptorError(f"report must cover {REQUIREMENT_IDS} in order, got {ids}")
         return tuple.__new__(cls, (model_name, results))
 
-    def result(self, requirement: str) -> RequirementResult:
-        for r in self.results:
-            if r.requirement == requirement:
-                return r
-        raise KeyError(requirement)
-
     @property
     def all_pass(self) -> bool:
         return all(r.verdict is Verdict.PASS for r in self.results)

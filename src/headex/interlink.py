@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 from .ingest import parse_date
 from .model import FRAMES
-from .rdf import OWL_SAME_AS, SKOS_RELATED, Literal, Triple, TripleSet, local_name
+from .rdf import OWL_SAME_AS, SKOS_RELATED, XSD_DATE, Literal, Triple, TripleSet, _term, local_name
 from .triplify import BODY, EXTRACTED_ON, HAS_SOURCE, SINGLETON_PROPERTY_OF, IriPolicy
 
 
@@ -56,14 +56,16 @@ def _time_order(entry: EventIndexEntry) -> tuple[datetime, str]:
     return entry.timestamp, entry.instance_iri
 
 
-def _midnight(lexical: str) -> datetime | None:
-    """Midnight UTC of an ``extractedOn`` date, so that windows are
-    well-defined; None if the form is no ISO date."""
+def _midnight(day: Literal) -> datetime | str:
+    """Midnight UTC of an ``extractedOn`` day, so that windows are well-defined; for no ISO
+    date, what its error shows: a plain or ``xsd:date`` literal's lexical form, else as written."""
+    if day.datatype not in (None, XSD_DATE) or day.language is not None:
+        return _term(day)
     try:
-        day = parse_date(lexical)
+        parsed = parse_date(day.lexical)
     except ValueError:
-        return None
-    return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
+        return day.lexical
+    return datetime(parsed.year, parsed.month, parsed.day, tzinfo=timezone.utc)
 
 
 def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEntry]:
@@ -76,8 +78,8 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     was.  A graph that holds triples but no statement under the policy's
     base is an error naming the base.  So is a statement given two classes,
     publishers or extraction days, one with no publisher or day, or a day
-    that is no ISO date; that error names the smallest statement IRI of the
-    first of these kinds that occurs: bad day, two values, none.
+    not a plain or ``xsd:date`` literal of an ISO date; the error names the
+    smallest statement IRI of the first kind found: bad day, two values, none.
     """
     sp_of = policy.term_iri(SINGLETON_PROPERTY_OF)
     has_source = policy.term_iri(HAS_SOURCE)
@@ -101,8 +103,8 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
 
     sources: dict[str, str] = {}
     times: dict[str, datetime] = {}
-    # extractedOn lexical form -> its midnight, parsed once per call
-    midnights: dict[str, datetime | None] = {}
+    # extractedOn literal -> its midnight (or its error text), read once per call
+    midnights: dict[Literal, datetime | str] = {}
     bad_days: list[tuple[str, str]] = []
     participants: dict[str, set[str]] = {iri: set() for iri in classes}
     roles = {policy.role_property_iri(r) for frame in FRAMES.values() for r in frame.role_names}
@@ -117,12 +119,11 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
                 if sources.setdefault(subject, publisher) != publisher:
                     clashes.setdefault((subject, "publishers"), {sources[subject]}).add(publisher)
             elif predicate == extracted_on and isinstance(obj, Literal):
-                lexical = obj.lexical
-                if lexical not in midnights:
-                    midnights[lexical] = _midnight(lexical)
-                at = midnights[lexical]
-                if at is None:
-                    bad_days.append((subject, lexical))
+                if obj not in midnights:
+                    midnights[obj] = _midnight(obj)
+                at = midnights[obj]
+                if at.__class__ is str:
+                    bad_days.append((subject, at))
                 elif times.setdefault(subject, at) != at:
                     days = clashes.setdefault((subject, "extraction days"), {times[subject].date()})
                     days.add(at.date())
@@ -136,9 +137,9 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
                 bucket.add(obj)
 
     if bad_days:
-        statement, lexical = min(bad_days)
+        statement, shown = min(bad_days)
         raise InterlinkError(
-            f"statement {statement}: extraction date must be an ISO date, got {lexical!r}"
+            f"statement {statement}: extraction date must be an ISO date, got {shown!r}"
         )
     if clashes:
         (statement, what), values = min(clashes.items())
@@ -168,9 +169,10 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 def _sharing_pairs(
     ordered: list[EventIndexEntry], reach: timedelta
-) -> Iterator[tuple[int, EventIndexEntry, set[int]]]:
-    """Yield (position, entry, candidates) for each entry of ``ordered``, sorted by (time, IRI),
-    that has candidates: the positions at most ``reach`` earlier that share a participant."""
+) -> Iterator[tuple[int, int, EventIndexEntry, set[int]]]:
+    """Yield (position, first, entry, candidates) for each entry of ``ordered``, sorted by
+    (time, IRI), that has candidates: the positions at most ``reach`` earlier that share a
+    participant.  ``first`` is the first position at the entry's time."""
     if not ordered:
         return
     # Integer microseconds: exact inclusive bounds, and no datetime
@@ -182,8 +184,10 @@ def _sharing_pairs(
     postings: dict[str, list[int]] = {}
     # Times ascend, so the entries in reach of position j are those from lo
     # on; lo only moves forward, and never past j, whatever the reach.
-    lo = 0
+    lo = first = 0
     for j, later in enumerate(ordered):
+        if times[j] != times[first]:  # every entry moves it, not just those yielded
+            first = j
         earliest = times[j] - reach_us
         while lo < j and times[lo] < earliest:
             lo += 1
@@ -201,7 +205,7 @@ def _sharing_pairs(
                 candidates.update(positions)
             positions.append(j)
         if candidates:
-            yield j, later, candidates
+            yield j, first, later, candidates
 
 
 def _ranks(ordered: list[EventIndexEntry]) -> tuple[list[str], list[int]]:
@@ -231,7 +235,7 @@ def find_same_events(
     publishers = [entry.publisher for entry in ordered]
     # (smaller rank) * n + (larger rank): sorting the keys sorts the pairs.
     keys: set[int] = set()
-    for j, later, candidates in _sharing_pairs(ordered, timedelta(hours=window_hours)):
+    for j, _, later, candidates in _sharing_pairs(ordered, timedelta(hours=window_hours)):
         _, class_iri, participants, _, publisher = later
         b = ranks[j]
         for i in candidates:
@@ -264,13 +268,7 @@ def find_related_events(
     skip = {x * n + y for a, b in known for x, y in ((a, b), (b, a))}
     # (earlier rank) * n + (later rank): sorting the keys sorts the pairs.
     keys: list[int] = []
-    # Equal times sit together: candidates from ``first`` on are simultaneous.
-    moment, first = None, 0
-    for j, later, candidates in _sharing_pairs(ordered, timedelta(days=horizon_days)):
-        if later.timestamp != moment:
-            moment, first = later.timestamp, j
-            while first and ordered[first - 1].timestamp == moment:
-                first -= 1
+    for j, first, _, candidates in _sharing_pairs(ordered, timedelta(days=horizon_days)):
         b = ranks[j]
         for i in candidates:
             if i < first:
@@ -292,9 +290,8 @@ def interlink_graph(
     entries = build_event_index(graph, policy)
     same = find_same_events(entries, window_hours=window_hours, jaccard_min=jaccard_min)
     related = find_related_events(entries, horizon_days=horizon_days, exclude=same)
-    # Every IRI here is a statement IRI of the input graph, checked on its
-    # way in, so the link triples are built unchecked, as ``_triple`` does;
-    # no pair repeats and no related pair is a same pair, so they are distinct.
+    # Every IRI here is a statement IRI of the checked input graph, so the links are built
+    # unchecked; no pair repeats and no related pair is a same pair, so they are distinct.
     new = tuple.__new__
     links = [new(Triple, (a, OWL_SAME_AS, b)) for a, b in same]
     links += [new(Triple, (earlier, SKOS_RELATED, later)) for earlier, later in related]

@@ -23,8 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .ingest import InputError, read_text
-from .model import COMMUNICATION, FRAMES, EventClass
-from .rdf import IRI_FORBIDDEN
+from .model import COMMUNICATION, FRAMES, EventClass, ModelError, check_iri_safe
 
 _KNOWN_SUBGROUPS = ("SayVerbs", "TellVerbs")
 
@@ -48,12 +47,6 @@ class Lexicon:
     def __init__(self, entries: Iterable[VerbEntry]) -> None:
         self._entries = {e.lemma: e for e in entries}
 
-    def __contains__(self, lemma: str) -> bool:
-        return lemma in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, lemma: str) -> VerbEntry | None:
         return self._entries.get(lemma)
 
@@ -72,11 +65,10 @@ def _parse_class(text: str, line_no: int) -> str:
         label = text[len("Other:") :]
         if label in FRAMES:
             raise LexiconError(line_no, f"extension class {text!r} names the built-in class {label}")
-        bad = IRI_FORBIDDEN.search(label)
-        if bad:
-            raise LexiconError(
-                line_no, f"class label {label!r} holds {bad.group()!r}, which IRIs forbid"
-            )
+        try:
+            check_iri_safe(f"class label {label!r}", label)
+        except ModelError as exc:
+            raise LexiconError(line_no, str(exc)) from exc
         if "_" in label:
             raise LexiconError(
                 line_no, f"class label {label!r} holds '_', which ends the class in a statement IRI"

@@ -16,14 +16,14 @@ so ``copy``, ``pickle`` at every protocol, ``_make`` and ``_replace`` rebuild a
 value through those checks.
 
 Each value is checked once, where its parts enter the program.  The public
-constructors keep every check; extraction builds its per-record values by
-position with ``tuple.__new__`` from parts already checked.  An
-``EventInstance`` and its ``Provenance`` take the id, publisher and date of a
-checked ``HeadlineRecord`` and role names that ``assign_roles`` took from the
-class's frame; an ``EntityRef`` takes a catalog IRI, checked by
-``CatalogEntity``, or an ``IriPolicy.entity_iri`` slug under a checked base; a
-text node's body ``Literal`` takes a ``TextFiller``'s string.  The tokens,
-chunks, verb candidates and mentions between the stages have no checks.
+constructors keep every check, a name spelled into IRIs by ``check_iri_safe``;
+extraction builds its per-record values by position with ``tuple.__new__``
+from parts already checked.  An ``EventInstance`` and its ``Provenance`` take
+a checked ``HeadlineRecord``'s id, publisher and date, the lexicon's checked
+``EventClass`` and role names from its frame; an ``EntityRef`` takes a catalog
+IRI, checked by ``CatalogEntity``, or an ``IriPolicy.entity_iri`` slug under a
+checked base; a text node's body ``Literal`` takes a ``TextFiller``'s string.
+The tokens, chunks, verb candidates and mentions between stages are unchecked.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ class ModelError(ValueError):
     """Raised when a core-model value violates its invariants."""
 
 
+def check_iri_safe(what: str, value: str) -> None:
+    """Refuse a name spelled into IRIs that holds a character IRIs forbid."""
+    bad = IRI_FORBIDDEN.search(value)
+    if bad:
+        raise ModelError(f"{what} holds {bad.group()!r}, which IRIs forbid")
+
+
 class EventClass(Checked, namedtuple("_EventClassFields", "name subgroup")):
     """An event class name plus, for Communication, an optional verb subgroup."""
 
@@ -77,9 +84,7 @@ class EventClass(Checked, namedtuple("_EventClassFields", "name subgroup")):
         if not name:
             raise ModelError("event class name must be nonempty")
         # The name is spelled into class and statement IRIs.
-        bad = IRI_FORBIDDEN.search(name)
-        if bad:
-            raise ModelError(f"event class name holds {bad.group()!r}, which IRIs forbid")
+        check_iri_safe("event class name", name)
         if subgroup is not None and name != COMMUNICATION:
             raise ModelError(f"subgroup is only valid for {COMMUNICATION}, got {name}")
         return tuple.__new__(cls, (name, subgroup))
@@ -293,13 +298,10 @@ class HeadlineRecord(Checked, namedtuple("_HeadlineRecordFields", "id publisher 
             raise ModelError("record publisher must be nonempty")
         if not isinstance(timestamp, datetime):
             raise ModelError(f"record timestamp is not a datetime: {timestamp!r}")
-        # Publishers pass through TSV unescaped, so no separators; ids also
-        # name IRIs, so none of the characters IRIs forbid (separators included).
+        # Publishers pass through TSV unescaped, so no separators; IRIs forbid them in ids.
         if any(ch in publisher for ch in "\t\n\r"):
             raise ModelError("record publisher must not contain tabs or newlines")
-        bad = IRI_FORBIDDEN.search(id)
-        if bad:
-            raise ModelError(f"record id holds {bad.group()!r}, which IRIs forbid")
+        check_iri_safe("record id", id)
         if not text.strip():
             raise ModelError(f"record {id}: text must be nonempty")
         if "\n" in text or "\r" in text:
@@ -377,9 +379,7 @@ class EventInstance(
         if not instance_id:
             raise ModelError("instance_id must be nonempty")
         # The id is spelled into the statement and role-node IRIs.
-        bad = IRI_FORBIDDEN.search(instance_id)
-        if bad:
-            raise ModelError(f"instance_id holds {bad.group()!r}, which IRIs forbid")
+        check_iri_safe("instance_id", instance_id)
         allowed = set(event_class.frame.role_names)
         for role_name, filler in roles:
             if role_name not in allowed:
@@ -390,6 +390,3 @@ class EventInstance(
             if not isinstance(filler, (EntityRef, TextFiller)):
                 raise ModelError(f"{instance_id}: bad filler for {role_name!r}")
         return tuple.__new__(cls, (instance_id, event_class, mention, roles, provenance, warnings))
-
-    def fillers(self, role_name: str) -> tuple[RoleFiller, ...]:
-        return tuple(f for name, f in self.roles if name == role_name)

@@ -9,10 +9,10 @@ to equal bytes.
 
 ``Triple`` and ``Literal`` are tuples, so they hash and compare in C, and
 each equals the plain tuple of its parts.  Their public constructors check
-every term.  The package builds triples with the unchecking ``_triple``
-from IRIs checked where they entered: ``parse_ntriples`` checks each
-distinct IRI token once; ``IriPolicy`` checks its base; ingest, lexicon load
-and the model keep record ids and class names free of ``IRI_FORBIDDEN``;
+every term.  The package builds triples unchecked, by
+``tuple.__new__(Triple, ...)``, from IRIs checked where they entered:
+``parse_ntriples`` checks each distinct IRI token once; ``IriPolicy`` checks
+its base; ``model.check_iri_safe`` keeps ids and class names IRI-safe;
 slugs are letters, digits and ``_``; catalog load and ``CatalogEntity``
 check entity IRIs; interlinking links statement IRIs of a checked graph.
 
@@ -134,11 +134,6 @@ class Triple(Checked, namedtuple("_TripleFields", "subject predicate object")):
         return tuple.__new__(cls, (subject, predicate, object))
 
 
-def _triple(subject: str, predicate: str, obj: str | Literal) -> Triple:
-    """A triple of terms checked where they entered the program; no checks here."""
-    return tuple.__new__(Triple, (subject, predicate, obj))
-
-
 class TripleSet:
     """A duplicate-free collection of triples.
 
@@ -148,12 +143,6 @@ class TripleSet:
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         self._triples: dict[Triple, None] = dict.fromkeys(triples)
-
-    def add(self, triple: Triple) -> bool:
-        """Add one triple; returns False when it was already present."""
-        size = len(self._triples)
-        self._triples[triple] = None  # hashes the triple once; a present key stays
-        return len(self._triples) > size
 
     def update(self, triples: Iterable[Triple]) -> None:
         """Add many triples; another TripleSet merges in, its hashes reused."""
@@ -322,7 +311,7 @@ def parse_ntriples(text: str) -> TripleSet:
         predicate = get(p) or _new_term(terms, p, "predicate", line_no)
         if obj is None:
             obj = _new_term(terms, o, "object", line_no)
-        triples[_triple(subject, predicate, obj)] = None
+        triples[new(Triple, (subject, predicate, obj))] = None
     return graph
 
 

@@ -22,8 +22,8 @@ from .rdf import (
     XSD_INTEGER,
     Checked,
     Literal,
+    Triple,
     TripleSet,
-    _triple,
     is_absolute_iri,
 )
 
@@ -151,10 +151,11 @@ def emit_event_triples(
     if terms is None:
         terms = EmissionTerms(policy)
     term = terms.term
+    new = tuple.__new__
 
     class_name = instance.event_class.name
     sp = policy.instance_iri(class_name, instance.instance_id)
-    triples = [_triple(sp, term[SINGLETON_PROPERTY_OF], term[class_name])]
+    triples = [new(Triple, (sp, term[SINGLETON_PROPERTY_OF], term[class_name]))]
 
     # Materialize text fillers as typed nodes up front, in role order.
     ordinals: dict[str, int] = {}
@@ -165,8 +166,8 @@ def emit_event_triples(
             continue
         ordinals[role] = ordinals.get(role, 0) + 1
         node = policy.role_node_iri(role, instance.instance_id, ordinals[role])
-        triples.append(_triple(node, RDF_TYPE, terms.role_type[role]))
-        triples.append(_triple(node, term[BODY], _body(filler.text, role)))
+        triples.append(new(Triple, (node, RDF_TYPE, terms.role_type[role])))
+        triples.append(new(Triple, (node, term[BODY], _body(filler.text, role))))
         objects.append((role, node))
 
     # Each end of the main triple is the first filler matching the earliest
@@ -188,15 +189,15 @@ def emit_event_triples(
                 break
 
     if len(ends) == 2:
-        triples.append(_triple(objects[ends[0]][1], sp, objects[ends[1]][1]))
+        triples.append(new(Triple, (objects[ends[0]][1], sp, objects[ends[1]][1])))
     else:
         ends = []
 
     for i, (role, obj) in enumerate(objects):
         if i not in ends:
-            triples.append(_triple(sp, terms.role_property[role], obj))
+            triples.append(new(Triple, (sp, terms.role_property[role], obj)))
 
     provenance = instance.provenance
-    triples.append(_triple(sp, term[HAS_SOURCE], terms.source[provenance.publisher]))
-    triples.append(_triple(sp, term[EXTRACTED_ON], terms.date[provenance.extracted_on]))
+    triples.append(new(Triple, (sp, term[HAS_SOURCE], terms.source[provenance.publisher])))
+    triples.append(new(Triple, (sp, term[EXTRACTED_ON], terms.date[provenance.extracted_on])))
     return TripleSet(triples)

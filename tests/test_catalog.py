@@ -280,10 +280,10 @@ class TestLoadChecks:
     def test_good_entity_loads(self, tmp_path):
         path = write_catalog(tmp_path, GOOD, {"iri": KB + "o1", "label": "Acme"})
         catalog = load_catalog(path)
-        entity = catalog.get(KB + "p1")
-        assert entity.aliases == ("Ames",) and entity.keywords == ("acme",)
-        assert entity.positions == (PositionRecord("CEO", "Acme", D(2010, 1, 1)),)
-        assert catalog.get(KB + "o1").entity_type == AGENT
+        person, org = catalog.entities()
+        assert person.aliases == ("Ames",) and person.keywords == ("acme",)
+        assert person.positions == (PositionRecord("CEO", "Acme", D(2010, 1, 1)),)
+        assert (person.iri, org.iri, org.entity_type) == (KB + "p1", KB + "o1", AGENT)
         assert names(catalog.holders("ceo", {KB + "o1"}, D(2020, 1, 1))) == ["Abel Ames"]
 
     @pytest.mark.parametrize(

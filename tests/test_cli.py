@@ -12,6 +12,7 @@ import random
 import re
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from headex.lexicon import default_lexicon_path
 from headex.rdf import XSD_DATE, Literal, Triple, parse_ntriples
 
 BASE = "http://example.org/news/"
+XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -652,16 +654,20 @@ class TestNonIsoExtractionDate:
 
 class TestExtractionDateForms:
     """``extractedOn`` is an ``xsd:date``: ``YYYY-MM-DD`` with an optional
-    zone, which leaves the day as written; no other ISO form."""
+    zone, which leaves the day as written; no other ISO form.  A plain
+    literal reads the same; a language tag or another datatype is refused."""
 
     def graph(self, tmp_path, *days: str) -> str:
+        """A graph of one statement per day: a day in quotes is the literal
+        as written, any other an ``xsd:date`` of that lexical form."""
         lines = []
         for n, day in enumerate(days, start=1):
             statement = f"<{BASE}Meet_{n}>"
+            literal = day if day.startswith('"') else f'"{day}"^^<{XSD_DATE}>'
             lines += [
                 f"{statement} <{BASE}singletonPropertyOf> <{BASE}Meet> .",
                 f"{statement} <{BASE}hasSource> <{BASE}source/s{n}> .",
-                f'{statement} <{BASE}extractedOn> "{day}"^^<{XSD_DATE}> .',
+                f"{statement} <{BASE}extractedOn> {literal} .",
                 f"<{BASE}entity/obama> {statement} <{BASE}entity/putin> .",
             ]
         path = tmp_path / "graph.nt"
@@ -676,6 +682,37 @@ class TestExtractionDateForms:
         code, out, err = run(capsys, "query", graph)
         assert (code, err) == (0, "")
         assert [row.split("\t")[3] for row in out.splitlines()] == ["2016-03-01"] * 3
+
+    def test_a_plain_literal_reads_as_an_xsd_date(self, capsys, tmp_path):
+        graph = self.graph(tmp_path, '"2016-03-01"', "2016-03-01")
+        links = str(tmp_path / "links.nt")
+        code, out, err = run(capsys, "interlink", graph, "--out", links, "--same-window-hours", "0")
+        assert (code, out, err) == (0, "sameas=1 related=0\n", "")
+        code, out, err = run(capsys, "query", graph)
+        assert (code, err) == (0, "")
+        assert [row.split("\t")[3] for row in out.splitlines()] == ["2016-03-01"] * 2
+
+    @pytest.mark.parametrize("command", ["interlink", "query"])
+    @pytest.mark.parametrize(
+        "day, shown",
+        [
+            ('"2016-03-01"@en', '"2016-03-01"@en'),
+            (f'"2016-03-01"^^<{XSD_STRING}>', f'"2016-03-01"^^<{XSD_STRING}>'),
+            ('"not-a-date"', "not-a-date"),
+        ],
+        ids=["language tag", "xsd:string", "plain"],
+    )
+    def test_a_tag_or_another_datatype_is_fatal(self, capsys, tmp_path, command, day, shown):
+        # Two bad statements: the error names the smaller, and shows a
+        # literal of another kind as written, a plain one by its lexical form.
+        graph = self.graph(tmp_path, "2016-03-01", day, day)
+        extra = ["--out", str(tmp_path / "links.nt")] if command == "interlink" else []
+        code, out, err = run(capsys, command, graph, *extra)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: statement {BASE}Meet_2: extraction date must be an ISO date, got {shown!r}\n"
+        )
+        assert not (tmp_path / "links.nt").exists()
 
     @pytest.mark.parametrize("command", ["interlink", "query"])
     @pytest.mark.parametrize("day", ["2016-W09-2", "20160301", "2016-03-01T00:00", "2016-02-30"])
@@ -1171,6 +1208,60 @@ class TestOutputsIgnoreBlocksAndRecordOrder:
             got.append(outputs)
         assert got[0] == got[1]
         assert got[0]["events.nt"]
+
+
+class TestOutputsIgnorePartitionAndGraphOrder:
+    """The graph is a function of its headlines: records cut into two files
+    with disjoint ids give the whole corpus's statements, skip rows and audit
+    rows, and the two graphs merged give its links; ``interlink`` and
+    ``query`` read the same bytes out of a graph in any line order.  The
+    inputs are those of ``TestOutputsIgnoreBlocksAndRecordOrder``."""
+
+    SMALL = TestOutputsIgnoreBlocksAndRecordOrder.SMALL
+    corpus = TestOutputsIgnoreBlocksAndRecordOrder.corpus
+    outputs = staticmethod(TestOutputsIgnoreBlocksAndRecordOrder.outputs)
+
+    @staticmethod
+    def rows(outputs: dict[str, bytes]) -> Counter:
+        """Skip and audit rows as a multiset: no header, no line numbers."""
+        skipped = re.sub(rb"line ?\d+", b"line", outputs["skipped.tsv"]).splitlines()
+        return Counter(skipped) + Counter(outputs["audits.tsv"].splitlines()[1:])
+
+    def test_two_parts_give_the_whole(self, capsys, tmp_path, corpus):
+        records, options = corpus
+        first: dict[str, str] = {}  # the first line of each id: a repeat would be skipped
+        for line in records.read_text(encoding="utf-8").splitlines(keepends=True):
+            first.setdefault(line.split("\t", 1)[0], line)
+        rng = random.Random(1)
+        parts: dict[str, list[str]] = {"whole": list(first.values()), "a": [], "b": []}
+        for line in parts["whole"]:
+            parts[rng.choice("ab")].append(line)
+        got = {}
+        for name, lines in parts.items():
+            (tmp_path / f"{name}.tsv").write_text("".join(lines), encoding="utf-8")
+            got[name] = self.outputs(capsys, tmp_path / f"{name}.tsv", options, tmp_path / name)
+        a, b, whole = got["a"], got["b"], got["whole"]
+        merged = sorted(set(a["events.nt"].splitlines(True) + b["events.nt"].splitlines(True)))
+        assert b"".join(merged) == whole["events.nt"]
+        assert self.rows(a) + self.rows(b) == self.rows(whole)
+        (tmp_path / "merged.nt").write_bytes(b"".join(merged))
+        main(["interlink", str(tmp_path / "merged.nt"), "--out", str(tmp_path / "links.nt")])
+        assert (tmp_path / "links.nt").read_bytes() == whole["links.nt"]
+        assert whole["events.nt"] and a["events.nt"] and b["events.nt"]
+
+    def test_graph_line_order_changes_no_link_or_row(self, capsys, tmp_path, corpus):
+        records, options = corpus
+        events = self.outputs(capsys, records, options, tmp_path)["events.nt"]
+        lines = events.splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.nt"
+        shuffled.write_bytes(b"".join(random.Random(1).sample(lines, len(lines))))
+        got = []
+        for graph in (tmp_path / "events.nt", shuffled):
+            main(["interlink", str(graph), "--out", str(tmp_path / "links.nt")])
+            main(["query", str(graph)])
+            got.append(((tmp_path / "links.nt").read_bytes(), capsys.readouterr()))
+        assert got[0] == got[1]
+        assert shuffled.read_bytes() != events
 
 
 class _FullDisk:

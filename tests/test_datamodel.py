@@ -35,6 +35,10 @@ def test_shipped_descriptor_verdicts(filename, fixtures_dir):
     assert report.all_pass == (filename == "headex.json")
 
 
+def results(report: RequirementReport) -> dict[str, RequirementResult]:
+    return {r.requirement: r for r in report.results}
+
+
 def descriptor(**overrides) -> DataModelDescriptor:
     fields = dict(
         name="model",
@@ -51,7 +55,7 @@ def descriptor(**overrides) -> DataModelDescriptor:
 class TestRequirements:
     def test_generic_event_required(self):
         report = validate_data_model(descriptor(has_generic_event=False))
-        assert report.result("R1").verdict is Verdict.FAIL
+        assert results(report)["R1"].verdict is Verdict.FAIL
 
     def test_provenance_must_name_a_publisher(self):
         for prop, verdict in (
@@ -60,15 +64,15 @@ class TestRequirements:
             ("accordingTo", Verdict.FAIL),
         ):
             report = validate_data_model(descriptor(provenance_properties=(prop,)))
-            assert report.result("R2").verdict is verdict, prop
+            assert results(report)["R2"].verdict is verdict, prop
         no_props = validate_data_model(descriptor(provenance_properties=()))
-        assert no_props.result("R2").verdict is Verdict.FAIL
+        assert results(no_props)["R2"].verdict is Verdict.FAIL
 
     def test_entity_typing_granularity(self):
         untyped = validate_data_model(descriptor(entity_types=(), event_entity_properties=()))
-        assert untyped.result("R3").verdict is Verdict.FAIL
+        assert results(untyped)["R3"].verdict is Verdict.FAIL
         coarse = validate_data_model(descriptor())
-        assert coarse.result("R3").verdict is Verdict.PASS_LOOSELY
+        assert results(coarse)["R3"].verdict is Verdict.PASS_LOOSELY
         fine = validate_data_model(
             descriptor(
                 entity_types=(EntityType("Agent", "coarse"), EntityType("Person", "fine")),
@@ -78,7 +82,7 @@ class TestRequirements:
                 ),
             )
         )
-        assert fine.result("R3").verdict is Verdict.PASS
+        assert results(fine)["R3"].verdict is Verdict.PASS
 
     def test_unconnected_entity_type_fails_r4(self):
         report = validate_data_model(
@@ -86,7 +90,7 @@ class TestRequirements:
                 entity_types=(EntityType("Agent", "coarse"), EntityType("Orphan", "fine")),
             )
         )
-        result = report.result("R4")
+        result = results(report)["R4"]
         assert result.verdict is Verdict.FAIL
         assert "Orphan" in result.note
 
@@ -117,7 +121,7 @@ class TestLoader:
         loaded = load_descriptor(path)
         assert loaded.name == "Tiny"
         assert not loaded.has_specific_event_types  # optional, defaults off
-        assert validate_data_model(loaded).result("R2").verdict is Verdict.PASS
+        assert results(validate_data_model(loaded))["R2"].verdict is Verdict.PASS
 
     def test_rejects_bad_payloads(self, tmp_path):
         cases = {

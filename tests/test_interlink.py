@@ -226,6 +226,25 @@ class TestRelatedEvents:
         b = entry("http://x/b", participants=shared, publisher="beta")
         assert find_related_events([a, b]) == []
 
+    # Letter, participants and day of each entry.  Candidates from the first
+    # entry at an entry's time on are simultaneous with it, whether or not
+    # that first entry shared a participant with anything earlier.
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("a", "p", 0), ("b", "p", 0), ("c", "p", 1)],
+            [("a", "p", 0), ("b", "q", 1), ("c", "pq", 1), ("d", "q", 2)],
+            [("a", "p", 0), ("b", "q", 7), ("c", "pq", 7), ("d", "p", 7), ("e", "q", 8)],
+        ],
+        ids=["tie at position 0", "tie led by an entry that yields nothing", "tie at the horizon"],
+    )
+    def test_simultaneous_entries_equal_brute_force(self, rows):
+        entries = [
+            entry(f"http://x/{name}", participants=frozenset(people), hours=24 * day)
+            for name, people, day in rows
+        ]
+        assert find_related_events(entries) == brute_related(entries)
+
     def test_excluded_pairs_skipped(self):
         shared = frozenset({"http://x/p"})
         a = entry("http://x/a", participants=shared)

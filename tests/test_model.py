@@ -39,6 +39,29 @@ class TestEventClass:
             EventClass(name)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EventClass("Vote|Poll"), "event class name holds '|', which IRIs forbid"),
+        (
+            lambda: HeadlineRecord("a b", "CNN", datetime(2016, 1, 1, tzinfo=timezone.utc), "x"),
+            "record id holds ' ', which IRIs forbid",
+        ),
+        (
+            lambda: EventInstance(
+                "x<1", EventClass(MEET), None, (), Provenance("CNN", date(2016, 2, 26))
+            ),
+            "instance_id holds '<', which IRIs forbid",
+        ),
+    ],
+    ids=["event class name", "record id", "instance id"],
+)
+def test_a_name_spelled_into_iris_names_the_forbidden_character(build, message):
+    with pytest.raises(ModelError) as err:
+        build()
+    assert str(err.value) == message
+
+
 class TestFrames:
     def test_builtin_frames_have_expected_roles(self):
         meet = EventClass(MEET).frame
@@ -71,7 +94,7 @@ class TestFrames:
                 provenance=Provenance("CNN", date(2016, 2, 26)),
             )
 
-        assert make("involved").fillers("involved") == (TextFiller("x"),)
+        assert make("involved").roles == (("involved", TextFiller("x")),)
         with pytest.raises(ModelError):
             make("Winner")
 
@@ -123,7 +146,7 @@ class TestInstances:
 
     def test_roles_must_belong_to_frame(self):
         inst = self.make((("Participant", EntityRef("http://e/x")),))
-        assert inst.fillers("Participant") == (EntityRef("http://e/x"),)
+        assert inst.roles == (("Participant", EntityRef("http://e/x")),)
         with pytest.raises(ModelError):
             self.make((("Winner", TextFiller("x")),))
 
@@ -151,7 +174,4 @@ class TestInstances:
 
     def test_generic_roles_always_allowed(self):
         inst = self.make((("involved", TextFiller("bystanders")),))
-        assert inst.fillers("involved")[0].text == "bystanders"
-
-    def test_fillers_for_absent_role_empty(self):
-        assert self.make(()).fillers("Topic") == ()
+        assert inst.roles == (("involved", TextFiller("bystanders")),)

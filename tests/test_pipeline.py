@@ -570,7 +570,8 @@ class TestPositionReferenceParsedOnce:
         result = extract_corpus(records, lexicon, catalog, policy)
         systrom = "http://dbpedia.org/resource/Kevin_Systrom"
         assert len(result.instances) == len(records)
-        assert all(i.fillers("Participant")[0].iri == systrom for i in result.instances)
+        participants = [next(f for r, f in i.roles if r == "Participant") for i in result.instances]
+        assert all(filler.iri == systrom for filler in participants)
         # The chunk keys: "Instagram CEO" and each object.
         assert calls["_plan"] == 1 + len(self.OBJECTS)
         assert calls["_parse_position_reference"] == calls["_plan"]

@@ -129,9 +129,10 @@ class TestTerms:
 
 class TestTripleSet:
     def test_duplicates_collapse(self):
-        g = TripleSet()
-        assert g.add(t("s", "p", "o"))
-        assert not g.add(t("s", "p", "o"))
+        g = TripleSet([t("s", "p", "o"), t("s", "p", "o")])
+        assert len(g) == 1
+        g.update([t("s", "p", "o")])
+        g.update(TripleSet([t("s", "p", "o")]))
         assert len(g) == 1
 
     def test_iteration_preserves_insertion_order(self):
@@ -253,6 +254,14 @@ class TestSerialization:
         line = f"<http://e/s> <http://e/p> {obj} # note"
         with pytest.raises(NTriplesParseError) as err:
             parse_ntriples(f"<http://e/s> <http://e/p> <http://e/o> .\n{line}\n")
+        assert str(err.value) == f"line 2: malformed triple: {line!r}"
+
+    def test_a_stored_line_tail_is_no_object_token(self):
+        # The token table and the line-tail table stay apart: looking up the
+        # object `"a" .` among the tokens must not find line 1's tail.
+        line = '<http://e/s> <http://e/q> "a" . .'
+        with pytest.raises(NTriplesParseError) as err:
+            parse_ntriples(f'<http://e/s> <http://e/p> "a" .\n{line}\n')
         assert str(err.value) == f"line 2: malformed triple: {line!r}"
 
     def test_parse_error_carries_line_number(self):
@@ -552,7 +561,7 @@ def _parse_literal(match: re.Match[str], line_no: int) -> Literal:
 def old_parse_ntriples(text: str) -> TripleSet:
     """The parser as it was when the public ``Triple`` checked every IRI of
     every line, kept as the oracle for the check made once per token."""
-    graph = TripleSet()
+    triples = []
     terms: dict = {}
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
@@ -569,8 +578,8 @@ def old_parse_ntriples(text: str) -> TripleSet:
             triple = Triple(terms.setdefault(s, s[1:-1]), terms.setdefault(p, p[1:-1]), obj)
         except RdfError as exc:
             raise NTriplesParseError(line_no, str(exc)) from exc
-        graph.add(triple)
-    return graph
+        triples.append(triple)
+    return TripleSet(triples)
 
 
 def parse_outcome(parse, text: str):
@@ -645,7 +654,7 @@ def pattern_parse_ntriples(text: str) -> TripleSet:
             predicate = terms[p] = _parse_iri(p, "predicate", line_no)
         if obj is None:
             obj = terms[o] = _parse_iri(o, "object", line_no)
-        triples[rdf._triple(subject, predicate, obj)] = None
+        triples[tuple.__new__(Triple, (subject, predicate, obj))] = None
     return graph
 
 
