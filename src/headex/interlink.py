@@ -16,11 +16,11 @@ of its participants.  Comparisons grow with the pairs that share a
 participant, not with how many events fall in the window, and the result is
 exactly the set of pairs a quadratic scan would produce, each link once.
 
-Both passes work on integers.  Postings hold positions in time order, and
-the entries in reach of one start at a bound that only moves forward.  A
-pair is the key ``rank_a * n + rank_b`` over the ``n`` distinct IRIs ranked
-in codepoint order: the keys sort as the IRI pairs do, and turn back into
-pairs once, at the end.
+Both passes read one prepared index: the entries sorted once by (time, IRI),
+their IRIs ranked in codepoint order, their times in microseconds and one
+postings walk at the longer reach, which each pass narrows to its own.  The
+entries in reach start at a bound that only moves forward.  A pair is the
+key ``rank_a * n + rank_b``: the keys sort as the IRI pairs do.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .ingest import parse_date
@@ -50,10 +51,7 @@ class EventIndexEntry(
 
 
 _MICROSECOND = timedelta(microseconds=1)
-
-
-def _time_order(entry: EventIndexEntry) -> tuple[datetime, str]:
-    return entry.timestamp, entry.instance_iri
+_time_order = attrgetter("timestamp", "instance_iri")
 
 
 def _midnight(day: Literal) -> datetime | str:
@@ -167,28 +165,20 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return shared / union if union else 0.0
 
 
-def _sharing_pairs(
-    ordered: list[EventIndexEntry], reach: timedelta
-) -> Iterator[tuple[int, int, EventIndexEntry, set[int]]]:
-    """Yield (position, first, entry, candidates) for each entry of ``ordered``, sorted by
-    (time, IRI), that has candidates: the positions at most ``reach`` earlier that share a
-    participant.  ``first`` is the first position at the entry's time."""
-    if not ordered:
-        return
-    # Integer microseconds: exact inclusive bounds, and no datetime
-    # arithmetic that could leave the representable range for a huge reach.
-    origin = ordered[0].timestamp
-    reach_us = reach // _MICROSECOND
-    times = [(entry.timestamp - origin) // _MICROSECOND for entry in ordered]
+def _sharing_pairs(index: _Prepared) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Yield (position, first, candidates) for each entry of ``index`` with candidates, the
+    positions at most ``index.reach`` earlier that share a participant; ``first`` is the first
+    position at the entry's time."""
+    times, reach = index.times, index.reach
     # participant -> ascending positions of the entries visited so far, less those shed behind lo.
     postings: dict[str, list[int]] = {}
     # Times ascend, so the entries in reach of position j are those from lo
     # on; lo only moves forward, and never past j, whatever the reach.
     lo = first = 0
-    for j, later in enumerate(ordered):
+    for j, later in enumerate(index):
         if times[j] != times[first]:  # every entry moves it, not just those yielded
             first = j
-        earliest = times[j] - reach_us
+        earliest = times[j] - reach
         while lo < j and times[lo] < earliest:
             lo += 1
         candidates: set[int] = set()
@@ -205,15 +195,30 @@ def _sharing_pairs(
                 candidates.update(positions)
             positions.append(j)
         if candidates:
-            yield j, first, later, candidates
+            yield j, first, tuple(candidates)
 
 
-def _ranks(ordered: list[EventIndexEntry]) -> tuple[list[str], list[int]]:
-    """The distinct IRIs of ``ordered`` in codepoint order, and each position's rank among them."""
-    iris = [entry.instance_iri for entry in ordered]
-    distinct = sorted(dict.fromkeys(iris))  # time order is near IRI order: long runs
-    rank_of = dict(zip(distinct, range(len(distinct))))
-    return distinct, [rank_of[iri] for iri in iris]
+class _Prepared(list):
+    """Entries sorted by (time, IRI); ``iris`` in codepoint order and each one's ``rank_of``; each
+    position's ``ranks`` and ``times`` (microseconds); ``walk``: ``_sharing_pairs`` at ``reach``."""
+
+    def __init__(self, entries: Iterable[EventIndexEntry], reach: int) -> None:
+        super().__init__(sorted(entries, key=_time_order))
+        self.iris = sorted(dict.fromkeys(e.instance_iri for e in self))  # near IRI order already
+        self.rank_of = dict(zip(self.iris, range(len(self.iris))))
+        self.ranks = [self.rank_of[e.instance_iri] for e in self]
+        # Integer microseconds: exact inclusive bounds, and no datetime overflow at a huge reach.
+        at = {t: (t - self[0].timestamp) // _MICROSECOND for t in {e.timestamp for e in self}}
+        self.times = [at[e.timestamp] for e in self]
+        self.reach = reach
+        self.walk = list(_sharing_pairs(self))
+
+
+def _prepared(entries: Iterable[EventIndexEntry], reach: int) -> _Prepared:
+    """``entries`` if it is an index walked at ``reach`` or further, else one so walked."""
+    if entries.__class__ is _Prepared and entries.reach >= reach:
+        return entries
+    return _Prepared(entries, reach)
 
 
 def find_same_events(
@@ -228,20 +233,22 @@ def find_same_events(
     """
     if not 0 < jaccard_min <= 1:
         raise ValueError(f"jaccard_min must lie in (0, 1], got {jaccard_min!r}")
-    ordered = sorted(entries, key=_time_order)
-    iris, ranks = _ranks(ordered)
+    window = timedelta(hours=window_hours) // _MICROSECOND
+    ordered = _prepared(entries, window)
+    iris, ranks, times = ordered.iris, ordered.ranks, ordered.times
     n = len(iris)
-    classes = [entry.class_iri for entry in ordered]
-    publishers = [entry.publisher for entry in ordered]
     # (smaller rank) * n + (larger rank): sorting the keys sorts the pairs.
     keys: set[int] = set()
-    for j, _, later, candidates in _sharing_pairs(ordered, timedelta(hours=window_hours)):
-        _, class_iri, participants, _, publisher = later
-        b = ranks[j]
+    for j, _, candidates in ordered.walk:
+        _, class_iri, participants, _, publisher = ordered[j]
+        lo, b = bisect_left(times, times[j] - window), ranks[j]
         for i in candidates:
-            if classes[i] != class_iri or publishers[i] == publisher:
+            if i < lo:  # walked at a longer reach than the window
                 continue
-            if jaccard(ordered[i].participants, participants) < jaccard_min:
+            earlier = ordered[i]
+            if earlier.class_iri != class_iri or earlier.publisher == publisher:
+                continue
+            if jaccard(earlier.participants, participants) < jaccard_min:
                 continue
             a = ranks[i]
             keys.add(a * n + b if a < b else b * n + a)
@@ -259,19 +266,19 @@ def find_related_events(
     and pairs listed in ``exclude`` (same-event links, in any order) are
     skipped.
     """
-    ordered = sorted(entries, key=_time_order)
-    iris, ranks = _ranks(ordered)
+    horizon = timedelta(days=horizon_days) // _MICROSECOND
+    ordered = _prepared(entries, horizon)
+    iris, rank_of, ranks, times = ordered.iris, ordered.rank_of, ordered.ranks, ordered.times
     n = len(iris)
-    rank_of = dict(zip(iris, range(n)))
     # A pair naming an IRI outside the entries cannot turn up: it is dropped.
     known = [(rank_of[a], rank_of[b]) for a, b in exclude if a in rank_of and b in rank_of]
     skip = {x * n + y for a, b in known for x, y in ((a, b), (b, a))}
     # (earlier rank) * n + (later rank): sorting the keys sorts the pairs.
     keys: list[int] = []
-    for j, first, _, candidates in _sharing_pairs(ordered, timedelta(days=horizon_days)):
-        b = ranks[j]
+    for j, first, candidates in ordered.walk:
+        lo, b = bisect_left(times, times[j] - horizon), ranks[j]
         for i in candidates:
-            if i < first:
+            if lo <= i < first:
                 key = ranks[i] * n + b
                 if key not in skip:
                     keys.append(key)
@@ -286,10 +293,11 @@ def interlink_graph(
     jaccard_min: float = 0.5,
     horizon_days: float = 7.0,
 ) -> tuple[list[Triple], int, int]:
-    """Run both passes over a graph; returns (list of links, same count, related count)."""
-    entries = build_event_index(graph, policy)
-    same = find_same_events(entries, window_hours=window_hours, jaccard_min=jaccard_min)
-    related = find_related_events(entries, horizon_days=horizon_days, exclude=same)
+    """Run both passes over one index of a graph; returns (links, same count, related count)."""
+    reach = max(timedelta(hours=window_hours), timedelta(days=horizon_days))
+    index = _Prepared(build_event_index(graph, policy), reach // _MICROSECOND)
+    same = find_same_events(index, window_hours=window_hours, jaccard_min=jaccard_min)
+    related = find_related_events(index, horizon_days=horizon_days, exclude=same)
     # Every IRI here is a statement IRI of the checked input graph, so the links are built
     # unchecked; no pair repeats and no related pair is a same pair, so they are distinct.
     new = tuple.__new__

@@ -600,3 +600,143 @@ class TestLayersCalledThroughModuleGlobals:
             "find_related_events": 1,
             "jaccard": compared,
         }
+
+
+def expected_links(entries, window_hours=48.0, jaccard_min=0.5, horizon_days=7.0):
+    """The links, same count and related count that the brute-force oracles give."""
+    same = brute_same(entries, window_hours=window_hours, jaccard_min=jaccard_min)
+    related = brute_related(entries, horizon_days=horizon_days, exclude=same)
+    links = [Triple(a, OWL_SAME_AS, b) for a, b in same]
+    links += [Triple(a, SKOS_RELATED, b) for a, b in related]
+    return links, len(same), len(related)
+
+
+# Window hours and horizon days: the grid of the parameter tests, a window
+# longer than the horizon, and negative reaches on either side or both.
+REACHES = list(itertools.product(WINDOWS_HOURS, HORIZONS_DAYS)) + [
+    (200.0, 1.0),
+    (-1.0, 7.0),
+    (48.0, -1.0),
+    (-1e-9, -1.0),
+]
+
+
+class TestOnePreparedIndex:
+    """``interlink_graph`` sorts, ranks and walks the postings once, at the
+    longer of the window and the horizon, and each pass narrows that walk to
+    its own reach; a pass handed anything else prepares its own index."""
+
+    graph_text = TestLayersCalledThroughModuleGlobals.graph_text
+
+    @staticmethod
+    def count_walks(monkeypatch) -> Counter[str]:
+        walks: Counter[str] = Counter()
+        walk = interlink._sharing_pairs
+
+        def counted(*args):
+            walks["walk"] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(interlink, "_sharing_pairs", counted)
+        return walks
+
+    @pytest.mark.parametrize("window_hours, horizon_days", REACHES)
+    def test_interlink_graph_equals_brute_force(self, monkeypatch, window_hours, horizon_days):
+        rng = random.Random(f"graph-{window_hours}-{horizon_days}")
+        walks = self.count_walks(monkeypatch)
+        for k in range(8):
+            entries = random_entries(rng, rng.randint(0, 60))
+            if k % 4 == 3:  # one moment: every pair is simultaneous
+                entries = [e._replace(timestamp=entries[0].timestamp) for e in entries]
+            options = dict(
+                window_hours=window_hours,
+                jaccard_min=JACCARD_MINS[k % len(JACCARD_MINS)],
+                horizon_days=horizon_days,
+            )
+            monkeypatch.setattr(interlink, "build_event_index", lambda graph, policy: entries)
+            walks.clear()
+            got = interlink_graph(TripleSet(), IriPolicy(), **options)
+            assert got == expected_links(entries, **options)
+            assert walks["walk"] == 1
+
+    def test_bounds_are_exact_to_the_microsecond(self, monkeypatch):
+        people = frozenset({"http://x/p"})
+        tick = timedelta(microseconds=1)
+        a, b, d = (
+            entry(f"http://x/{name}", participants=people, publisher=name, hours=hours)
+            for name, hours in (("a", 0), ("b", 24), ("d", 48))
+        )
+        c = b._replace(instance_iri="http://x/c", publisher="c", timestamp=b.timestamp + tick)
+        e = d._replace(instance_iri="http://x/e", publisher="e", timestamp=d.timestamp + tick)
+        entries = [e, d, c, b, a]
+        monkeypatch.setattr(interlink, "build_event_index", lambda graph, policy: entries)
+        options = dict(window_hours=24, horizon_days=2)
+        links, same, related = interlink_graph(TripleSet(), IriPolicy(), **options)
+        assert (links, same, related) == expected_links(entries, **options)
+        assert Triple("http://x/a", OWL_SAME_AS, "http://x/b") in links  # 24 h
+        assert Triple("http://x/a", SKOS_RELATED, "http://x/c") in links  # 24 h and 1 us
+        assert Triple("http://x/a", SKOS_RELATED, "http://x/d") in links  # 2 days
+        assert [link for link in links if link[::2] == ("http://x/a", "http://x/e")] == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cli_with_a_window_longer_than_the_horizon(
+        self, monkeypatch, tmp_path, capsys, seed
+    ):
+        indexes = []
+        build = interlink.build_event_index
+
+        def recorded(graph, policy):
+            indexes.append(build(graph, policy))
+            return indexes[-1]
+
+        monkeypatch.setattr(interlink, "build_event_index", recorded)
+        walks = self.count_walks(monkeypatch)
+        graph, out = tmp_path / "events.nt", tmp_path / "links.nt"
+        graph.write_text(self.graph_text(seed), encoding="utf-8")
+        options = ["--same-window-hours", "200", "--related-horizon-days", "1"]
+        code = cli.main(["interlink", str(graph), "--out", str(out), *options])
+        assert code == 0, capsys.readouterr().err
+
+        (entries,) = indexes
+        links, same, related = expected_links(entries, window_hours=200, horizon_days=1)
+        assert capsys.readouterr().out == f"sameas={same} related={related}\n"
+        assert out.read_text(encoding="utf-8") == serialize_ntriples(links)
+        assert walks["walk"] == 1
+        # Some same pair lies beyond the horizon: only the longer walk finds it.
+        times = {e.instance_iri: e.timestamp for e in entries}
+        assert any(
+            abs(times[link.object] - times[link.subject]) > timedelta(days=1)
+            for link in links
+            if link.predicate == OWL_SAME_AS
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_pass_on_an_index_walked_too_short_walks_again(self, monkeypatch, seed):
+        rng = random.Random(f"short-{seed}")
+        entries = random_entries(rng, rng.randint(0, 60))
+        walks = self.count_walks(monkeypatch)
+        for reach in (-1, 0, 3600 * 10**6):  # microseconds: all shorter than the passes'
+            index = interlink._Prepared(entries, reach)
+            walks.clear()
+            same = find_same_events(index, window_hours=1e4, jaccard_min=1e-9)
+            assert same == brute_same(entries, window_hours=1e4, jaccard_min=1e-9)
+            related = find_related_events(index, horizon_days=1e6, exclude=same)
+            assert related == brute_related(entries, horizon_days=1e6, exclude=same)
+            assert walks["walk"] == 2
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_pass_reads_the_index_as_its_entries_in_any_order(self, monkeypatch, seed):
+        rng = random.Random(f"reversed-{seed}")
+        entries = random_entries(rng, rng.randint(0, 60))
+        index = interlink._Prepared(entries, timedelta(days=7) // timedelta(microseconds=1))
+        walks = self.count_walks(monkeypatch)
+        same = find_same_events(index, window_hours=24)
+        related = find_related_events(index, horizon_days=2, exclude=same)
+        assert walks["walk"] == 0  # both passes read the index's own walk
+        backwards = index[::-1]
+        assert type(backwards) is list
+        assert same == find_same_events(backwards, window_hours=24) == brute_same(
+            entries, window_hours=24
+        )
+        assert related == find_related_events(backwards, horizon_days=2, exclude=same)
+        assert related == brute_related(entries, horizon_days=2, exclude=same)
