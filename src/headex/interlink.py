@@ -26,8 +26,8 @@ key ``rank_a * n + rank_b``: the keys sort as the IRI pairs do.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
-from datetime import datetime, timedelta, timezone
+from collections import defaultdict, namedtuple
+from datetime import datetime, time, timedelta, timezone
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -51,19 +51,20 @@ class EventIndexEntry(
 
 
 _MICROSECOND = timedelta(microseconds=1)
+_UTC_MIDNIGHT = time(tzinfo=timezone.utc)
 _time_order = attrgetter("timestamp", "instance_iri")
 
 
 def _midnight(day: Literal) -> datetime | str:
     """Midnight UTC of an ``extractedOn`` day, so that windows are well-defined; for no ISO
     date, what its error shows: a plain or ``xsd:date`` literal's lexical form, else as written."""
-    if day.datatype not in (None, XSD_DATE) or day.language is not None:
+    lexical, datatype, language = day
+    if datatype not in (None, XSD_DATE) or language is not None:
         return _term(day)
     try:
-        parsed = parse_date(day.lexical)
+        return datetime.combine(parse_date(lexical), _UTC_MIDNIGHT)
     except ValueError:
-        return day.lexical
-    return datetime(parsed.year, parsed.month, parsed.day, tzinfo=timezone.utc)
+        return lexical
 
 
 def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEntry]:
@@ -78,57 +79,57 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
     publishers or extraction days, one with no publisher or day, or a day
     not a plain or ``xsd:date`` literal of an ISO date; the error names the
     smallest statement IRI of the first kind found: bad day, two values, none.
+
+    The graph is read once, its triples grouped by predicate; then only the groups of the
+    class, body and provenance terms, the role properties and each statement IRI are read.
     """
-    sp_of = policy.term_iri(SINGLETON_PROPERTY_OF)
-    has_source = policy.term_iri(HAS_SOURCE)
-    extracted_on = policy.term_iri(EXTRACTED_ON)
-    body = policy.term_iri(BODY)
+    # predicate -> its triples, in graph order
+    groups: defaultdict[str, list[Triple]] = defaultdict(list)
+    for triple in graph:
+        groups[triple[1]].append(triple)
+    vocabulary = (SINGLETON_PROPERTY_OF, BODY, HAS_SOURCE, EXTRACTED_ON)
+    sp_of, body, has_source, extracted_on = (groups.get(policy.term_iri(name), ()) for name in vocabulary)
 
     # (statement, what) -> every value given, once a second one turns up.
     clashes: dict[tuple[str, str], set] = {}
     classes: dict[str, str] = {}
-    text_nodes: set[str] = set()
-    for subject, predicate, obj in graph:
-        if predicate == sp_of and isinstance(obj, str):
-            if classes.setdefault(subject, obj) != obj:
-                clashes.setdefault((subject, "classes"), {classes[subject]}).add(obj)
-        elif predicate == body:
-            text_nodes.add(subject)
+    for subject, _, obj in sp_of:
+        if isinstance(obj, str) and classes.setdefault(subject, obj) != obj:
+            clashes.setdefault((subject, "classes"), {classes[subject]}).add(obj)
     if not classes and len(graph):
         raise InterlinkError(
             f"graph holds {len(graph):,} triples but no statement under base {policy.base_iri}"
         )
+    text_nodes = {subject for subject, _, _ in body}
 
     sources: dict[str, str] = {}
+    source_prefix = f"{policy.base_iri}source/"
+    for subject, _, obj in has_source:
+        if subject in classes and isinstance(obj, str):
+            publisher = obj[len(source_prefix) :] if obj.startswith(source_prefix) else local_name(obj)
+            if sources.setdefault(subject, publisher) != publisher:
+                clashes.setdefault((subject, "publishers"), {sources[subject]}).add(publisher)
     times: dict[str, datetime] = {}
     # extractedOn literal -> its midnight (or its error text), read once per call
     midnights: dict[Literal, datetime | str] = {}
     bad_days: list[tuple[str, str]] = []
+    for subject, _, obj in extracted_on:
+        if subject in classes and isinstance(obj, Literal):
+            at = midnights.get(obj) or midnights.setdefault(obj, _midnight(obj))
+            if at.__class__ is str:
+                bad_days.append((subject, at))
+            elif times.setdefault(subject, at) != at:
+                days = clashes.setdefault((subject, "extraction days"), {times[subject].date()})
+                days.add(at.date())
+
     participants: dict[str, set[str]] = {iri: set() for iri in classes}
     roles = {policy.role_property_iri(r) for frame in FRAMES.values() for r in frame.role_names}
-
-    source_prefix = f"{policy.base_iri}source/"
-    for subject, predicate, obj in graph:
-        if subject in classes:
-            if predicate == has_source and isinstance(obj, str):
-                publisher = (
-                    obj[len(source_prefix) :] if obj.startswith(source_prefix) else local_name(obj)
-                )
-                if sources.setdefault(subject, publisher) != publisher:
-                    clashes.setdefault((subject, "publishers"), {sources[subject]}).add(publisher)
-            elif predicate == extracted_on and isinstance(obj, Literal):
-                if obj not in midnights:
-                    midnights[obj] = _midnight(obj)
-                at = midnights[obj]
-                if at.__class__ is str:
-                    bad_days.append((subject, at))
-                elif times.setdefault(subject, at) != at:
-                    days = clashes.setdefault((subject, "extraction days"), {times[subject].date()})
-                    days.add(at.date())
-            elif predicate in roles and isinstance(obj, str) and obj not in text_nodes:
+    for role in roles:
+        for subject, _, obj in groups.get(role, ()):
+            if subject in classes and isinstance(obj, str) and obj not in text_nodes:
                 participants[subject].add(obj)
-        if predicate in classes:
-            bucket = participants[predicate]
+    for iri, bucket in participants.items():
+        for subject, _, obj in groups.get(iri, ()):
             if subject not in text_nodes:
                 bucket.add(subject)
             if isinstance(obj, str) and obj not in text_nodes:
@@ -143,18 +144,14 @@ def build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEnt
         (statement, what), values = min(clashes.items())
         shown = ", ".join(str(value) for value in sorted(values))
         raise InterlinkError(f"statement {statement} has {len(values)} {what}: {shown}")
-    entries = []
-    lacking = []
-    for iri, class_iri in classes.items():
-        publisher = sources.get(iri)
-        at = times.get(iri)
-        if publisher is None or at is None:
-            lacking.append(iri)
-        else:
-            entry = EventIndexEntry(iri, class_iri, frozenset(participants[iri]), at, publisher)
-            entries.append(entry)
+    lacking = [iri for iri in classes if iri not in sources or iri not in times]
     if lacking:
         raise InterlinkError(f"statement {min(lacking)} lacks source or extraction date")
+    new = tuple.__new__
+    entries = [
+        new(EventIndexEntry, (iri, class_iri, frozenset(participants[iri]), times[iri], sources[iri]))
+        for iri, class_iri in classes.items()
+    ]
     entries.sort(key=_time_order)
     return entries
 

@@ -18,20 +18,24 @@ check entity IRIs; interlinking links statement IRIs of a checked graph.
 
 The codec does each piece of work once.  ``parse_ntriples`` parses each
 distinct token once per call and shares its term between the triples that
-repeat it.  A new token is checked by one function, ``_new_term``, on both
-paths: an IRI by ``_check_iri``; a plain literal with no quote or backslash
-inside by a slice; any other literal by one match of the literal pattern,
-``unescape_literal`` and ``Literal``.  Only a token that passes enters the
-call's term table.  A line of the plain shape ``S P O .`` (single spaces,
-nothing around) takes the token path: it is split at its first two spaces,
-subject and predicate are looked up in the term table, and the object in a
-table keyed by the line's tail ``O .``.  Any other line, and a line with a
-token that fails, takes the pattern path: one match of the whole-line
-pattern, then the checks in the order the public constructors make them.
-Only the pattern path lets a check's error out, so a message and its line
-number do not depend on the path.  ``serialize_ntriples`` renders each line
-once and sorts the lines, which gives the term order (see ``_line``).
-Escaping is one ``str.translate``; unescaping is one ``re.sub``.
+repeat it.  A new token is read by one function, ``_new_term``, on both
+paths.  A literal is checked when first seen: by slices if its text holds no
+quote or backslash and its datatype no '>' (the datatype checked once, as a
+token of its own), else by one match of the literal pattern,
+``unescape_literal`` and ``Literal``.  A new IRI on the token path enters
+the term table unchecked and goes on a pending list, which one match checks,
+joined by LF, before a line takes the pattern path and at the end; if that
+fails, the text is parsed again, each IRI checked by ``_check_iri`` when
+first seen.  A line of the plain shape ``S P O .`` (single spaces, nothing
+around) takes the token path: it is split at its first two spaces, subject
+and predicate are looked up in the term table, and the object in a table
+keyed by the line's tail ``O .``.  Any other line, and a line with a token
+that fails, takes the pattern path: one match of the whole-line pattern,
+then the checks in the order the public constructors make them.  Only the
+pattern path lets a check's error out, so a message and its line number do
+not depend on the path.  ``serialize_ntriples`` renders each line once and
+sorts the lines, which gives the term order (see ``_line``).  Escaping is
+one ``str.translate``; unescaping is one ``re.sub``.
 """
 
 from __future__ import annotations
@@ -254,6 +258,8 @@ def serialize_ntriples(graph: Iterable[Triple]) -> str:
 _LITERAL = rf'"((?:[^"\\]|\\.)*)"(?:\^\^<([^>]*)>|@({_LANGTAG.pattern}))?'
 _LINE_RE = re.compile(rf"(<[^>]*>)\s+(<[^>]*>)\s+(<[^>]*>|{_LITERAL})\s*\.\s*(?:#.*)?")
 _LITERAL_TOKEN = re.compile(_LITERAL)
+# Absolute IRIs joined by LF, which no IRI holds: one match checks them all.
+_IRI_LINES = re.compile(rf"(?:{_ABSOLUTE_IRI.pattern}\n)*{_ABSOLUTE_IRI.pattern}")
 
 
 def parse_ntriples(text: str) -> TripleSet:
@@ -263,9 +269,15 @@ def parse_ntriples(text: str) -> TripleSet:
     Raises NTriplesParseError with the offending line number on malformed
     input.
     """
+    graph = _parse(text, [])
+    return graph if graph is not None else _parse(text, None)
+
+
+def _parse(text: str, pending: list[str] | None) -> TripleSet | None:
+    """The graph, or None if an IRI that the token path put on ``pending`` unchecked fails."""
     graph = TripleSet()
     triples = graph._triples  # filled in place: one dict store per line
-    # token -> its term, parsed and checked once per call, when first seen
+    # token -> its term, parsed once per call, when first seen (an IRI checked later if pending)
     terms: dict[str, str | Literal] = {}
     get = terms.get
     # line tail `O .` -> the term of O: a repeated object costs one look-up, no slice
@@ -280,12 +292,12 @@ def parse_ntriples(text: str) -> TripleSet:
         if len(parts) == 3:
             s, p, tail = parts
             try:
-                subject = get(s) or _new_term(terms, s, "subject", line_no)
-                predicate = get(p) or _new_term(terms, p, "predicate", line_no)
+                subject = get(s) or _new_term(terms, s, "subject", line_no, pending)
+                predicate = get(p) or _new_term(terms, p, "predicate", line_no, pending)
                 obj = tail_term(tail)
                 if obj is None and tail[-2:] == " .":
                     o = tail[:-2]
-                    obj = tails[tail] = get(o) or _new_term(terms, o, "object", line_no)
+                    obj = tails[tail] = get(o) or _new_term(terms, o, "object", line_no, pending)
             except NTriplesParseError:
                 pass  # a token failed its check: the pattern path reports it
             else:
@@ -297,6 +309,10 @@ def parse_ntriples(text: str) -> TripleSet:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
+        if pending:  # the pattern path reads only checked terms
+            if _IRI_LINES.fullmatch("\n".join(pending)) is None:
+                return None
+            pending.clear()
         match = _LINE_RE.fullmatch(line)
         if match is None:
             raise NTriplesParseError(line_no, f"malformed triple: {line!r}")
@@ -312,29 +328,40 @@ def parse_ntriples(text: str) -> TripleSet:
         if obj is None:
             obj = _new_term(terms, o, "object", line_no)
         triples[new(Triple, (subject, predicate, obj))] = None
-    return graph
+    return None if pending and _IRI_LINES.fullmatch("\n".join(pending)) is None else graph
 
 
-def _new_term(terms: dict[str, str | Literal], token: str, position: str, line_no: int) -> str | Literal:
-    """The term of a token not seen before, entered in ``terms`` once it passes
-    its check; raises NTriplesParseError if it fails."""
+def _new_term(
+    terms: dict[str, str | Literal], token: str, position: str, line_no: int, pending: list[str] | None = None
+) -> str | Literal:
+    """The term of a token not seen before, entered in ``terms`` once it passes its check
+    (an IRI put on a ``pending`` list passes unchecked); raises NTriplesParseError if it fails."""
     if token[:1] == "<" and token[-1:] == ">":
-        try:
-            term = _check_iri(position, token[1:-1])
-        except RdfError as exc:
-            raise NTriplesParseError(line_no, str(exc)) from exc
-    elif token.count('"') == 2 and token[0] == '"' == token[-1] and "\\" not in token:
-        # A plain literal with no quote or backslash inside: what the pattern would read.
-        term = tuple.__new__(Literal, (token[1:-1], None, None))
+        if pending is None:
+            try:
+                term = _check_iri(position, token[1:-1])
+            except RdfError as exc:
+                raise NTriplesParseError(line_no, str(exc)) from exc
+        else:
+            term = token[1:-1]
+            pending.append(term)
     else:
-        match = _LITERAL_TOKEN.fullmatch(token)
-        if match is None:
-            raise NTriplesParseError(line_no, f"malformed term: {token!r}")
-        lexical = unescape_literal(match[1], line_no)
-        try:
-            term = Literal(lexical, match[2], match[3])
-        except RdfError as exc:
-            raise NTriplesParseError(line_no, str(exc)) from exc
+        # No quote or backslash inside, no '>' in the datatype: by slices, as the pattern reads it.
+        lexical, _, suffix = token[1:].partition('"')
+        if token[:1] == '"' and token.count('"') == 2 and "\\" not in lexical and (
+            not suffix or suffix[:3] == "^^<" and suffix.find(">") == len(suffix) - 1
+        ):
+            datatype = suffix and (terms.get(suffix[2:]) or _new_term(terms, suffix[2:], "datatype", line_no))
+            term = tuple.__new__(Literal, (lexical, datatype or None, None))
+        else:
+            match = _LITERAL_TOKEN.fullmatch(token)
+            if match is None:
+                raise NTriplesParseError(line_no, f"malformed term: {token!r}")
+            lexical = unescape_literal(match[1], line_no)
+            try:
+                term = Literal(lexical, match[2], match[3])
+            except RdfError as exc:
+                raise NTriplesParseError(line_no, str(exc)) from exc
     terms[token] = term
     return term
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headex import cli, interlink
-from headex.ingest import read_records
+from headex.ingest import parse_date, read_records
 from headex.interlink import (
     EventIndexEntry,
     InterlinkError,
@@ -22,18 +22,22 @@ from headex.interlink import (
     interlink_graph,
     jaccard,
 )
+from headex.model import FRAMES
 from headex.pipeline import extract_corpus
 from headex.rdf import (
     OWL_SAME_AS,
     RDF_TYPE,
     SKOS_RELATED,
     XSD_DATE,
+    XSD_INTEGER,
     Literal,
     Triple,
     TripleSet,
+    _term,
+    local_name,
     serialize_ntriples,
 )
-from headex.triplify import IriPolicy
+from headex.triplify import BODY, EXTRACTED_ON, HAS_SOURCE, SINGLETON_PROPERTY_OF, IriPolicy
 
 BASE = "http://example.org/news/"
 UTC = timezone.utc
@@ -740,3 +744,193 @@ class TestOnePreparedIndex:
         )
         assert related == find_related_events(backwards, horizon_days=2, exclude=same)
         assert related == brute_related(entries, horizon_days=2, exclude=same)
+
+
+# The event index as it was when it read the graph twice, through an
+# if/elif chain on each triple's predicate; kept as the oracle for the index
+# that reads the graph once into groups by predicate.
+
+
+def old_midnight(day: Literal) -> datetime | str:
+    if day.datatype not in (None, XSD_DATE) or day.language is not None:
+        return _term(day)
+    try:
+        parsed = parse_date(day.lexical)
+    except ValueError:
+        return day.lexical
+    return datetime(parsed.year, parsed.month, parsed.day, tzinfo=timezone.utc)
+
+
+def old_build_event_index(graph: TripleSet, policy: IriPolicy) -> list[EventIndexEntry]:
+    sp_of = policy.term_iri(SINGLETON_PROPERTY_OF)
+    has_source = policy.term_iri(HAS_SOURCE)
+    extracted_on = policy.term_iri(EXTRACTED_ON)
+    body = policy.term_iri(BODY)
+
+    # (statement, what) -> every value given, once a second one turns up.
+    clashes: dict[tuple[str, str], set] = {}
+    classes: dict[str, str] = {}
+    text_nodes: set[str] = set()
+    for subject, predicate, obj in graph:
+        if predicate == sp_of and isinstance(obj, str):
+            if classes.setdefault(subject, obj) != obj:
+                clashes.setdefault((subject, "classes"), {classes[subject]}).add(obj)
+        elif predicate == body:
+            text_nodes.add(subject)
+    if not classes and len(graph):
+        raise InterlinkError(
+            f"graph holds {len(graph):,} triples but no statement under base {policy.base_iri}"
+        )
+
+    sources: dict[str, str] = {}
+    times: dict[str, datetime] = {}
+    # extractedOn literal -> its midnight (or its error text), read once per call
+    midnights: dict[Literal, datetime | str] = {}
+    bad_days: list[tuple[str, str]] = []
+    participants: dict[str, set[str]] = {iri: set() for iri in classes}
+    roles = {policy.role_property_iri(r) for frame in FRAMES.values() for r in frame.role_names}
+
+    source_prefix = f"{policy.base_iri}source/"
+    for subject, predicate, obj in graph:
+        if subject in classes:
+            if predicate == has_source and isinstance(obj, str):
+                publisher = (
+                    obj[len(source_prefix) :] if obj.startswith(source_prefix) else local_name(obj)
+                )
+                if sources.setdefault(subject, publisher) != publisher:
+                    clashes.setdefault((subject, "publishers"), {sources[subject]}).add(publisher)
+            elif predicate == extracted_on and isinstance(obj, Literal):
+                if obj not in midnights:
+                    midnights[obj] = old_midnight(obj)
+                at = midnights[obj]
+                if at.__class__ is str:
+                    bad_days.append((subject, at))
+                elif times.setdefault(subject, at) != at:
+                    days = clashes.setdefault((subject, "extraction days"), {times[subject].date()})
+                    days.add(at.date())
+            elif predicate in roles and isinstance(obj, str) and obj not in text_nodes:
+                participants[subject].add(obj)
+        if predicate in classes:
+            bucket = participants[predicate]
+            if subject not in text_nodes:
+                bucket.add(subject)
+            if isinstance(obj, str) and obj not in text_nodes:
+                bucket.add(obj)
+
+    if bad_days:
+        statement, shown = min(bad_days)
+        raise InterlinkError(
+            f"statement {statement}: extraction date must be an ISO date, got {shown!r}"
+        )
+    if clashes:
+        (statement, what), values = min(clashes.items())
+        shown = ", ".join(str(value) for value in sorted(values))
+        raise InterlinkError(f"statement {statement} has {len(values)} {what}: {shown}")
+    entries = []
+    lacking = []
+    for iri, class_iri in classes.items():
+        publisher = sources.get(iri)
+        at = times.get(iri)
+        if publisher is None or at is None:
+            lacking.append(iri)
+        else:
+            entry = EventIndexEntry(iri, class_iri, frozenset(participants[iri]), at, publisher)
+            entries.append(entry)
+    if lacking:
+        raise InterlinkError(f"statement {min(lacking)} lacks source or extraction date")
+    entries.sort(key=interlink._time_order)
+    return entries
+
+
+CUSTOM_BASE = "http://other.example/kb#"
+ROLE_NAMES = sorted({r for frame in FRAMES.values() for r in frame.role_names})
+DAYS = [
+    Literal("2016-03-01", XSD_DATE),
+    Literal("2016-03-02", XSD_DATE),
+    Literal("2016-03-01"),  # plain: the same day as the first
+    Literal("2016-02-30", XSD_DATE),  # no such day
+    Literal("2016-03-01T10:00", XSD_DATE),  # not a date alone
+    Literal("soon"),
+    Literal("2016-03-01", XSD_INTEGER),  # another datatype
+    Literal("2016-03-01", language="en"),
+    "http://x/day",  # no literal at all: not a day
+]
+
+
+def index_outcome(build, graph: TripleSet, policy: IriPolicy):
+    try:
+        return [tuple(e) for e in build(graph, policy)]
+    except InterlinkError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def index_graphs(draw):
+    """A graph drawn around a few statements under the default or a custom
+    base: each with no, one or two classes, publishers and days (bad ones
+    too), role objects among entities, text nodes and other statements, a
+    main triple whose ends may be text nodes or a literal, and foreign or
+    misplaced triples on any of those; and publishers of no statement."""
+    policy = IriPolicy(draw(st.sampled_from([BASE, CUSTOM_BASE])))
+    # A graph under one base read under the other holds no statement.
+    under = IriPolicy(BASE) if draw(st.integers(0, 9)) == 0 else policy
+    term = under.term_iri
+    statements = [f"{under.base_iri}Meet_{i}" for i in range(4)]
+    entities = [under.entity_iri(f"e{k}") for k in range(4)]
+    text_nodes = [f"{under.base_iri}Meet_0_message", f"{under.base_iri}Meet_1_cause"]
+    objects = entities + text_nodes + statements
+    classes = [term("Meet"), term("Attack")]
+    publishers = [under.source_iri("alpha"), under.source_iri("beta"), "http://press.example/feeds/alpha"]
+    roles = [under.role_property_iri(r) for r in ROLE_NAMES]
+    triples = []
+    for statement in statements[: draw(st.integers(1, len(statements)))]:
+        # Most statements carry one class, publisher and good day each; the
+        # others none, one or two of each, and days of every kind.
+        count, days = (st.integers(0, 2), DAYS[:3] + DAYS) if draw(st.integers(0, 2)) == 0 else (st.just(1), DAYS[:3])
+        for name, values in ((SINGLETON_PROPERTY_OF, classes), (HAS_SOURCE, publishers), (EXTRACTED_ON, days)):
+            for value in draw(st.lists(st.sampled_from(values), min_size=2, max_size=2))[: draw(count)]:
+                triples.append(Triple(statement, term(name), value))
+        for role, obj in draw(st.lists(st.tuples(st.sampled_from(roles), st.sampled_from(objects)), max_size=3)):
+            triples.append(Triple(statement, role, obj))
+        ends = st.sampled_from(entities + text_nodes), st.sampled_from(entities + text_nodes + [Literal("x")])
+        for subject, obj in draw(st.lists(st.tuples(*ends), max_size=2)):
+            triples.append(Triple(subject, statement, obj))
+    for node in text_nodes:
+        if draw(st.booleans()):
+            triples.append(Triple(node, term(BODY), Literal("a text")))
+    # Provenance, even clashing, on a subject with no class: no statement, no entry.
+    for publisher in draw(st.lists(st.sampled_from(publishers), max_size=2)):
+        triples.append(Triple(f"{under.base_iri}Meet_none", term(HAS_SOURCE), publisher))
+    # Foreign predicates on anything, and vocabulary terms on subjects that are no statements.
+    foreign = [RDF_TYPE, OWL_SAME_AS, "http://x/knows", term(BODY), term(SINGLETON_PROPERTY_OF)]
+    foreign += [term(HAS_SOURCE), term(EXTRACTED_ON), roles[0]]
+    every_object = objects + classes + publishers + DAYS[:3] + [Literal("a text")]
+    for subject, predicate, obj in draw(
+        st.lists(
+            st.tuples(st.sampled_from(objects), st.sampled_from(foreign), st.sampled_from(every_object)),
+            max_size=3,
+        )
+    ):
+        triples.append(Triple(subject, predicate, obj))
+    return TripleSet(triples), policy
+
+
+class TestOnePassIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(index_graphs())
+    def test_equals_the_two_pass_index(self, drawn):
+        graph, policy = drawn
+        assert index_outcome(build_event_index, graph, policy) == index_outcome(
+            old_build_event_index, graph, policy
+        )
+
+    @pytest.mark.parametrize("base", [BASE, CUSTOM_BASE])
+    def test_no_role_property_is_a_vocabulary_term(self, base):
+        # Each triple of the graph lands in one group, and each group is read
+        # for what its predicate names; a role property that was also one of
+        # the four terms the index reads would be read both ways.
+        policy = IriPolicy(base)
+        roles = {policy.role_property_iri(r) for r in ROLE_NAMES}
+        terms = {policy.term_iri(name) for name in (SINGLETON_PROPERTY_OF, BODY, HAS_SOURCE, EXTRACTED_ON)}
+        assert len(roles) == len(ROLE_NAMES)
+        assert not roles & terms

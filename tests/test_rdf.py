@@ -783,8 +783,62 @@ def test_property_token_path_agrees_with_pattern_path(lines):
 @pytest.mark.parametrize(
     "token",
     ['"', '""', '"a"b"', '"a\\"', '"a\\\\"', 'a"', 'a"b"', '"x"@en', '"x"^^<http://x/t>', '"x"^^<t>']
-    + ['"a\rb"', '"é"'],
+    + ['"a\rb"', '"é"']
+    # Typed literals at the edges of the reading by slices: a quote or backslash in the text,
+    # a '>' in the datatype or none at its end, an empty or unbracketed datatype.
+    + ['"a"b"^^<urn:d>', '"a\\"^^<urn:d>', '"x"^^<urn:d>>', '"x"^^<urn:d', '"x"^^<>', '"x"^^urn:d']
+    + ['"é"^^<urn:d>', '"a>b"^^<urn:d>'],
 )
 def test_plain_literal_reading_agrees_with_pattern_path(token):
     text = f"<urn:x> <urn:x> {token} .\n<urn:x> <urn:y> {token} ."
     assert parse_outcome(parse_ntriples, text) == parse_outcome(pattern_parse_ntriples, text)
+
+
+# A datatype shared by two literals: checked once and then read from the term
+# table, also as a subject; a bad one fails where it is first seen, each time.
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ['<urn:x> <urn:x> "a"^^<urn:d> .', '<urn:x> <urn:x> "b"^^<urn:d> .', "<urn:d> <urn:x> <urn:x> ."],
+        ['<urn:x> <urn:x> "a"^^<rel> .', '<urn:x> <urn:x> "b"^^<rel> .'],
+        ['<urn:x> <urn:x> "a"^^<urn:d> .', '<urn:x> <urn:x> "b"^^<rel> .', '<urn:x> <urn:y> "c"^^<rel> .'],
+    ],
+)
+def test_shared_datatype_agrees_with_pattern_path(lines):
+    text = "\n".join(lines)
+    assert parse_outcome(parse_ntriples, text) == parse_outcome(pattern_parse_ntriples, text)
+
+
+# Fixed texts at the edges of checking a parse's new IRIs together: a failed
+# check of them all makes the parser read the text again, checking each IRI
+# when it is first seen, and that reading decides.
+@pytest.mark.parametrize(
+    "lines, outcome",
+    [
+        # An IRI-shaped predicate token that holds tabs: the pattern path reads
+        # the line as another triple, and a comment.
+        (["<urn:x> <urn:x>\t<urn:y>\t.#> <urn:z> ."], [("urn:x", "urn:x", "urn:y")]),
+        # The only bad IRI, on the last line.
+        (
+            ["<urn:a> <urn:p> <urn:b> .", "<urn:b> <urn:p> <urn:c> .", "<urn:c> <rel> <urn:a> ."],
+            ("error", "line 3: predicate is not an absolute IRI: 'rel'", 3),
+        ),
+        # A bad IRI, then a line that only the pattern path reads, with a bad IRI of its own.
+        (
+            ["<urn:a> <urn:p> <urn:b> .", "<rel> <urn:p> <urn:c> .", "<urn:c> <urn:p> <rel2> . # c"],
+            ("error", "line 2: subject is not an absolute IRI: 'rel'", 2),
+        ),
+        # A bad IRI seen first as a subject, then as a datatype.
+        (
+            ["<rel> <urn:p> <urn:o> .", '<urn:s> <urn:p> "x"^^<rel> .'],
+            ("error", "line 1: subject is not an absolute IRI: 'rel'", 1),
+        ),
+    ],
+    ids=["tab-carried-predicate", "bad-last-line", "bad-then-pattern-line", "subject-then-datatype"],
+)
+def test_iris_checked_together_give_what_checking_each_gives(lines, outcome):
+    text = "\n".join(lines)
+    if isinstance(outcome, list):
+        outcome = serialize_ntriples(TripleSet(Triple(*parts) for parts in outcome))
+    assert parse_outcome(parse_ntriples, text) == outcome
+    assert parse_outcome(pattern_parse_ntriples, text) == outcome
