@@ -26,6 +26,9 @@ Alias look-ups are exact after ``str.casefold``.  Beside that index the
 catalog keeps, for the first space-separated word of every alias, the most
 words of any alias starting with it (``EntityCatalog.alias_words``), so a
 caller trying n-grams as aliases can skip the n-grams no alias can equal.
+In the same way ``EntityCatalog.title_words`` is the most space-separated
+words of any position title, 0 for a catalog without positions: an n-gram
+of more words is no title.
 """
 
 from __future__ import annotations
@@ -131,6 +134,7 @@ class EntityCatalog:
                 self._titles.add(title)
                 for org_iri in by_alias.get(position.org.casefold(), ()):
                     self._positions.setdefault((title, org_iri), []).append((rank, entity, position))
+        self.title_words = max((title.count(" ") + 1 for title in self._titles), default=0)
 
     def __contains__(self, iri: str) -> bool:
         return iri in self._by_iri

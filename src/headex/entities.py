@@ -24,7 +24,7 @@ an unknown name, or a handle with nothing to mint from ("@_"), stays text.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Container, Iterator
 from datetime import date
 from operator import itemgetter
 
@@ -186,21 +186,23 @@ def _parse_position_reference(
     count is less than ``len(words)`` when a name follows the reference in
     apposition ("German Chancellor Angela Merkel").  The words hold no
     whitespace, so org aliases longer than ``catalog.alias_words`` of the
-    first word need no look-up (see ``_alias_match_length``).
+    first word and titles longer than ``catalog.title_words`` need no
+    look-up (see ``_alias_match_length``).
     """
     lowered = [w.lower() for w in words]
     if "of" in lowered:
         cut = lowered.index("of")
         title = " ".join(words[:cut])
         org = words[cut + 1 :]
-        if title and org and catalog.is_position_title(title) and catalog.is_alias(" ".join(org)):
-            return title, tuple(org), len(words)
+        if title and org and cut <= catalog.title_words and catalog.is_position_title(title):
+            if catalog.is_alias(" ".join(org)):
+                return title, tuple(org), len(words)
     longest_org = min(len(words) - 1, catalog.alias_words(words[0])) if words else 0
     for org_len in range(longest_org, 0, -1):
         org = words[:org_len]
         if not catalog.is_alias(" ".join(org)):
             continue
-        for title_len in range(len(words) - org_len, 0, -1):
+        for title_len in range(min(len(words) - org_len, catalog.title_words), 0, -1):
             title = " ".join(words[org_len : org_len + title_len])
             if catalog.is_position_title(title):
                 return title, tuple(org), org_len + title_len
@@ -345,7 +347,7 @@ class DisambiguationAudit(
 
 
 def _score(
-    entity: CatalogEntity, surface: str, context_words: frozenset[str], at: date | None
+    entity: CatalogEntity, surface: str, context_words: Container[str], at: date | None
 ) -> tuple[int, int, float]:
     folded = surface.casefold()
     if folded == entity.label.casefold():
@@ -372,7 +374,7 @@ def context_words(tokens: TokenSequence) -> frozenset[str]:
 def disambiguate(
     mention: EntityMention,
     candidates: tuple[CatalogEntity, ...],
-    context: frozenset[str],
+    context: Container[str],
     at: date | None = None,
 ) -> tuple[CatalogEntity, DisambiguationAudit]:
     """Pick among several candidates; always selects, never errors.
@@ -400,9 +402,10 @@ def disambiguate(
 def link_entity(
     mention: EntityMention,
     catalog: EntityCatalog,
-    context: frozenset[str],
+    context: Container[str],
     entity_iri_for: Callable[[str], str],
     at: date | None = None,
+    links: dict[tuple[str, str], tuple[CatalogEntity, ...] | str] | None = None,
 ) -> tuple[EntityMention, DisambiguationAudit | None]:
     """Resolve a named/@handle mention: link to the unique catalog candidate,
     disambiguate among several, or mint an ``Agent`` with a deterministic IRI
@@ -411,23 +414,39 @@ def link_entity(
 
     ``entity_iri_for`` maps a slug to a minted IRI (normally
     ``IriPolicy.entity_iri``).  Returns the resolved mention and the
-    disambiguation audit when scoring had to run.
+    disambiguation audit when scoring had to run.  ``context`` is read only
+    then.
+
+    ``links`` is the run's table of what the catalog and ``entity_iri_for``
+    make of a ``(text, kind)``: its candidates, or else its minted IRI, ""
+    when there is nothing to mint from (see ``headex.pipeline``); a call
+    given none starts an empty one.  A collision is raised each time, never
+    stored.
     """
-    candidates = catalog.candidates(mention.text)
-    if not candidates and mention.kind == KIND_MENTION:
-        candidates = catalog.candidates(mention.text.lstrip("@"))
-    if not candidates:
-        try:
-            iri = entity_iri_for(slugify(mention.text))
-        except PolicyError:
-            return mention, None  # nothing alphanumeric to name it by, as in "@_"
-        if iri in catalog:
-            raise LinkingError(f"minted IRI collides with catalog entity: {iri}")
-        return mention._replace(status=MINTED, iri=iri, entity_type=AGENT), None
-    if len(candidates) == 1:
-        chosen, audit = candidates[0], None
+    if links is None:
+        links = {}
+    key = (mention.text, mention.kind)
+    found = links.get(key)
+    if found is None:
+        found = catalog.candidates(mention.text)
+        if not found and mention.kind == KIND_MENTION:
+            found = catalog.candidates(mention.text.lstrip("@"))
+        if not found:
+            try:
+                found = entity_iri_for(slugify(mention.text))
+            except PolicyError:
+                found = ""  # nothing alphanumeric to name it by, as in "@_"
+            if found in catalog:
+                raise LinkingError(f"minted IRI collides with catalog entity: {found}")
+        links[key] = found
+    if type(found) is str:
+        if not found:
+            return mention, None
+        return mention._replace(status=MINTED, iri=found, entity_type=AGENT), None
+    if len(found) == 1:
+        chosen, audit = found[0], None
     else:
-        chosen, audit = disambiguate(mention, candidates, context, at)
+        chosen, audit = disambiguate(mention, found, context, at)
     return (
         mention._replace(status=LINKED, iri=chosen.iri, entity_type=chosen.entity_type),
         audit,

@@ -23,7 +23,9 @@ Tokenization is offset-sound: each token records the half-open character span
 it was cut from, tokens never overlap, and every non-space character outside a
 stripped URL belongs to exactly one token.  A ``Token`` is an immutable tuple
 of its surface, kind, span, quoted flag and lowercase form; ``normalize``
-builds each one once, with its final kind and flag.
+builds each one once, with its final kind and flag, unless a quote is left
+open: the headline then marks no quoted span and its marked tokens are
+built again.
 """
 
 from __future__ import annotations
@@ -252,16 +254,20 @@ class TokenSequence(
     __slots__ = ()
 
 
+# Each match also takes the whitespace before its token, so ``finditer``
+# resumes at the next token instead of failing once per space; the token is
+# the span of the one group that matched, and that group's number is its kind.
 _TOKEN_RE = re.compile(
-    r"""(?P<url>https?://[^\s]+)
+    r"""\s*(?:(?P<url>https?://[^\s]+)
       | (?P<mention>@\w+)
       | (?P<hashtag>\#\w+)
       | (?P<number>\d+(?:[.,]\d+)*)
       | (?P<word>[^\W\d_][\w'’\-]*)
-      | (?P<punct>[^\w\s])
+      | (?P<punct>[^\w\s]))
     """,
     re.VERBOSE | re.UNICODE,
 )
+_KINDS = (None, "url", MENTION, HASHTAG, NUMBER, WORD, PUNCT)  # by group number
 
 
 def normalize(text: str) -> TokenSequence:
@@ -275,38 +281,37 @@ def normalize(text: str) -> TokenSequence:
     """
     if not text or not text.strip():
         raise ValueError("cannot tokenize empty text")
-    matches: list[re.Match[str]] = []
-    urls: list[tuple[int, int]] = []
-    quotes: list[int] = []  # indexes into matches
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "url":
-            urls.append(match.span())
-            continue
-        if kind == PUNCT and match[0] in QUOTE_CHARS:
-            quotes.append(len(matches))
-        matches.append(match)
-
-    spans: list[QuotedSpan] = []
-    quoted: set[int] = set()  # indexes of the tokens inside quoted spans
-    if len(quotes) % 2 == 0:
-        for open_idx, close_idx in zip(quotes[::2], quotes[1::2]):
-            start, end = matches[open_idx].start(), matches[close_idx].end()
-            spans.append(QuotedSpan(start, end, open_idx + 1, close_idx - 1))
-            quoted.update(range(open_idx, close_idx + 1))
-
-    # Each token is built once, with its final kind, quoted flag and lowercase
-    # form, as Token.__new__ would; a TokenSequence has no checks.
+    # Tokens are built as Token.__new__ would; a TokenSequence has no checks.
+    # A token is marked quoted as soon as a quote opens, and a headline whose
+    # last quote stays open unmarks its tokens at the end.
     new = tuple.__new__
-    tokens = []
-    for i, match in enumerate(matches):
-        surface = match[0]
+    tokens: list[Token] = []
+    urls: list[tuple[int, int]] = []
+    spans: list[QuotedSpan] = []
+    opened = None  # the index of an open quote's token
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        start, end = match.span(group)
+        kind = _KINDS[group]
+        if kind == "url":
+            urls.append((start, end))
+            continue
+        surface = text[start:end]
         lower = surface.lower()
-        kind = match.lastgroup
-        if kind == WORD and lower in NUMBER_WORDS:
-            kind = NUMBER
-        start, end = match.span()
-        tokens.append(new(Token, (surface, kind, start, end, i in quoted, lower)))
+        quoted = opened is not None
+        if kind == WORD:
+            if lower in NUMBER_WORDS:
+                kind = NUMBER
+        elif kind == PUNCT and surface in QUOTE_CHARS:
+            if opened is None:
+                opened, quoted = len(tokens), True
+            else:
+                spans.append(QuotedSpan(tokens[opened].start, end, opened + 1, len(tokens) - 1))
+                opened = None
+        tokens.append(new(Token, (surface, kind, start, end, quoted, lower)))
+    if opened is not None:
+        spans = []
+        tokens = [new(Token, (*t[:4], False, t[5])) if t[4] else t for t in tokens]
     return new(TokenSequence, (text, tuple(tokens), tuple(spans), tuple(urls)))
 
 

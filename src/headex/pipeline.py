@@ -10,8 +10,8 @@ record itself rather than the wall clock.
 
 The stages run a block at a time.  ``extract_corpus`` cuts the corpus into
 blocks of ``BLOCK_SIZE`` records; within a block each stage (normalize,
-recognize_event, chunk, recognize_entities, record_date and context_words,
-linking, assign_roles, emission) runs over every record still live before
+recognize_event, chunk, recognize_entities, record_date, linking,
+assign_roles, emission) runs over every record still live before
 the next stage starts.  Running one stage many times in a row takes about a
 third less time than taking each record through every stage, and a record's
 outcome never depends on its neighbours, so only the order of the calls
@@ -22,7 +22,7 @@ keep nearly all of the speed-up.  ``process_record`` is the same code run on
 a block of one.
 
 A feed repeats its actors, verbs and publishers from headline to headline, so
-``extract_corpus`` also gives its stages three per-run tables, each of which
+``extract_corpus`` also gives its stages four per-run tables, each of which
 derives a fact once per distinct input it depends on:
 
 * ``readings`` (``recognize_event``): word surface -> its lemma and verb
@@ -30,15 +30,20 @@ derives a fact once per distinct input it depends on:
 * ``plans`` (``recognize_entities``): the surfaces and kinds of a chunk's
   free words -> their position reference's title and org IRIs, alias
   matches and counts under the catalog, as word indexes;
+* ``links`` (``link_entity``): a named or @handle mention's text and kind
+  -> its catalog candidates, or the IRI minted for it when it has none;
 * ``terms`` (``emit_event_triples``): the policy's term IRIs by name, role
   IRIs by role, source IRIs by publisher and date literals by day.
 
 The tables are created by each ``extract_corpus`` call and dropped when it
 returns, so no run reads what another run's lexicon, catalog or policy gave.
 Every check still runs, once per distinct input; only a result is stored,
-never a failure.  What depends on the record itself (its date, context words
-and neighbours) is still derived per record.  ``process_record``, and a
-stage called directly, builds fresh tables for the one call.
+never a failure: a minted IRI that a catalog entity owns skips each record
+that meets it.  What depends on the record itself (its date, context words
+and neighbours) is still derived per record: the choice among several
+candidates is made for each mention, and a record's context words are built
+only when such a choice first reads them.  ``process_record``, and a stage
+called directly, builds fresh tables for the one call.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .entities import (
     resolve_implicit,
 )
 from .events import recognize_event
-from .ingest import HeadlineRecord, normalize, record_date
+from .ingest import HeadlineRecord, TokenSequence, normalize, record_date
 from .lexicon import Lexicon
 from .model import KIND_MENTION, KIND_NAMED, EventInstance, Provenance
 from .rdf import TripleSet
@@ -75,6 +80,20 @@ class SkipRecord(Exception):
 
 
 SkippedRecord = namedtuple("SkippedRecord", "record_id reason")
+
+
+class _ContextWords:
+    """A record's ``context_words``, built on the first ``in``."""
+
+    __slots__ = ("tokens", "words")
+
+    def __init__(self, tokens: TokenSequence) -> None:
+        self.tokens, self.words = tokens, None
+
+    def __contains__(self, word: str) -> bool:
+        if self.words is None:
+            self.words = context_words(self.tokens)
+        return word in self.words
 
 
 class ExtractResult:
@@ -101,6 +120,7 @@ def _extract_block(
     policy: IriPolicy,
     readings: dict | None = None,
     plans: dict | None = None,
+    links: dict | None = None,
     terms: EmissionTerms | None = None,
 ) -> list[tuple[EventInstance, TripleSet, list[DisambiguationAudit]] | str]:
     """Run each stage over every live record of ``block`` before the next.
@@ -109,6 +129,7 @@ def _extract_block(
     reason it was skipped; a skipped record reaches no later stage.
     """
     new = tuple.__new__
+    entity_iri = policy.entity_iri
     outcomes: list = [None] * len(block)
     live = []
     for i, record in enumerate(block):
@@ -125,10 +146,10 @@ def _extract_block(
     chunked = [chunk(tokens, head) for _, _, tokens, head in live]
     recognized = [recognize_entities(chunks, catalog, plans) for chunks in chunked]
     dates = [record_date(record) for _, record, _, _ in live]
-    contexts = [context_words(tokens) for _, _, tokens, _ in live]
 
     linked = []
-    for (i, record, _, head), mentions, at, context in zip(live, recognized, dates, contexts):
+    for (i, record, tokens, head), mentions, at in zip(live, recognized, dates):
+        context = _ContextWords(tokens)
         audits: list[DisambiguationAudit] = []
         warnings: list[str] = []
         resolved = []
@@ -140,7 +161,7 @@ def _extract_block(
             elif mention.kind in (KIND_NAMED, KIND_MENTION):
                 try:
                     mention, audit = link_entity(
-                        mention, catalog, context, policy.entity_iri, at=at
+                        mention, catalog, context, entity_iri, at=at, links=links
                     )
                 except LinkingError as exc:
                     outcomes[i] = str(exc)
@@ -192,10 +213,10 @@ def extract_corpus(
     Raises nothing for what a record holds: each becomes an event or a skip.
     """
     result = ExtractResult()
-    readings, plans, terms = {}, {}, EmissionTerms(policy)  # the run's tables
+    readings, plans, links, terms = {}, {}, {}, EmissionTerms(policy)  # the run's tables
     for start in range(0, len(records), BLOCK_SIZE):
         block = records[start : start + BLOCK_SIZE]
-        outcomes = _extract_block(block, lexicon, catalog, policy, readings, plans, terms)
+        outcomes = _extract_block(block, lexicon, catalog, policy, readings, plans, links, terms)
         for record, outcome in zip(block, outcomes):
             if isinstance(outcome, str):
                 result.skipped.append(SkippedRecord(record_id=record.id, reason=outcome))

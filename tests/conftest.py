@@ -1,7 +1,10 @@
-"""Shared fixtures: bundled resources, the nine-headline corpus, one pipeline run."""
+"""Shared fixtures: bundled resources, the nine-headline corpus, one pipeline
+run and ``bench/gen.py``."""
 
 from __future__ import annotations
 
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,18 @@ def record_by_id(nine_records):
 @pytest.fixture(scope="session")
 def instance_by_id(nine_result):
     return {i.instance_id: i for i in nine_result.instances}
+
+
+@pytest.fixture(scope="session")
+def bench_gen():
+    """``bench/gen.py``, run from its source so that nothing is written under
+    ``bench/``; ``dataclasses`` needs the module in ``sys.modules``."""
+    path = REPO_ROOT / "bench" / "gen.py"
+    module = types.ModuleType("_headex_bench_gen")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+        yield module
+    finally:
+        del sys.modules[module.__name__]

@@ -10,12 +10,14 @@ import json
 import os
 import random
 import re
-import sys
-import types
+import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headex import cli, pipeline
 from headex.cli import main
@@ -1105,21 +1107,6 @@ class TestGoldenOutputs:
         assert got == {path.name: path.read_bytes() for path in golden.iterdir()}
 
 
-@pytest.fixture(scope="module")
-def bench_gen():
-    """``bench/gen.py``, run from its source so that nothing is written under
-    ``bench/``; ``dataclasses`` needs the module in ``sys.modules``."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    module = types.ModuleType("_headex_bench_gen")
-    module.__file__ = str(path)
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-        yield module
-    finally:
-        del sys.modules[module.__name__]
-
-
 class TestBenchGoldenOutputs:
     """``extract`` then ``interlink``, as the benchmark runs them, on each
     benchmark workload's corpus at seeds 1 and 2 give the exit codes and the
@@ -1262,6 +1249,60 @@ class TestOutputsIgnorePartitionAndGraphOrder:
             got.append(((tmp_path / "links.nt").read_bytes(), capsys.readouterr()))
         assert got[0] == got[1]
         assert shuffled.read_bytes() != events
+
+
+class TestDrawnCorporaIgnoreRecordOrderAndBlockSize:
+    """``TestOutputsIgnoreBlocksAndRecordOrder`` over drawn inputs: a fixture,
+    or a small ``gen.py`` corpus of a drawn workload, seed and size, its
+    records with distinct ids read in a drawn order and cut into blocks of a
+    drawn size, gives the statements and links of the corpus in its own
+    order at the default block size, and the same audit and skip rows."""
+
+    @staticmethod
+    def outputs(records: Path, options: list[str], out: Path) -> dict[str, object]:
+        main(["extract", str(records), "--out", str(out), *options])
+        main(["interlink", str(out / "events.nt"), "--out", str(out / "links.nt")])
+        got: dict[str, object] = {n: (out / n).read_bytes() for n in ("events.nt", "links.nt")}
+        # Audit and skip rows follow the records, and a skip names its line.
+        skipped = re.sub(rb"line ?\d+", b"line", (out / "skipped.tsv").read_bytes())
+        got["rows"] = sorted((out / "audits.tsv").read_bytes().splitlines() + skipped.splitlines())
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_outputs_ignore_record_order_and_block_size(
+        self, fixtures_dir, bench_gen, data
+    ):
+        source = data.draw(
+            st.sampled_from(("headlines9", "duplicates", "archive", "breaking", "noisy-feed")),
+            "source",
+        )
+        block_size = data.draw(
+            st.one_of(st.sampled_from((1, 2, 63, 65)), st.integers(1, 200)), "block size"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            records, options = fixtures_dir / f"{source}.tsv", []
+            if source in bench_gen.WORKLOADS:
+                knobs = dataclasses.replace(
+                    bench_gen.WORKLOADS[source],
+                    records=data.draw(st.integers(1, 160), "records"),
+                    catalog_size=300,
+                    pool=200,
+                )
+                bench_gen.generate(knobs, data.draw(st.integers(1, 2**16), "seed"), root)
+                records, options = root / "records.tsv", ["--catalog", str(root / "catalog.json")]
+            first: dict[str, str] = {}  # the first line of each id: a repeat would be skipped
+            for line in records.read_text(encoding="utf-8").splitlines(keepends=True):
+                first.setdefault(line.split("\t", 1)[0], line)
+            lines = list(first.values())
+            drawn = data.draw(st.permutations(lines), "order")
+            (root / "given.tsv").write_text("".join(lines), encoding="utf-8")
+            (root / "drawn.tsv").write_text("".join(drawn), encoding="utf-8")
+            given_outputs = self.outputs(root / "given.tsv", options, root / "a")
+            with mock.patch.object(pipeline, "BLOCK_SIZE", block_size):
+                drawn_outputs = self.outputs(root / "drawn.tsv", options, root / "b")
+        assert drawn_outputs == given_outputs
 
 
 class _FullDisk:

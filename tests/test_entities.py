@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import date
 
@@ -1058,3 +1059,73 @@ def test_property_position_reference_matches_trying_every_org_length(catalog, da
     assert _parse_position_reference(words, catalog) == old_parse_position_reference(
         words, catalog
     )
+
+
+class TestTitleBound:
+    """``_parse_position_reference`` tries no title of more words than
+    ``catalog.title_words``, the most of any catalog title: the words hold no
+    whitespace, so a longer n-gram is no title."""
+
+    @staticmethod
+    def catalog(title: str | None) -> EntityCatalog:
+        positions = () if title is None else (PositionRecord(title, "Vela", date(2015, 1, 1)),)
+        return EntityCatalog(
+            [
+                CatalogEntity("http://kb.example/vela", "Vela", AGENT, ("Vela Corp",)),
+                CatalogEntity("http://kb.example/kim", "Kim Tori", PERSON, (), (), positions),
+            ]
+        )
+
+    @staticmethod
+    def counted(catalog: EntityCatalog) -> Counter:
+        """Count ``catalog``'s title look-ups and the org aliases it finds."""
+        calls: Counter[str] = Counter()
+        is_alias, is_position_title = catalog.is_alias, catalog.is_position_title
+
+        def alias(surface: str) -> bool:
+            found = is_alias(surface)
+            calls["org matches"] += found
+            return found
+
+        def title(surface: str) -> bool:
+            calls["title look-ups"] += 1
+            return is_position_title(surface)
+
+        catalog.is_alias, catalog.is_position_title = alias, title
+        return calls
+
+    @pytest.mark.parametrize("text", ["Vela Prime Minister", "Prime Minister of Vela"])
+    def test_a_two_word_title_resolves_in_both_forms(self, text):
+        catalog = self.catalog("Prime Minister")
+        assert catalog.title_words == 2
+        mention = _implicit_mention(text, catalog)
+        assert mention is not None and mention.text == text
+        holder = resolve_implicit(mention, catalog, date(2016, 3, 1))
+        assert holder is not None and holder.iri == "http://kb.example/kim"
+
+    @pytest.mark.parametrize("text", ["Vela Prime Minister", "Prime Minister of Vela"])
+    def test_a_title_with_a_double_space_matches_nothing(self, text):
+        catalog = self.catalog("Prime  Minister")
+        assert _implicit_mention(text, catalog) is None
+        words = tuple(text.split())
+        assert _parse_position_reference(words, catalog) is None
+        assert old_parse_position_reference(words, catalog) is None
+
+    def test_a_catalog_without_positions_looks_up_no_title(self):
+        catalog = self.catalog(None)
+        assert catalog.title_words == 0
+        calls = self.counted(catalog)
+        for text in ("Vela CEO", "Vela Corp Prime Minister", "CEO of Vela", "Prime Minister of Vela"):
+            assert _parse_position_reference(tuple(text.split()), catalog) is None
+        assert calls["title look-ups"] == 0
+        assert calls["org matches"] > 0
+
+    @pytest.mark.parametrize("title", ["CEO", "Prime Minister"])
+    def test_each_org_match_looks_up_at_most_title_words_titles(self, title):
+        catalog = self.catalog(title)
+        calls = self.counted(catalog)
+        # "Vela Corp" and "Vela" both match as orgs; no title follows either.
+        words = ("Vela", "Corp", *(f"w{i}" for i in range(18)))
+        assert _parse_position_reference(words, catalog) is None
+        assert calls["org matches"] == 2
+        assert 0 < calls["title look-ups"] <= catalog.title_words * calls["org matches"]

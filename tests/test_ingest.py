@@ -448,9 +448,15 @@ _PIECES = st.sampled_from(
         "http:/no", "@Pontifex", "@_", "#SXSW", "#", "2", "2,000.5", "three", "Three", "DOZENS",
         "threefold", "Meets", "ΣΑΣ", "İstanbul", "STRAẞE", "don't", "co-op", "_x", "x_", "é",
         ":", ",", "-", "!", "\u2026", "\u00a0", "\t", "9a", "a9",
+        # No token starts at a lone "_", so a match must give back the
+        # whitespace it took before it.
+        " _ ",
     )
 )
-_SEPARATORS = st.sampled_from(("", " ", "  ", "\u00a0"))
+# Every kind of whitespace the token pattern's leading ``\s*`` takes.
+_SEPARATORS = st.sampled_from(
+    ("", " ", "  ", "\u00a0", "\n", "\r", "\x0b", "\x1c", "\u2028", "\u3000")
+)
 _HEADLINES = st.one_of(
     st.lists(st.tuples(_PIECES, _SEPARATORS).map("".join), min_size=1, max_size=12).map("".join),
     st.text(alphabet=st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=40),

@@ -5,6 +5,7 @@ time gives what running them one record at a time gave."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import re
@@ -40,7 +41,7 @@ from headex.events import recognize_event
 from headex.ingest import normalize, parse_record, read_records, record_date
 from headex.interlink import build_event_index, interlink_graph
 from headex.lexicon import default_lexicon_path, load_lexicon, load_lexicon_file
-from headex.model import KIND_MENTION, KIND_NAMED, EventInstance, Provenance
+from headex.model import KIND_MENTION, KIND_NAMED, EntityRef, EventInstance, Provenance
 from headex.pipeline import (
     BLOCK_SIZE,
     ExtractResult,
@@ -575,3 +576,79 @@ class TestPositionReferenceParsedOnce:
         # The chunk keys: "Instagram CEO" and each object.
         assert calls["_plan"] == 1 + len(self.OBJECTS)
         assert calls["_parse_position_reference"] == calls["_plan"]
+
+
+class TestLinkTable:
+    """``link_entity`` reads a surface's candidates, or mints its IRI, once
+    per run (``pipeline``'s ``links`` table); what depends on the record, the
+    choice among several candidates and its audit, is made for each record,
+    and a collision is never stored."""
+
+    @staticmethod
+    def records(texts):
+        return [parse_record(f"r{i}\tCNN\t12/3/16\t{text}") for i, text in enumerate(texts)]
+
+    def test_a_colliding_mint_skips_every_record_that_meets_it(self, lexicon):
+        # More than two blocks, the colliding handle in every third record.
+        texts = [
+            "@zork meets Vela" if i % 3 == 0 else "@vela_fan meets Kim Tori"
+            for i in range(2 * BLOCK_SIZE + 5)
+        ]
+        result = extract_corpus(self.records(texts), lexicon, _catalog(), IriPolicy())
+        reason = f"minted IRI collides with catalog entity: {BASE}entity/zork"
+        assert result.skipped == [
+            SkippedRecord(f"r{i}", reason) for i, text in enumerate(texts) if "@zork" in text
+        ]
+        assert len(result.instances) == len(texts) - len(result.skipped)
+
+    def test_a_collision_is_raised_each_time_and_never_stored(self, lexicon):
+        catalog, links = _catalog(), {}
+        (record,) = self.records(["@zork meets Vela"])
+        tokens = normalize(record.text)
+        chunks = chunk(tokens, recognize_event(tokens, lexicon))
+        (handle,) = [m for m in recognize_entities(chunks, catalog) if m.kind == KIND_MENTION]
+        for _ in range(2):
+            with pytest.raises(LinkingError, match="collides"):
+                link_entity(handle, catalog, frozenset(), IriPolicy().entity_iri, links=links)
+        assert links == {}
+
+    def test_two_candidates_are_chosen_between_for_each_record(self, lexicon):
+        # Kim Tori's keyword is "football", Kim Vale's "havana".
+        texts = ["Kim visits Havana", "Kim meets Vela about football"] * 2
+        result = extract_corpus(self.records(texts), lexicon, _catalog(), IriPolicy())
+        tori, vale = "http://kb.example/kim_tori", "http://kb.example/kim_vale"
+        picks = [(a.record_id, a.surface, a.chosen_iri) for a in result.audits]
+        assert picks == [
+            ("r0", "Kim", vale), ("r1", "Kim", tori), ("r2", "Kim", vale), ("r3", "Kim", tori)
+        ]
+        participants = [
+            {f.iri for _, f in i.roles if isinstance(f, EntityRef)} for i in result.instances
+        ]
+        assert [vale in p for p in participants] == [True, False, True, False]
+        assert [tori in p for p in participants] == [False, True, False, True]
+
+    @pytest.mark.parametrize("workload", ["archive", "breaking", "noisy-feed"])
+    def test_the_shared_table_gives_what_a_fresh_one_per_call_gives(
+        self, monkeypatch, tmp_path, bench_gen, lexicon, workload
+    ):
+        settings = dataclasses.replace(
+            bench_gen.WORKLOADS[workload], records=160, catalog_size=300, pool=200
+        )
+        bench_gen.generate(settings, 1, tmp_path)
+        records, _ = read_records(tmp_path / "records.tsv")
+        catalog, policy = load_catalog(tmp_path / "catalog.json"), IriPolicy()
+        calls: Counter[str] = Counter()
+
+        def fresh_table(*args, links, **kwargs):
+            calls["link_entity"] += 1
+            return link_entity(*args, links={}, **kwargs)
+
+        shared = extract_corpus(records, lexicon, catalog, policy)
+        monkeypatch.setattr(pipeline, "link_entity", fresh_table)
+        fresh = extract_corpus(records, lexicon, catalog, policy)
+        assert calls["link_entity"] > 0
+        assert list(shared.graph) == list(fresh.graph)
+        assert shared.instances == fresh.instances
+        assert shared.skipped == fresh.skipped
+        assert shared.audits == fresh.audits
+
