@@ -139,9 +139,6 @@ class EntityCatalog:
     def __contains__(self, iri: str) -> bool:
         return iri in self._by_iri
 
-    def entities(self) -> tuple[CatalogEntity, ...]:
-        return tuple(self._by_iri.values())
-
     def candidates(self, surface: str) -> tuple[CatalogEntity, ...]:
         """Entities whose label or alias equals the surface, case-insensitively."""
         iris = self._by_alias.get(surface.casefold(), ())

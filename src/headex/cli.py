@@ -13,6 +13,7 @@ finished but some records were skipped.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -57,12 +58,15 @@ def _write_outputs(outputs: dict[Path, str]) -> None:
     """Write every output or none of them.
 
     Each text goes to a temporary file beside its target, and only when all
-    are written are they renamed into place, so a failed write truncates no
-    output and leaves no temporary file behind.
+    are written and no target is a directory are they renamed into place, so
+    a failed write truncates no output and leaves no temporary file behind.
+    Only a rename that the OS refuses for another reason cannot be undone.
     """
     staged: list[tuple[Path, Path]] = []
     try:
         for target, text in outputs.items():
+            if target.is_dir():  # os.replace would refuse it after earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             temporary = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
             with open(temporary, "x", encoding="utf-8") as handle:
                 staged.append((temporary, target))

@@ -24,7 +24,7 @@ an unknown name, or a handle with nothing to mint from ("@_"), stays text.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Container, Iterator
+from collections.abc import Callable, Iterator
 from datetime import date
 from operator import itemgetter
 
@@ -347,7 +347,7 @@ class DisambiguationAudit(
 
 
 def _score(
-    entity: CatalogEntity, surface: str, context_words: Container[str], at: date | None
+    entity: CatalogEntity, surface: str, context_words: frozenset[str], at: date | None
 ) -> tuple[int, int, float]:
     folded = surface.casefold()
     if folded == entity.label.casefold():
@@ -374,7 +374,7 @@ def context_words(tokens: TokenSequence) -> frozenset[str]:
 def disambiguate(
     mention: EntityMention,
     candidates: tuple[CatalogEntity, ...],
-    context: Container[str],
+    context: frozenset[str],
     at: date | None = None,
 ) -> tuple[CatalogEntity, DisambiguationAudit]:
     """Pick among several candidates; always selects, never errors.
@@ -402,7 +402,7 @@ def disambiguate(
 def link_entity(
     mention: EntityMention,
     catalog: EntityCatalog,
-    context: Container[str],
+    tokens: TokenSequence,
     entity_iri_for: Callable[[str], str],
     at: date | None = None,
     links: dict[tuple[str, str], tuple[CatalogEntity, ...] | str] | None = None,
@@ -414,8 +414,8 @@ def link_entity(
 
     ``entity_iri_for`` maps a slug to a minted IRI (normally
     ``IriPolicy.entity_iri``).  Returns the resolved mention and the
-    disambiguation audit when scoring had to run.  ``context`` is read only
-    then.
+    disambiguation audit when scoring had to run; only then are the
+    ``context_words`` of ``tokens``, the mention's headline, built.
 
     ``links`` is the run's table of what the catalog and ``entity_iri_for``
     make of a ``(text, kind)``: its candidates, or else its minted IRI, ""
@@ -442,15 +442,13 @@ def link_entity(
     if type(found) is str:
         if not found:
             return mention, None
-        return mention._replace(status=MINTED, iri=found, entity_type=AGENT), None
-    if len(found) == 1:
-        chosen, audit = found[0], None
+        outcome, audit = (MINTED, found, AGENT), None
+    elif len(found) == 1:
+        outcome, audit = (LINKED, found[0].iri, found[0].entity_type), None
     else:
-        chosen, audit = disambiguate(mention, found, context, at)
-    return (
-        mention._replace(status=LINKED, iri=chosen.iri, entity_type=chosen.entity_type),
-        audit,
-    )
+        chosen, audit = disambiguate(mention, found, context_words(tokens), at)
+        outcome = (LINKED, chosen.iri, chosen.entity_type)
+    return tuple.__new__(EntityMention, (*mention[:4], *outcome, *mention[7:])), audit
 
 
 def resolve_implicit(
@@ -464,7 +462,8 @@ def resolve_implicit(
     holders = catalog.holders(*mention.implicit, at)
     if not holders:
         return None
-    return mention._replace(status=LINKED, iri=holders[0].iri, entity_type=holders[0].entity_type)
+    linked = (*mention[:4], LINKED, holders[0].iri, holders[0].entity_type, *mention[7:])
+    return tuple.__new__(EntityMention, linked)  # an EntityMention has no checks
 
 
 def _filler(mention: EntityMention) -> RoleFiller:

@@ -313,7 +313,3 @@ def normalize(text: str) -> TokenSequence:
         spans = []
         tokens = [new(Token, (*t[:4], False, t[5])) if t[4] else t for t in tokens]
     return new(TokenSequence, (text, tuple(tokens), tuple(spans), tuple(urls)))
-
-
-def record_date(record: HeadlineRecord) -> date:
-    return record.timestamp.date()

@@ -10,8 +10,8 @@ record itself rather than the wall clock.
 
 The stages run a block at a time.  ``extract_corpus`` cuts the corpus into
 blocks of ``BLOCK_SIZE`` records; within a block each stage (normalize,
-recognize_event, chunk, recognize_entities, record_date, linking,
-assign_roles, emission) runs over every record still live before
+recognize_event, chunk, recognize_entities, linking, assign_roles,
+emission) runs over every record still live before
 the next stage starts.  Running one stage many times in a row takes about a
 third less time than taking each record through every stage, and a record's
 outcome never depends on its neighbours, so only the order of the calls
@@ -41,9 +41,9 @@ Every check still runs, once per distinct input; only a result is stored,
 never a failure: a minted IRI that a catalog entity owns skips each record
 that meets it.  What depends on the record itself (its date, context words
 and neighbours) is still derived per record: the choice among several
-candidates is made for each mention, and a record's context words are built
-only when such a choice first reads them.  ``process_record``, and a stage
-called directly, builds fresh tables for the one call.
+candidates is made for each mention, and builds the record's context words
+for that choice alone.  ``process_record``, and a stage called directly,
+builds fresh tables for the one call.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ from .entities import (
     LinkingError,
     assign_roles,
     chunk,
-    context_words,
     link_entity,
     recognize_entities,
     resolve_implicit,
 )
 from .events import recognize_event
-from .ingest import HeadlineRecord, TokenSequence, normalize, record_date
+from .ingest import HeadlineRecord, normalize
 from .lexicon import Lexicon
 from .model import KIND_MENTION, KIND_NAMED, EventInstance, Provenance
 from .rdf import TripleSet
@@ -80,20 +79,6 @@ class SkipRecord(Exception):
 
 
 SkippedRecord = namedtuple("SkippedRecord", "record_id reason")
-
-
-class _ContextWords:
-    """A record's ``context_words``, built on the first ``in``."""
-
-    __slots__ = ("tokens", "words")
-
-    def __init__(self, tokens: TokenSequence) -> None:
-        self.tokens, self.words = tokens, None
-
-    def __contains__(self, word: str) -> bool:
-        if self.words is None:
-            self.words = context_words(self.tokens)
-        return word in self.words
 
 
 class ExtractResult:
@@ -145,11 +130,10 @@ def _extract_block(
     live = [(*state, head) for state, head in zip(live, heads) if head is not None]
     chunked = [chunk(tokens, head) for _, _, tokens, head in live]
     recognized = [recognize_entities(chunks, catalog, plans) for chunks in chunked]
-    dates = [record_date(record) for _, record, _, _ in live]
 
     linked = []
-    for (i, record, tokens, head), mentions, at in zip(live, recognized, dates):
-        context = _ContextWords(tokens)
+    for (i, record, tokens, head), mentions in zip(live, recognized):
+        at = record.timestamp.date()
         audits: list[DisambiguationAudit] = []
         warnings: list[str] = []
         resolved = []
@@ -161,7 +145,7 @@ def _extract_block(
             elif mention.kind in (KIND_NAMED, KIND_MENTION):
                 try:
                     mention, audit = link_entity(
-                        mention, catalog, context, entity_iri, at=at, links=links
+                        mention, catalog, tokens, entity_iri, at=at, links=links
                     )
                 except LinkingError as exc:
                     outcomes[i] = str(exc)

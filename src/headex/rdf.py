@@ -170,9 +170,6 @@ class TripleSet:
     def __repr__(self) -> str:
         return f"TripleSet({len(self)} triples)"
 
-    def sorted(self) -> list[Triple]:
-        return sorted(self._triples, key=_line)
-
 
 def _term(value: str | Literal, iri: Callable[[str], str] = "<{}>".format) -> str:
     """One term in N-Triples form; ``iri`` writes IRIs (Turtle compacts them)."""
@@ -402,7 +399,7 @@ def serialize_turtle(graph: TripleSet, base_iri: str | None = None) -> str:
 
     used = set()
     by_subject: dict[str, list[Triple]] = {}
-    for t in graph.sorted():
+    for t in sorted(graph, key=_line):
         subject, predicate, obj = t  # cheaper than three reads by name
         by_subject.setdefault(subject, []).append(t)
         used.add(subject)

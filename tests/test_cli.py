@@ -6,12 +6,14 @@ import dataclasses
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import random
 import re
 import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -1251,6 +1253,31 @@ class TestOutputsIgnorePartitionAndGraphOrder:
         assert shuffled.read_bytes() != events
 
 
+def draw_corpus(data, fixtures_dir: Path, bench_gen, root: Path) -> tuple[list[str], list[str]]:
+    """A fixture, or a small ``gen.py`` corpus written under ``root`` of a
+    drawn workload, seed and size: its lines with distinct ids (the first of
+    each id, since a repeat would be skipped) and the ``extract`` options
+    that go with it."""
+    source = data.draw(
+        st.sampled_from(("headlines9", "duplicates", "archive", "breaking", "noisy-feed")),
+        "source",
+    )
+    records, options = fixtures_dir / f"{source}.tsv", []
+    if source in bench_gen.WORKLOADS:
+        knobs = dataclasses.replace(
+            bench_gen.WORKLOADS[source],
+            records=data.draw(st.integers(1, 160), "records"),
+            catalog_size=300,
+            pool=200,
+        )
+        bench_gen.generate(knobs, data.draw(st.integers(1, 2**16), "seed"), root)
+        records, options = root / "records.tsv", ["--catalog", str(root / "catalog.json")]
+    first: dict[str, str] = {}
+    for line in records.read_text(encoding="utf-8").splitlines(keepends=True):
+        first.setdefault(line.split("\t", 1)[0], line)
+    return list(first.values()), options
+
+
 class TestDrawnCorporaIgnoreRecordOrderAndBlockSize:
     """``TestOutputsIgnoreBlocksAndRecordOrder`` over drawn inputs: a fixture,
     or a small ``gen.py`` corpus of a drawn workload, seed and size, its
@@ -1273,29 +1300,12 @@ class TestDrawnCorporaIgnoreRecordOrderAndBlockSize:
     def test_property_outputs_ignore_record_order_and_block_size(
         self, fixtures_dir, bench_gen, data
     ):
-        source = data.draw(
-            st.sampled_from(("headlines9", "duplicates", "archive", "breaking", "noisy-feed")),
-            "source",
-        )
         block_size = data.draw(
             st.one_of(st.sampled_from((1, 2, 63, 65)), st.integers(1, 200)), "block size"
         )
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            records, options = fixtures_dir / f"{source}.tsv", []
-            if source in bench_gen.WORKLOADS:
-                knobs = dataclasses.replace(
-                    bench_gen.WORKLOADS[source],
-                    records=data.draw(st.integers(1, 160), "records"),
-                    catalog_size=300,
-                    pool=200,
-                )
-                bench_gen.generate(knobs, data.draw(st.integers(1, 2**16), "seed"), root)
-                records, options = root / "records.tsv", ["--catalog", str(root / "catalog.json")]
-            first: dict[str, str] = {}  # the first line of each id: a repeat would be skipped
-            for line in records.read_text(encoding="utf-8").splitlines(keepends=True):
-                first.setdefault(line.split("\t", 1)[0], line)
-            lines = list(first.values())
+            lines, options = draw_corpus(data, fixtures_dir, bench_gen, root)
             drawn = data.draw(st.permutations(lines), "order")
             (root / "given.tsv").write_text("".join(lines), encoding="utf-8")
             (root / "drawn.tsv").write_text("".join(drawn), encoding="utf-8")
@@ -1303,6 +1313,68 @@ class TestDrawnCorporaIgnoreRecordOrderAndBlockSize:
             with mock.patch.object(pipeline, "BLOCK_SIZE", block_size):
                 drawn_outputs = self.outputs(root / "drawn.tsv", options, root / "b")
         assert drawn_outputs == given_outputs
+
+
+class TestDrawnCutsAndGraphOrders:
+    """``TestOutputsIgnorePartitionAndGraphOrder`` over the drawn inputs of
+    ``TestDrawnCorporaIgnoreRecordOrderAndBlockSize``: the records cut into
+    two files by a drawn side for each give the whole corpus's statements,
+    skip rows and audit rows, and the two graphs merged give its links; the
+    whole graph's lines in a drawn order give ``interlink`` and ``query``
+    the same bytes out."""
+
+    rows = staticmethod(TestOutputsIgnorePartitionAndGraphOrder.rows)
+
+    @staticmethod
+    def extract(lines: list[str], options: list[str], out: Path) -> dict[str, bytes]:
+        out.mkdir()
+        (out / "records.tsv").write_text("".join(lines), encoding="utf-8")
+        main(["extract", str(out / "records.tsv"), "--out", str(out), *options])
+        return {n: (out / n).read_bytes() for n in ("events.nt", "audits.tsv", "skipped.tsv")}
+
+    @staticmethod
+    def read_back(graph: Path, links: Path) -> tuple[bytes, str]:
+        """The links ``interlink`` writes for ``graph`` and what ``query`` prints."""
+        main(["interlink", str(graph), "--out", str(links)])
+        with redirect_stdout(io.StringIO()) as printed:
+            main(["query", str(graph)])
+        return links.read_bytes(), printed.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_two_parts_give_the_whole(self, fixtures_dir, bench_gen, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            lines, options = draw_corpus(data, fixtures_dir, bench_gen, root)
+            cut = st.lists(st.booleans(), min_size=len(lines), max_size=len(lines))
+            sides = data.draw(cut, "cut")
+            a = self.extract([x for x, side in zip(lines, sides) if not side], options, root / "a")
+            b = self.extract([x for x, side in zip(lines, sides) if side], options, root / "b")
+            whole = self.extract(lines, options, root / "whole")
+            merged = set(a["events.nt"].splitlines(True)) | set(b["events.nt"].splitlines(True))
+            (root / "merged.nt").write_bytes(b"".join(sorted(merged)))
+            links = [
+                self.read_back(root / name, root / f"{name}.links")
+                for name in ("merged.nt", "whole/events.nt")
+            ]
+        assert b"".join(sorted(merged)) == whole["events.nt"]
+        assert self.rows(a) + self.rows(b) == self.rows(whole)
+        assert links[0] == links[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_graph_line_order_changes_no_link_or_row(
+        self, fixtures_dir, bench_gen, data
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            lines, options = draw_corpus(data, fixtures_dir, bench_gen, root)
+            events = self.extract(lines, options, root / "whole")["events.nt"]
+            drawn = data.draw(st.permutations(events.splitlines(True)), "graph order")
+            (root / "drawn.nt").write_bytes(b"".join(drawn))
+            given_out = self.read_back(root / "whole" / "events.nt", root / "given.links")
+            drawn_out = self.read_back(root / "drawn.nt", root / "drawn.links")
+        assert drawn_out == given_out
 
 
 class _FullDisk:
@@ -1354,6 +1426,21 @@ class TestAtomicOutputs:
         assert (code, out) == (1, "")
         assert err == f"error: cannot write {out_dir / failing}: No space left on device\n"
         assert self.contents(out_dir) == before
+
+    @pytest.mark.parametrize("taken", ["events.nt", "events.ttl", "skipped.tsv", "audits.tsv"])
+    def test_output_that_is_a_directory_keeps_every_previous_output(
+        self, capsys, tmp_path, nine_tsv, fixtures_dir, taken
+    ):
+        out_dir = tmp_path / "out"
+        assert run(capsys, "extract", nine_tsv, "--out", str(out_dir), "--turtle")[0] == 0
+        (out_dir / taken).unlink()
+        (out_dir / taken).mkdir()
+        before = {p.name: p.is_dir() or p.read_bytes() for p in out_dir.iterdir()}
+        source = str(fixtures_dir / "duplicates.tsv")
+        code, out, err = run(capsys, "extract", source, "--out", str(out_dir), "--turtle")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {out_dir / taken}: Is a directory\n"
+        assert {p.name: p.is_dir() or p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_failed_interlink_write_keeps_the_previous_links(
         self, capsys, tmp_path, fixtures_dir, disk_full_for

@@ -31,7 +31,6 @@ from headex.entities import (
     _quoted_runs,
     assign_roles,
     chunk,
-    context_words,
     disambiguate,
     link_entity,
     recognize_entities,
@@ -91,7 +90,7 @@ def pipeline_roles(text: str, lexicon, catalog, policy, at=date(2016, 3, 1)):
             if holder is not None:
                 m = m._replace(status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
         elif m.kind in (KIND_NAMED, KIND_MENTION):
-            m, _ = link_entity(m, catalog, context_words(toks), policy.entity_iri, at=at)
+            m, _ = link_entity(m, catalog, toks, policy.entity_iri, at=at)
         resolved.append(m)
     return assign_roles(resolved, mention.event_class.frame, head=mention)
 
@@ -225,7 +224,7 @@ class TestLinking:
     def test_unique_candidate_links(self, lexicon, catalog, policy):
         toks, _, chunks = chunks_for("Trudeau visits Cuba", lexicon)
         mention = [m for m in recognize_entities(chunks, catalog) if m.text == "Trudeau"][0]
-        linked, audit = link_entity(mention, catalog, context_words(toks), policy.entity_iri)
+        linked, audit = link_entity(mention, catalog, toks, policy.entity_iri)
         assert audit is None
         assert linked.status == LINKED
         assert linked.iri == "http://dbpedia.org/resource/Justin_Trudeau"
@@ -239,16 +238,16 @@ class TestLinking:
     def test_unknown_handle_is_minted_as_agent(self, lexicon, catalog, policy):
         toks, _, chunks = chunks_for("Pope meets @jqd today", lexicon)
         mention = [m for m in recognize_entities(chunks, catalog) if m.kind == KIND_MENTION][0]
-        handle, audit = link_entity(mention, catalog, context_words(toks), policy.entity_iri)
+        handle, audit = link_entity(mention, catalog, toks, policy.entity_iri)
         assert audit is None
         assert handle.status == MINTED
         assert handle.iri == policy.entity_iri("jqd")
         assert handle.entity_type == AGENT
 
     def test_title_case_surface_is_minted_as_an_agent(self, lexicon, catalog, policy):
-        _, _, chunks = chunks_for("Pope meets John Dalton", lexicon)
+        toks, _, chunks = chunks_for("Pope meets John Dalton", lexicon)
         mention = [m for m in recognize_entities(chunks, catalog) if m.text == "John Dalton"][0]
-        minted, _ = link_entity(mention, catalog, frozenset(), policy.entity_iri)
+        minted, _ = link_entity(mention, catalog, toks, policy.entity_iri)
         assert minted.status == MINTED
         assert minted.iri == policy.entity_iri("john_dalton")
         assert minted.entity_type == AGENT
@@ -266,10 +265,10 @@ class TestLinking:
                 )
             ]
         )
-        _, _, chunks = chunks_for("Pope meets @Carter today", lexicon)
+        toks, _, chunks = chunks_for("Pope meets @Carter today", lexicon)
         mention = [m for m in recognize_entities(chunks, colliding) if m.kind == KIND_MENTION][0]
         with pytest.raises(LinkingError):
-            link_entity(mention, colliding, frozenset(), policy.entity_iri)
+            link_entity(mention, colliding, toks, policy.entity_iri)
 
 
 class TestDisambiguation:
@@ -277,7 +276,7 @@ class TestDisambiguation:
         toks, _, chunks = chunks_for(record_by_id["no7"].text, lexicon)
         obama = [m for m in recognize_entities(chunks, catalog) if m.text == "Obama"][0]
         linked, audit = link_entity(
-            obama, catalog, context_words(toks), policy.entity_iri, at=date(2016, 3, 10)
+            obama, catalog, toks, policy.entity_iri, at=date(2016, 3, 10)
         )
         assert linked.iri == "http://dbpedia.org/resource/Barack_Obama"
         assert audit is not None
@@ -864,7 +863,7 @@ def _headlines(catalog: EntityCatalog):
     """Headlines built from the catalog's names and positions, @handles,
     numbers, quotes, colons, "to", "at least" and the split prepositions
     around a head verb."""
-    entities = catalog.entities()
+    entities = catalog._by_iri.values()  # the catalog has no public enumeration
     names = sorted({n for e in entities for n in (e.label, *e.aliases)})
     titles = sorted({p.title for e in entities for p in e.positions})
     orgs = sorted({p.org for e in entities for p in e.positions})
@@ -926,8 +925,6 @@ def test_entity_stage_matches_the_old_one(data, lexicon, catalog, policy):
     old = old_recognize_entities(chunks, catalog)
     assert [_new_shape(m) for m in new] == [_old_shape(m) for m in old]
 
-    context = context_words(toks)
-
     def link(m, resolve):
         if m.implicit:
             holder = resolve(m, catalog, at)
@@ -935,13 +932,21 @@ def test_entity_stage_matches_the_old_one(data, lexicon, catalog, policy):
                 return m
             return m._replace(status=LINKED, iri=holder.iri, entity_type=holder.entity_type)
         if m.kind in (KIND_NAMED, KIND_MENTION):
-            return link_entity(m, catalog, context, policy.entity_iri, at=at)[0]
+            return link_entity(m, catalog, toks, policy.entity_iri, at=at)[0]
         return m
 
     frame = head.event_class.frame
     linked = [link(m, resolve_implicit) for m in new]
     roles, warnings = assign_roles(linked, frame, head=head)
-    old_linked = [link(m, old_resolve_implicit) for m in old]
+    # ``link_entity`` builds an ``EntityMention``, so each old named or @handle
+    # mention takes the outcome of the new mention at its index, whose shape
+    # is asserted equal above.
+    old_linked = [
+        o._replace(status=n.status, iri=n.iri, entity_type=n.entity_type)
+        if o.kind in (KIND_NAMED, KIND_MENTION) and not o.implicit
+        else link(o, old_resolve_implicit)
+        for o, n in zip(old, linked)
+    ]
     assert (roles, warnings) == old_assign_roles(old_linked, frame, head=head)
     # ``pipeline._extract_block`` builds each EventInstance without its checks,
     # so the roles must be the frame's: a class without rules fills only the
@@ -987,7 +992,7 @@ def alias_catalogs(draw):
 def _catalog_words(catalog: EntityCatalog):
     """Word lists mixing single surfaces and "of" with the words of the
     catalog's aliases and titles, as a headline would hold them."""
-    entities = catalog.entities()
+    entities = catalog._by_iri.values()  # the catalog has no public enumeration
     phrases = sorted(
         {n for e in entities for n in (e.label, *e.aliases)}
         | {p.title for e in entities for p in e.positions}

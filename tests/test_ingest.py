@@ -28,7 +28,6 @@ from headex.ingest import (
     parse_record,
     parse_timestamp,
     read_records,
-    record_date,
 )
 
 
@@ -199,7 +198,7 @@ class TestRecords:
     def test_parse_four_fields(self):
         r = parse_record(self.LINE)
         assert (r.id, r.publisher) == ("no2", "CNN")
-        assert record_date(r) == date(2016, 2, 26)
+        assert r.timestamp.date() == date(2016, 2, 26)
 
     @pytest.mark.parametrize("bad", ["a\tb\tc", "a\tb\tc\td\te", ""])
     def test_wrong_field_count(self, bad):

@@ -32,13 +32,12 @@ from headex.entities import (
     LinkingError,
     assign_roles,
     chunk,
-    context_words,
     link_entity,
     recognize_entities,
     resolve_implicit,
 )
 from headex.events import recognize_event
-from headex.ingest import normalize, parse_record, read_records, record_date
+from headex.ingest import normalize, parse_record, read_records
 from headex.interlink import build_event_index, interlink_graph
 from headex.lexicon import default_lexicon_path, load_lexicon, load_lexicon_file
 from headex.model import KIND_MENTION, KIND_NAMED, EntityRef, EventInstance, Provenance
@@ -248,8 +247,7 @@ def oracle_process_record(record, lexicon, catalog, policy):
 
     chunks = chunk(tokens, head)
     mentions = recognize_entities(chunks, catalog)
-    at = record_date(record)
-    context = context_words(tokens)
+    at = record.timestamp.date()
 
     audits: list[DisambiguationAudit] = []
     warnings: list[str] = []
@@ -267,7 +265,7 @@ def oracle_process_record(record, lexicon, catalog, policy):
             continue
         if mention.kind in (KIND_NAMED, KIND_MENTION):
             try:
-                linked, audit = link_entity(mention, catalog, context, policy.entity_iri, at=at)
+                linked, audit = link_entity(mention, catalog, tokens, policy.entity_iri, at=at)
             except LinkingError as exc:
                 raise SkipRecord(str(exc)) from exc
             resolved.append(linked)
@@ -609,7 +607,7 @@ class TestLinkTable:
         (handle,) = [m for m in recognize_entities(chunks, catalog) if m.kind == KIND_MENTION]
         for _ in range(2):
             with pytest.raises(LinkingError, match="collides"):
-                link_entity(handle, catalog, frozenset(), IriPolicy().entity_iri, links=links)
+                link_entity(handle, catalog, tokens, IriPolicy().entity_iri, links=links)
         assert links == {}
 
     def test_two_candidates_are_chosen_between_for_each_record(self, lexicon):
@@ -651,4 +649,29 @@ class TestLinkTable:
         assert shared.instances == fresh.instances
         assert shared.skipped == fresh.skipped
         assert shared.audits == fresh.audits
+
+    @pytest.mark.parametrize("workload", ["archive", "breaking", "noisy-feed"])
+    def test_context_words_are_built_once_per_choice_and_never_otherwise(
+        self, monkeypatch, tmp_path, bench_gen, lexicon, workload
+    ):
+        # A record with two choices builds its words twice, a record with
+        # none never; each choice leaves one audit row.  At 400 records every
+        # workload has choices, and archive has records with two.
+        settings = dataclasses.replace(
+            bench_gen.WORKLOADS[workload], records=400, catalog_size=300, pool=200
+        )
+        bench_gen.generate(settings, 1, tmp_path)
+        records, _ = read_records(tmp_path / "records.tsv")
+        catalog = load_catalog(tmp_path / "catalog.json")
+        calls: Counter[str] = Counter()
+        context_words = entities.context_words
+
+        def counted(tokens):
+            calls["context_words"] += 1
+            return context_words(tokens)
+
+        monkeypatch.setattr(entities, "context_words", counted)
+        result = extract_corpus(records, lexicon, catalog, IriPolicy())
+        assert result.audits
+        assert calls["context_words"] == len(result.audits)
 
