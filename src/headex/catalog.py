@@ -22,10 +22,12 @@ dated by its first such position; the most recently appointed holder comes
 first, ties going to the smaller IRI.  The shipped default catalog is
 ``data/catalog.json``.
 
-Alias look-ups are exact after ``str.casefold``.  Beside that index the
-catalog keeps, for the first space-separated word of every alias, the most
-words of any alias starting with it (``EntityCatalog.alias_words``), so a
-caller trying n-grams as aliases can skip the n-grams no alias can equal.
+Alias look-ups are exact after ``str.casefold``: the index maps each
+casefolded label or alias to the entities it names, sorted by IRI, and a
+look-up returns that stored tuple.  Beside the index the catalog keeps, for
+the first space-separated word of every alias, the most words of any alias
+starting with it (``EntityCatalog.alias_words``), so a caller trying n-grams
+as aliases can skip the n-grams no alias can equal.
 In the same way ``EntityCatalog.title_words`` is the most space-separated
 words of any position title, 0 for a catalog without positions: an n-gram
 of more words is no title.
@@ -95,9 +97,10 @@ class EntityCatalog:
 
     def __init__(self, entities: Iterable[CatalogEntity]) -> None:
         by_iri: dict[str, CatalogEntity] = {}
-        # Casefolded label or alias -> the IRIs it names, in catalog order until
-        # sorted below; an entity whose names casefold alike adds its IRI twice.
-        by_alias: dict[str, tuple[str, ...]] = {}
+        # Casefolded label or alias -> the entities it names, in catalog order
+        # until sorted by IRI below.  An entity's names are indexed together,
+        # so one already named by a key is that key's last entity.
+        by_alias: dict[str, tuple[CatalogEntity, ...]] = {}
         held = []  # the entities that hold positions, in catalog order
         for entity in entities:
             iri, label, _, aliases, _, positions = entity
@@ -105,18 +108,20 @@ class EntityCatalog:
                 raise CatalogError(f"duplicate entity IRI {iri}")
             by_iri[iri] = entity
             key = label.casefold()
-            by_alias[key] = by_alias.get(key, ()) + (iri,)
+            by_alias[key] = by_alias.get(key, ()) + (entity,)
             for alias in aliases:
                 key = alias.casefold()
-                by_alias[key] = by_alias.get(key, ()) + (iri,)
+                named = by_alias.get(key, ())
+                if not named or named[-1] is not entity:
+                    by_alias[key] = named + (entity,)
             if positions:
                 held.append(entity)
         # First space-separated word of an alias key -> the most words of
         # any alias key that starts with it.
         alias_words: dict[str, int] = {}
-        for key, iris in by_alias.items():
-            if len(iris) > 1:
-                by_alias[key] = tuple(sorted(set(iris)))
+        for key, named in by_alias.items():
+            if len(named) > 1:  # distinct IRIs, so the tuples sort by IRI
+                by_alias[key] = tuple(sorted(named))
             first, space, rest = key.partition(" ")
             words = rest.count(" ") + 2 if space else 1
             if words > alias_words.get(first, 0):
@@ -132,8 +137,8 @@ class EntityCatalog:
             for rank, position in enumerate(entity.positions):
                 title = position.title.casefold()
                 self._titles.add(title)
-                for org_iri in by_alias.get(position.org.casefold(), ()):
-                    self._positions.setdefault((title, org_iri), []).append((rank, entity, position))
+                for org in by_alias.get(position.org.casefold(), ()):
+                    self._positions.setdefault((title, org.iri), []).append((rank, entity, position))
         self.title_words = max((title.count(" ") + 1 for title in self._titles), default=0)
 
     def __contains__(self, iri: str) -> bool:
@@ -141,8 +146,7 @@ class EntityCatalog:
 
     def candidates(self, surface: str) -> tuple[CatalogEntity, ...]:
         """Entities whose label or alias equals the surface, case-insensitively."""
-        iris = self._by_alias.get(surface.casefold(), ())
-        return tuple(self._by_iri[iri] for iri in iris)
+        return self._by_alias.get(surface.casefold(), ())
 
     def is_alias(self, surface: str) -> bool:
         return surface.casefold() in self._by_alias

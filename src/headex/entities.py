@@ -52,6 +52,7 @@ from .triplify import PolicyError, slugify
 SPLIT_PREPOSITIONS = frozenset(("with", "in", "at", "on", "over", "for"))
 LOCATIVE_PREPOSITIONS = frozenset(("in", "at", "on", "over"))
 _MULTIWORD_GUARD = frozenset(("least", "most"))  # "at least three" stays together
+_UNQUOTED = dict.fromkeys(map(ord, QUOTE_CHARS))  # str.translate deletes each quote character
 
 PERSON_WORDS = frozenset(
     """people person persons pilots soldiers troops officers civilians victims
@@ -171,10 +172,7 @@ class EntityMention(
 
 
 def strip_quotes(text: str) -> str:
-    out = text
-    for ch in QUOTE_CHARS:
-        out = out.replace(ch, "")
-    return out.strip()
+    return text.translate(_UNQUOTED).strip()
 
 
 def _parse_position_reference(
@@ -405,7 +403,6 @@ def link_entity(
     tokens: TokenSequence,
     entity_iri_for: Callable[[str], str],
     at: date | None = None,
-    links: dict[tuple[str, str], tuple[CatalogEntity, ...] | str] | None = None,
 ) -> tuple[EntityMention, DisambiguationAudit | None]:
     """Resolve a named/@handle mention: link to the unique catalog candidate,
     disambiguate among several, or mint an ``Agent`` with a deterministic IRI
@@ -415,34 +412,20 @@ def link_entity(
     ``entity_iri_for`` maps a slug to a minted IRI (normally
     ``IriPolicy.entity_iri``).  Returns the resolved mention and the
     disambiguation audit when scoring had to run; only then are the
-    ``context_words`` of ``tokens``, the mention's headline, built.
-
-    ``links`` is the run's table of what the catalog and ``entity_iri_for``
-    make of a ``(text, kind)``: its candidates, or else its minted IRI, ""
-    when there is nothing to mint from (see ``headex.pipeline``); a call
-    given none starts an empty one.  A collision is raised each time, never
-    stored.
+    ``context_words`` of ``tokens``, the mention's headline, built.  A minted
+    IRI that a catalog entity owns raises ``LinkingError`` on every call.
     """
-    if links is None:
-        links = {}
-    key = (mention.text, mention.kind)
-    found = links.get(key)
-    if found is None:
-        found = catalog.candidates(mention.text)
-        if not found and mention.kind == KIND_MENTION:
-            found = catalog.candidates(mention.text.lstrip("@"))
-        if not found:
-            try:
-                found = entity_iri_for(slugify(mention.text))
-            except PolicyError:
-                found = ""  # nothing alphanumeric to name it by, as in "@_"
-            if found in catalog:
-                raise LinkingError(f"minted IRI collides with catalog entity: {found}")
-        links[key] = found
-    if type(found) is str:
-        if not found:
-            return mention, None
-        outcome, audit = (MINTED, found, AGENT), None
+    found = catalog.candidates(mention.text)
+    if not found and mention.kind == KIND_MENTION:
+        found = catalog.candidates(mention.text.lstrip("@"))
+    if not found:
+        try:
+            iri = entity_iri_for(slugify(mention.text))
+        except PolicyError:
+            return mention, None  # nothing alphanumeric to name it by, as in "@_"
+        if iri in catalog:
+            raise LinkingError(f"minted IRI collides with catalog entity: {iri}")
+        outcome, audit = (MINTED, iri, AGENT), None
     elif len(found) == 1:
         outcome, audit = (LINKED, found[0].iri, found[0].entity_type), None
     else:

@@ -22,7 +22,7 @@ keep nearly all of the speed-up.  ``process_record`` is the same code run on
 a block of one.
 
 A feed repeats its actors, verbs and publishers from headline to headline, so
-``extract_corpus`` also gives its stages four per-run tables, each of which
+``extract_corpus`` also gives its stages three per-run tables, each of which
 derives a fact once per distinct input it depends on:
 
 * ``readings`` (``recognize_event``): word surface -> its lemma and verb
@@ -30,19 +30,18 @@ derives a fact once per distinct input it depends on:
 * ``plans`` (``recognize_entities``): the surfaces and kinds of a chunk's
   free words -> their position reference's title and org IRIs, alias
   matches and counts under the catalog, as word indexes;
-* ``links`` (``link_entity``): a named or @handle mention's text and kind
-  -> its catalog candidates, or the IRI minted for it when it has none;
 * ``terms`` (``emit_event_triples``): the policy's term IRIs by name, role
   IRIs by role, source IRIs by publisher and date literals by day.
 
 The tables are created by each ``extract_corpus`` call and dropped when it
 returns, so no run reads what another run's lexicon, catalog or policy gave.
 Every check still runs, once per distinct input; only a result is stored,
-never a failure: a minted IRI that a catalog entity owns skips each record
-that meets it.  What depends on the record itself (its date, context words
-and neighbours) is still derived per record: the choice among several
-candidates is made for each mention, and builds the record's context words
-for that choice alone.  ``process_record``, and a stage called directly,
+never a failure.  What depends on the record itself (its date, context words
+and neighbours) is still derived per record, and so is linking: each named
+or @handle mention reads the catalog's stored candidates, or mints its IRI,
+and the choice among several candidates builds the record's context words
+for that choice alone; a minted IRI that a catalog entity owns skips each
+record that meets it.  ``process_record``, and a stage called directly,
 builds fresh tables for the one call.
 """
 
@@ -105,7 +104,6 @@ def _extract_block(
     policy: IriPolicy,
     readings: dict | None = None,
     plans: dict | None = None,
-    links: dict | None = None,
     terms: EmissionTerms | None = None,
 ) -> list[tuple[EventInstance, TripleSet, list[DisambiguationAudit]] | str]:
     """Run each stage over every live record of ``block`` before the next.
@@ -144,9 +142,7 @@ def _extract_block(
                     warnings.append(f"position reference {mention.text!r} resolved to nobody")
             elif mention.kind in (KIND_NAMED, KIND_MENTION):
                 try:
-                    mention, audit = link_entity(
-                        mention, catalog, tokens, entity_iri, at=at, links=links
-                    )
+                    mention, audit = link_entity(mention, catalog, tokens, entity_iri, at=at)
                 except LinkingError as exc:
                     outcomes[i] = str(exc)
                     break
@@ -197,10 +193,10 @@ def extract_corpus(
     Raises nothing for what a record holds: each becomes an event or a skip.
     """
     result = ExtractResult()
-    readings, plans, links, terms = {}, {}, {}, EmissionTerms(policy)  # the run's tables
+    readings, plans, terms = {}, {}, EmissionTerms(policy)  # the run's tables
     for start in range(0, len(records), BLOCK_SIZE):
         block = records[start : start + BLOCK_SIZE]
-        outcomes = _extract_block(block, lexicon, catalog, policy, readings, plans, links, terms)
+        outcomes = _extract_block(block, lexicon, catalog, policy, readings, plans, terms)
         for record, outcome in zip(block, outcomes):
             if isinstance(outcome, str):
                 result.skipped.append(SkippedRecord(record_id=record.id, reason=outcome))

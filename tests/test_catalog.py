@@ -418,15 +418,15 @@ class ReferenceCatalog(EntityCatalog):
                 key = alias.casefold()
                 bucket = self._by_alias.get(key)
                 if bucket is None:
-                    self._by_alias[key] = [entity.iri]
+                    self._by_alias[key] = [entity]
                     first = key.partition(" ")[0]
                     words = key.count(" ") + 1
                     if words > self._alias_words.get(first, 0):
                         self._alias_words[first] = words
-                elif entity.iri not in bucket:
-                    bucket.append(entity.iri)
-        for bucket in self._by_alias.values():
-            bucket.sort()
+                elif entity not in bucket:
+                    bucket.append(entity)
+        for key, bucket in self._by_alias.items():
+            self._by_alias[key] = tuple(sorted(bucket, key=lambda e: e.iri))
         self._titles = set()
         self._positions = {}
         for entity in self._by_iri.values():
@@ -435,8 +435,8 @@ class ReferenceCatalog(EntityCatalog):
             for rank, position in enumerate(entity.positions):
                 title = position.title.casefold()
                 self._titles.add(title)
-                for org_iri in self._by_alias.get(position.org.casefold(), ()):
-                    self._positions.setdefault((title, org_iri), []).append(
+                for org in self._by_alias.get(position.org.casefold(), ()):
+                    self._positions.setdefault((title, org.iri), []).append(
                         (rank, entity, position)
                     )
 

@@ -24,8 +24,10 @@ from hypothesis import strategies as st
 from headex import cli, pipeline
 from headex.cli import main
 from headex.catalog import default_catalog_path
+from headex.ingest import MENTION, normalize, read_records
 from headex.lexicon import default_lexicon_path
 from headex.rdf import XSD_DATE, Literal, Triple, parse_ntriples
+from headex.triplify import IriPolicy, slugify
 
 BASE = "http://example.org/news/"
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -1257,7 +1259,8 @@ def draw_corpus(data, fixtures_dir: Path, bench_gen, root: Path) -> tuple[list[s
     """A fixture, or a small ``gen.py`` corpus written under ``root`` of a
     drawn workload, seed and size: its lines with distinct ids (the first of
     each id, since a repeat would be skipped) and the ``extract`` options
-    that go with it."""
+    that go with it.  A ``noisy-feed`` catalog may own a minted IRI (see
+    ``own_a_minted_iri``)."""
     source = data.draw(
         st.sampled_from(("headlines9", "duplicates", "archive", "breaking", "noisy-feed")),
         "source",
@@ -1272,10 +1275,34 @@ def draw_corpus(data, fixtures_dir: Path, bench_gen, root: Path) -> tuple[list[s
         )
         bench_gen.generate(knobs, data.draw(st.integers(1, 2**16), "seed"), root)
         records, options = root / "records.tsv", ["--catalog", str(root / "catalog.json")]
+        if source == "noisy-feed" and data.draw(st.booleans(), "catalog owns a minted IRI"):
+            own_a_minted_iri(data, records, root / "catalog.json")
     first: dict[str, str] = {}
     for line in records.read_text(encoding="utf-8").splitlines(keepends=True):
         first.setdefault(line.split("\t", 1)[0], line)
     return list(first.values()), options
+
+
+def own_a_minted_iri(data, records: Path, catalog_path: Path) -> None:
+    """Add to the catalog one entity that owns the IRI minted for a drawn
+    @handle of the corpus, under a label no headline holds, so that every
+    record linking that handle is skipped as a collision."""
+    handles = set()
+    for record in read_records(records)[0]:
+        try:
+            tokens = normalize(record.text).tokens
+        except ValueError:
+            continue
+        handles.update(t.surface for t in tokens if t.kind == MENTION)
+    if not handles:
+        return
+    handle = data.draw(st.sampled_from(sorted(handles)), "handle whose IRI the catalog owns")
+    label = "Owner Of A Minted Handle"
+    assert label.casefold() not in records.read_text(encoding="utf-8").casefold()
+    catalog = json.loads(catalog_path.read_text(encoding="utf-8"))
+    iri = IriPolicy().entity_iri(slugify(handle))
+    catalog["entities"].append({"iri": iri, "label": label})
+    catalog_path.write_text(json.dumps(catalog), encoding="utf-8")
 
 
 class TestDrawnCorporaIgnoreRecordOrderAndBlockSize:

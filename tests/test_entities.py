@@ -158,6 +158,16 @@ class TestChunking:
         assert sum(c.intro_kind == "to_infinitive" for c in chunks) == 1
 
 
+class TestStripQuotes:
+    def test_deletes_the_three_quote_characters_then_strips(self):
+        assert strip_quotes(' “Peace” talks "now" ') == "Peace talks now"
+        assert strip_quotes('"“”"') == ""
+
+    def test_keeps_every_other_character(self):
+        text = "it's «fine» ‘so’ „far‟"
+        assert strip_quotes(f"\t{text}\n") == text
+
+
 class TestRecognition:
     def test_running_example_mentions(self, record_by_id, lexicon, catalog):
         _, _, chunks = chunks_for(record_by_id["no2"].text, lexicon)

@@ -577,10 +577,10 @@ class TestPositionReferenceParsedOnce:
 
 
 class TestLinkTable:
-    """``link_entity`` reads a surface's candidates, or mints its IRI, once
-    per run (``pipeline``'s ``links`` table); what depends on the record, the
-    choice among several candidates and its audit, is made for each record,
-    and a collision is never stored."""
+    """``link_entity`` reads a surface's candidates from the catalog, or
+    mints its IRI, on every call; what depends on the record, the choice
+    among several candidates and its audit, is made for each record, and a
+    colliding mint skips every record that meets it."""
 
     @staticmethod
     def records(texts):
@@ -600,15 +600,14 @@ class TestLinkTable:
         assert len(result.instances) == len(texts) - len(result.skipped)
 
     def test_a_collision_is_raised_each_time_and_never_stored(self, lexicon):
-        catalog, links = _catalog(), {}
+        catalog = _catalog()
         (record,) = self.records(["@zork meets Vela"])
         tokens = normalize(record.text)
         chunks = chunk(tokens, recognize_event(tokens, lexicon))
         (handle,) = [m for m in recognize_entities(chunks, catalog) if m.kind == KIND_MENTION]
         for _ in range(2):
             with pytest.raises(LinkingError, match="collides"):
-                link_entity(handle, catalog, tokens, IriPolicy().entity_iri, links=links)
-        assert links == {}
+                link_entity(handle, catalog, tokens, IriPolicy().entity_iri)
 
     def test_two_candidates_are_chosen_between_for_each_record(self, lexicon):
         # Kim Tori's keyword is "football", Kim Vale's "havana".
@@ -624,31 +623,6 @@ class TestLinkTable:
         ]
         assert [vale in p for p in participants] == [True, False, True, False]
         assert [tori in p for p in participants] == [False, True, False, True]
-
-    @pytest.mark.parametrize("workload", ["archive", "breaking", "noisy-feed"])
-    def test_the_shared_table_gives_what_a_fresh_one_per_call_gives(
-        self, monkeypatch, tmp_path, bench_gen, lexicon, workload
-    ):
-        settings = dataclasses.replace(
-            bench_gen.WORKLOADS[workload], records=160, catalog_size=300, pool=200
-        )
-        bench_gen.generate(settings, 1, tmp_path)
-        records, _ = read_records(tmp_path / "records.tsv")
-        catalog, policy = load_catalog(tmp_path / "catalog.json"), IriPolicy()
-        calls: Counter[str] = Counter()
-
-        def fresh_table(*args, links, **kwargs):
-            calls["link_entity"] += 1
-            return link_entity(*args, links={}, **kwargs)
-
-        shared = extract_corpus(records, lexicon, catalog, policy)
-        monkeypatch.setattr(pipeline, "link_entity", fresh_table)
-        fresh = extract_corpus(records, lexicon, catalog, policy)
-        assert calls["link_entity"] > 0
-        assert list(shared.graph) == list(fresh.graph)
-        assert shared.instances == fresh.instances
-        assert shared.skipped == fresh.skipped
-        assert shared.audits == fresh.audits
 
     @pytest.mark.parametrize("workload", ["archive", "breaking", "noisy-feed"])
     def test_context_words_are_built_once_per_choice_and_never_otherwise(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headex.catalog import default_catalog_path
@@ -39,6 +41,36 @@ def predicates(graph, predicate):
     return [t for t in graph if t.predicate == predicate]
 
 
+def loop_slugify(text: str) -> str:
+    """The character loop ``slugify`` once was, kept as its oracle."""
+    out = []
+    last_sep = True
+    for ch in text.casefold():
+        if ch.isalnum():
+            out.append(ch)
+            last_sep = False
+        elif not last_sep:
+            out.append("_")
+            last_sep = True
+    slug = "".join(out).strip("_")
+    if not slug:
+        raise PolicyError(f"cannot derive an IRI slug from {text!r}")
+    return slug
+
+
+# ASCII, "_" and spaces, combining marks, digits of other scripts, and
+# characters whose casefold is longer than they are ("ß" -> "ss", "İ" ->
+# "i" + a combining dot, "ﬁ" -> "fi"); text of "_", spaces and marks alone
+# has no slug.
+SLUG_CHARACTERS = st.one_of(
+    st.characters(max_codepoint=0x7F),
+    st.sampled_from("_ \t\u00a0\u3000"),
+    st.characters(categories=["Mn", "Mc", "Me"]),
+    st.sampled_from("\u0663\u0967\u0e53\uff13\u2462\u216b\U0001d7d9"),
+    st.sampled_from("ßİﬁŉΐẞ"),
+)
+
+
 class TestSlugify:
     def test_basic(self):
         assert slugify("The New York Times") == "the_new_york_times"
@@ -48,6 +80,27 @@ class TestSlugify:
     def test_unsluggable_raises(self):
         with pytest.raises(PolicyError):
             slugify("!!!")
+
+    def test_the_pattern_drops_exactly_what_isalnum_refuses(self):
+        # Every code point but the surrogates, under this Python's Unicode
+        # tables: ``[\W_]`` matches a character exactly when ``str.isalnum``
+        # is false, so the pattern and the loop it replaced keep the same ones.
+        text = "".join(map(chr, (*range(0xD800), *range(0xE000, sys.maxunicode + 1))))
+        assert re.findall(r"[\W_]", text) == [ch for ch in text if not ch.isalnum()]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(SLUG_CHARACTERS, max_size=16))
+    @example("_\u0301 _")
+    @example("ßİﬁ__\u0663")
+    def test_property_equals_the_character_loop(self, text):
+        try:
+            expected = loop_slugify(text)
+        except PolicyError as exc:
+            with pytest.raises(PolicyError) as err:
+                slugify(text)
+            assert str(err.value) == str(exc)
+        else:
+            assert slugify(text) == expected
 
 
 class TestIriPolicy:
